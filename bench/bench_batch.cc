@@ -94,8 +94,7 @@ int main() {
   // engine would answer several fixtures in closed form).
   rwl::InferenceOptions options;
   options.tolerances = rwl::semantics::ToleranceVector::Uniform(0.05);
-  options.use_symbolic = false;
-  options.use_maxent = false;
+  options.strategies.Remove("symbolic").Remove("maxent");
   options.limit.domain_sizes = {8, 16, 24, 32};
 
   for (const auto& bench_case : BuildCases()) {

@@ -53,15 +53,13 @@ void ReportTable() {
         "forall x. (Magpie(x) => Bird(x))\n"
         "Magpie(Tweety)\n");
     InferenceOptions symbolic = Options();
-    symbolic.use_profile = false;
-    symbolic.use_maxent = false;
-    symbolic.use_exact_fallback = false;
+    symbolic.strategies.Remove("profile").Remove("maxent").Remove("exact");
     rwl::bench::PrintRow("E5.24-strength",
                          "tighter bird interval beats magpies",
                          "[0.7, 0.8]",
                          DegreeOfBelief(kb, "Chirps(Tweety)", symbolic));
     InferenceOptions numeric = Options();
-    numeric.use_symbolic = false;
+    numeric.strategies.Remove("symbolic");
     numeric.limit.domain_sizes = {16, 24};
     numeric.limit.tolerance_scales = {1.0};
     rwl::bench::PrintRow("E5.24-numeric",
@@ -78,7 +76,7 @@ void ReportTable() {
         "forall x. (Magpie(x) => Bird(x))\n"
         "Magpie(Tweety)\n");
     InferenceOptions numeric = Options();
-    numeric.use_symbolic = false;
+    numeric.strategies.Remove("symbolic");
     numeric.limit.domain_sizes = {10, 12};
     numeric.limit.tolerance_scales = {1.0};
     rwl::bench::PrintRow("E5.25-moody",
@@ -126,9 +124,7 @@ void ReportTable() {
 void BM_NixonSymbolic(benchmark::State& state) {
   KnowledgeBase kb = NixonKb(0.8, 0.8, false);
   InferenceOptions options = Options();
-  options.use_profile = false;
-  options.use_maxent = false;
-  options.use_exact_fallback = false;
+  options.strategies.Remove("profile").Remove("maxent").Remove("exact");
   for (auto _ : state) {
     benchmark::DoNotOptimize(DegreeOfBelief(kb, "Pacifist(Nixon)", options));
   }

@@ -52,9 +52,7 @@ void ReportTable() {
     options.limit.domain_sizes = {16, 32, 48};
     options.limit.tolerance_scales = {1.0, 0.5};
     if (example.numeric_only) {
-      options.use_symbolic = false;
-      options.use_maxent = false;
-      options.use_exact_fallback = false;
+      options.strategies.Remove("symbolic").Remove("maxent").Remove("exact");
       options.limit.domain_sizes = {32, 64, 128};
       options.limit.tolerance_scales = {1.0};
     }
@@ -98,9 +96,7 @@ void BM_FullCorpus(benchmark::State& state) {
         kb.mutable_vocabulary().AddConstant(constant);
       }
       rwl::InferenceOptions options;
-      options.use_profile = false;
-      options.use_maxent = false;
-      options.use_exact_fallback = false;
+      options.strategies.Remove("profile").Remove("maxent").Remove("exact");
       benchmark::DoNotOptimize(
           rwl::DegreeOfBelief(kb, example.query, options));
     }

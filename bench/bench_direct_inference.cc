@@ -68,7 +68,7 @@ void ReportTable() {
     // the answer because its statistics hold in almost all worlds.
     KnowledgeBase kb = HepKb(false);
     InferenceOptions numeric = Options();
-    numeric.use_symbolic = false;
+    numeric.strategies.Remove("symbolic");
     numeric.limit.domain_sizes = {24, 48};
     rwl::bench::PrintRow("E5.11-numeric",
                          "profile engine, spurious class immaterial", "0.8",
@@ -93,9 +93,7 @@ void ReportTable() {
 void BM_SymbolicDirectInference(benchmark::State& state) {
   KnowledgeBase kb = HepKb(true);
   InferenceOptions options = Options();
-  options.use_profile = false;
-  options.use_maxent = false;
-  options.use_exact_fallback = false;
+  options.strategies.Remove("profile").Remove("maxent").Remove("exact");
   for (auto _ : state) {
     benchmark::DoNotOptimize(DegreeOfBelief(kb, "Hep(Eric)", options));
   }
@@ -133,9 +131,7 @@ BENCHMARK(BM_ExactDirectInference)->DenseRange(4, 8, 2);
 void BM_MaxEntDirectInference(benchmark::State& state) {
   KnowledgeBase kb = HepKb(false);
   InferenceOptions options = Options();
-  options.use_symbolic = false;
-  options.use_profile = false;
-  options.use_exact_fallback = false;
+  options.strategies.Remove("symbolic").Remove("profile").Remove("exact");
   for (auto _ : state) {
     benchmark::DoNotOptimize(DegreeOfBelief(kb, "Hep(Eric)", options));
   }

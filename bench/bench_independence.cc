@@ -48,7 +48,7 @@ void ReportTable() {
     // Numeric confirmation of the product (no symbolic shortcut).
     KnowledgeBase kb = JointKb();
     InferenceOptions numeric = Options();
-    numeric.use_symbolic = false;
+    numeric.strategies.Remove("symbolic");
     numeric.limit.domain_sizes = {16, 24};
     rwl::bench::PrintRow(
         "E5.28-numeric", "product confirmed by profile sweep", "0.32",
@@ -71,9 +71,7 @@ void ReportTable() {
 void BM_IndependenceSplit(benchmark::State& state) {
   KnowledgeBase kb = JointKb();
   InferenceOptions options = Options();
-  options.use_profile = false;
-  options.use_maxent = false;
-  options.use_exact_fallback = false;
+  options.strategies.Remove("profile").Remove("maxent").Remove("exact");
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         DegreeOfBelief(kb, "Hep(Eric) & Over60(Eric)", options));

@@ -102,9 +102,7 @@ void BM_InheritanceSymbolic(benchmark::State& state) {
       "#(EasyToSee(x) ; Yellow(x))[x] ~=_3 1\n"
       "Penguin(Tweety)\nYellow(Tweety)");
   InferenceOptions options = Options();
-  options.use_profile = false;
-  options.use_maxent = false;
-  options.use_exact_fallback = false;
+  options.strategies.Remove("profile").Remove("maxent").Remove("exact");
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         DegreeOfBelief(kb, "EasyToSee(Tweety)", options));

@@ -79,8 +79,7 @@ void ReportTable() {
     options.tolerances = rwl::semantics::ToleranceVector::Uniform(0.05);
     options.limit.domain_sizes = {12, 20};
     options.limit.tolerance_scales = {1.0};
-    options.use_maxent = false;
-    options.use_exact_fallback = false;
+    options.strategies.Remove("maxent").Remove("exact");
     rwl::bench::PrintRow("Poole-partition",
                          "all-exceptional partition of birds",
                          "inconsistent",

@@ -68,9 +68,7 @@ void BM_NonUnarySymbolic(benchmark::State& state) {
       "#(Likes(x, Fred) ; Elephant(x))[x] ~=_2 0\n"
       "Zookeeper(Fred)\nElephant(Clyde)\nZookeeper(Eric)\n");
   InferenceOptions options = Options();
-  options.use_profile = false;
-  options.use_maxent = false;
-  options.use_exact_fallback = false;
+  options.strategies.Remove("profile").Remove("maxent").Remove("exact");
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         DegreeOfBelief(kb, "Likes(Clyde, Eric)", options));

@@ -188,7 +188,7 @@ int main() {
     std::vector<std::pair<std::string, rwl::Answer>> forced_answers;
     for (const char* name : kForced) {
       rwl::InferenceOptions forced = BaseOptions();
-      forced.force_engine = name;
+      forced.strategies = rwl::StrategySet::Only(name);
       Clock::time_point t0 = Clock::now();
       rwl::Answer answer = rwl::DegreeOfBelief(c.kb, c.query, forced);
       double elapsed = MillisSince(t0);

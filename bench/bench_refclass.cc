@@ -113,9 +113,7 @@ void ReportTable() {
       ++reich_informative;
     }
     InferenceOptions fast = Options();
-    fast.use_profile = false;
-    fast.use_maxent = false;
-    fast.use_exact_fallback = false;
+    fast.strategies.Remove("profile").Remove("maxent").Remove("exact");
     Answer rw = DegreeOfBelief(kb, query, fast);
     if (rw.status == Answer::Status::kPoint) ++rwl_informative;
   }

@@ -75,7 +75,7 @@ void BM_RefinedVocabulary(benchmark::State& state) {
       "forall x. !(Red(x) & Blue(x))\n");
   kb.mutable_vocabulary().AddConstant("B");
   InferenceOptions options = Options();
-  options.use_symbolic = false;
+  options.strategies.Remove("symbolic");
   options.limit.domain_sizes = {32};
   options.limit.tolerance_scales = {1.0};
   for (auto _ : state) {

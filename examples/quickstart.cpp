@@ -56,9 +56,7 @@ int main() {
       "forall x. (Magpie(x) => Bird(x))\n"
       "Magpie(Tweety)\n");
   InferenceOptions symbolic_only;
-  symbolic_only.use_profile = false;
-  symbolic_only.use_maxent = false;
-  symbolic_only.use_exact_fallback = false;
+  symbolic_only.strategies.Remove("profile").Remove("maxent").Remove("exact");
   Answer interval = DegreeOfBelief(chirps, "Chirps(Tweety)", symbolic_only);
   std::printf("Pr(Chirps(Tweety))  in [%.2f, %.2f]  (%s)\n", interval.lo,
               interval.hi, interval.method.c_str());

@@ -1,31 +1,32 @@
 // EngineRegistry: the registered inference strategies behind
 // DegreeOfBelief, routed by the cost-based planner (core/planner.h).
 //
-// The seed hard-coded its engine routing as one long function; PR 1 made
-// the pipeline data (a priority-ordered strategy list); this revision makes
-// the routing a *decision*.  A strategy wraps one way of answering a query
-// (a theorem engine, a finite-N sweep, a closed-form limit, ...) behind a
-// uniform three-way contract:
+// A strategy wraps one way of answering a query (a theorem engine, a
+// finite-N sweep, a closed-form limit, ...) behind a uniform three-way
+// contract:
 //
 //   kFinal   — the answer is finalized, stop,
 //   kPartial — the answer was improved (e.g. a sound symbolic interval
 //              that a later numeric strategy may sharpen), keep going,
-//   kSkip    — the strategy is disabled or does not apply.
+//   kSkip    — the strategy does not apply.
 //
 // and additionally reports, per (KB, query), a Capability (can it apply at
 // all?) and a CostEstimate (how much work would an answer take?).  The
-// planner assesses every registered strategy, orders the applicable ones —
+// planner assesses every registered strategy in the options' StrategySet
+// (the rest are never assessed), orders the applicable ones —
 // by the paper's fidelity preference or by predicted cost — executes under
 // the per-query deadline/work budget of InferenceOptions, falls back
 // adaptively when an engine exhausts its budget, and caches the plan in
 // the QueryContext for repeated traffic.
 //
 // Registration priority doubles as the fidelity rank: lower priority =
-// preferred at equal applicability.  The default registry is seeded in the
-// paper's preference order: fixed-N (footnote 9), symbolic theorems,
-// profile sweep, maximum entropy, exact-enumeration fallback, and the
-// opt-in Monte-Carlo sweep.  Callers may register additional strategies;
-// registration is thread-safe.
+// preferred at equal applicability.  The default registry holds eleven
+// strategies in the paper's preference order: the preemptive fixed-n
+// (footnote 9) and calibrated interval modes, symbolic theorems, profile
+// sweep, the defaults family (epsilon_semantics, klm, gmp90), Dempster
+// evidence combination, maximum entropy, exact-enumeration fallback, and
+// the Monte-Carlo sweep (outside the default StrategySet).  Callers may
+// register additional strategies; registration is thread-safe.
 #ifndef RWL_CORE_ENGINE_REGISTRY_H_
 #define RWL_CORE_ENGINE_REGISTRY_H_
 
@@ -50,7 +51,7 @@ class InferenceStrategy {
 
   virtual ~InferenceStrategy() = default;
 
-  // Stable identifier: the planner's cache entries, rwlq --engine and the
+  // Stable identifier: StrategySet, the planner's cache entries and the
   // plan trace all refer to strategies by this name.
   virtual std::string name() const = 0;
 
@@ -105,15 +106,15 @@ class EngineRegistry {
   // Strategies in fidelity (registration-priority) order.
   std::vector<std::shared_ptr<const InferenceStrategy>> Ordered() const;
 
-  // The strategy registered under `name`, or null (rwlq --engine).
+  // The strategy registered under `name`, or null.
   std::shared_ptr<const InferenceStrategy> Find(const std::string& name)
       const;
 
   // Plans and executes: assesses capability and cost of every registered
-  // strategy, orders candidates (paper preference or predicted cost),
-  // honors options.deadline_ms / work_budget / force_engine, reuses cached
-  // plans from the context, and attaches a structured plan trace to the
-  // answer.  A partial interval survives as the fallback answer, otherwise
+  // strategy in options.strategies, orders candidates (paper preference or
+  // predicted cost), honors options.deadline_ms / work_budget, reuses
+  // cached plans from the context, and attaches a structured plan trace to
+  // the answer.  A partial interval survives as the fallback answer, otherwise
   // kUnknown.
   Answer Infer(QueryContext& ctx, const logic::FormulaPtr& query,
                const InferenceOptions& options) const;

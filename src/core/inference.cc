@@ -40,6 +40,41 @@ std::string StatusToString(Answer::Status status) {
   return "?";
 }
 
+StrategySet StrategySet::Only(std::string name) {
+  StrategySet set;
+  set.only_ = true;
+  set.names_ = {std::move(name)};
+  return set;
+}
+
+StrategySet& StrategySet::Add(std::string_view name) {
+  return List(name, only_);
+}
+
+StrategySet& StrategySet::Remove(std::string_view name) {
+  return List(name, !only_);
+}
+
+StrategySet& StrategySet::List(std::string_view name, bool listed) {
+  auto it = std::lower_bound(names_.begin(), names_.end(), name);
+  const bool present = it != names_.end() && *it == name;
+  if (listed && !present) names_.insert(it, std::string(name));
+  if (!listed && present) names_.erase(it);
+  return *this;
+}
+
+bool StrategySet::Contains(std::string_view name) const {
+  return std::binary_search(names_.begin(), names_.end(), name) == only_;
+}
+
+void StrategySet::AppendKey(std::string* key) const {
+  *key += only_ ? '+' : '-';
+  for (const std::string& name : names_) {
+    *key += name;
+    *key += ',';
+  }
+}
+
 namespace {
 
 // Shared by the sweep strategies: is the engine capable at any N of the
@@ -112,10 +147,10 @@ class FixedDomainStrategy : public InferenceStrategy {
     const int n = options.fixed_domain_size;
     engines::ProfileEngine profile;
     engines::ExactEngine exact;
-    if (options.use_profile && profile.Supports(ctx, query, n)) {
+    if (profile.Supports(ctx, query, n)) {
       return profile.EstimateCost(ctx, query, n);
     }
-    if (options.use_exact_fallback && exact.Supports(ctx, query, n)) {
+    if (exact.Supports(ctx, query, n)) {
       return exact.EstimateCost(ctx, query, n);
     }
     engines::CostEstimate none;
@@ -130,9 +165,9 @@ class FixedDomainStrategy : public InferenceStrategy {
     engines::ProfileEngine profile;
     engines::ExactEngine exact;
     const engines::FiniteEngine* engine = nullptr;
-    if (options.use_profile && profile.Supports(ctx, query, n)) {
+    if (profile.Supports(ctx, query, n)) {
       engine = &profile;
-    } else if (options.use_exact_fallback && exact.Supports(ctx, query, n)) {
+    } else if (exact.Supports(ctx, query, n)) {
       engine = &exact;
     }
     if (engine != nullptr) {
@@ -171,16 +206,11 @@ class SymbolicStrategy : public InferenceStrategy {
  public:
   std::string name() const override { return "symbolic"; }
 
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
+  engines::Capability Assess(
+      QueryContext& ctx, const logic::FormulaPtr& query,
+      const InferenceOptions& /*options*/) const override {
     engines::SymbolicEngine symbolic;
-    engines::Capability cap = symbolic.Assess(ctx, query);
-    if (!options.use_symbolic) {
-      cap.applicable = false;
-      cap.reason = "disabled (--no-symbolic)";
-    }
-    return cap;
+    return symbolic.Assess(ctx, query);
   }
 
   engines::CostEstimate EstimateCost(
@@ -191,8 +221,8 @@ class SymbolicStrategy : public InferenceStrategy {
   }
 
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
-              const InferenceOptions& options, Answer* answer) const override {
-    if (!options.use_symbolic) return Outcome::kSkip;
+              const InferenceOptions& /*options*/,
+              Answer* answer) const override {
     engines::SymbolicEngine symbolic;
     engines::SymbolicAnswer sa = symbolic.Infer(ctx, query);
     if (sa.status == engines::SymbolicAnswer::Status::kNonexistent) {
@@ -231,10 +261,6 @@ class ProfileSweepStrategy : public InferenceStrategy {
     engines::ProfileEngine profile;
     engines::Capability cap =
         engines::DescribeInstance(ctx.vocabulary(), query);
-    if (!options.use_profile) {
-      cap.reason = "disabled";
-      return cap;
-    }
     cap.applicable =
         AnySupported(profile, ctx, query, options.limit.domain_sizes);
     cap.reason = cap.applicable
@@ -255,7 +281,6 @@ class ProfileSweepStrategy : public InferenceStrategy {
 
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
               const InferenceOptions& options, Answer* answer) const override {
-    if (!options.use_profile) return Outcome::kSkip;
     engines::ProfileEngine profile;
     bool any_supported = false;
     for (int n : options.limit.domain_sizes) {
@@ -303,16 +328,11 @@ class MaxEntStrategy : public InferenceStrategy {
  public:
   std::string name() const override { return "maxent"; }
 
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
+  engines::Capability Assess(
+      QueryContext& ctx, const logic::FormulaPtr& query,
+      const InferenceOptions& /*options*/) const override {
     engines::MaxEntEngine maxent;
-    engines::Capability cap = maxent.Assess(ctx, query);
-    if (!options.use_maxent) {
-      cap.applicable = false;
-      cap.reason = "disabled";
-    }
-    return cap;
+    return maxent.Assess(ctx, query);
   }
 
   engines::CostEstimate EstimateCost(
@@ -324,7 +344,6 @@ class MaxEntStrategy : public InferenceStrategy {
 
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
               const InferenceOptions& options, Answer* answer) const override {
-    if (!options.use_maxent) return Outcome::kSkip;
     engines::MaxEntEngine maxent;
     engines::MaxEntEngine::LimitResultME mr =
         maxent.InferLimit(ctx, query, options.tolerances);
@@ -349,16 +368,12 @@ class ExactFallbackStrategy : public InferenceStrategy {
   // tiny N, and the limit is extrapolated from the prefix.
   static std::vector<int> SmallSizes() { return {2, 3, 4, 5, 6}; }
 
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
+  engines::Capability Assess(
+      QueryContext& ctx, const logic::FormulaPtr& query,
+      const InferenceOptions& /*options*/) const override {
     engines::ExactEngine exact;
     engines::Capability cap =
         engines::DescribeInstance(ctx.vocabulary(), query);
-    if (!options.use_exact_fallback) {
-      cap.reason = "disabled";
-      return cap;
-    }
     cap.applicable = AnySupported(exact, ctx, query, SmallSizes());
     cap.reason = cap.applicable
                      ? "world odometer fits at small N"
@@ -382,7 +397,6 @@ class ExactFallbackStrategy : public InferenceStrategy {
 
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
               const InferenceOptions& options, Answer* answer) const override {
-    if (!options.use_exact_fallback) return Outcome::kSkip;
     engines::ExactEngine exact;
     engines::LimitOptions small;
     small.domain_sizes = SmallSizes();
@@ -443,10 +457,6 @@ class MonteCarloStrategy : public InferenceStrategy {
     engines::MonteCarloEngine montecarlo = MakeEngine(options);
     engines::Capability cap =
         engines::DescribeInstance(ctx.vocabulary(), query);
-    if (!options.use_montecarlo) {
-      cap.reason = "disabled (opt-in: sampling error; --montecarlo)";
-      return cap;
-    }
     cap.applicable =
         AnySupported(montecarlo, ctx, query, options.limit.domain_sizes);
     cap.reason = cap.applicable
@@ -467,7 +477,6 @@ class MonteCarloStrategy : public InferenceStrategy {
 
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
               const InferenceOptions& options, Answer* answer) const override {
-    if (!options.use_montecarlo) return Outcome::kSkip;
     engines::MonteCarloEngine montecarlo = MakeEngine(options);
     bool any = false;
     for (int n : options.limit.domain_sizes) {
@@ -511,16 +520,11 @@ class MonteCarloStrategy : public InferenceStrategy {
 // algorithm.
 class PEntailmentStrategy : public InferenceStrategy {
  public:
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
+  engines::Capability Assess(
+      QueryContext& ctx, const logic::FormulaPtr& query,
+      const InferenceOptions& /*options*/) const override {
     engines::Capability cap =
         engines::DescribeInstance(ctx.vocabulary(), query);
-    if (!options.use_defaults) {
-      cap.applicable = false;
-      cap.reason = "disabled (defaults family off)";
-      return cap;
-    }
     defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
         ctx.kb_conjuncts(), query, limits());
     cap.applicable = instance.ok;
@@ -534,8 +538,8 @@ class PEntailmentStrategy : public InferenceStrategy {
   }
 
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
-              const InferenceOptions& options, Answer* answer) const override {
-    if (!options.use_defaults) return Outcome::kSkip;
+              const InferenceOptions& /*options*/,
+              Answer* answer) const override {
     defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
         ctx.kb_conjuncts(), query, limits());
     if (!instance.ok) return Outcome::kSkip;
@@ -663,16 +667,11 @@ class Gmp90Strategy : public InferenceStrategy {
     return limits;
   }
 
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
+  engines::Capability Assess(
+      QueryContext& ctx, const logic::FormulaPtr& query,
+      const InferenceOptions& /*options*/) const override {
     engines::Capability cap =
         engines::DescribeInstance(ctx.vocabulary(), query);
-    if (!options.use_defaults) {
-      cap.applicable = false;
-      cap.reason = "disabled (defaults family off)";
-      return cap;
-    }
     defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
         ctx.kb_conjuncts(), query, Limits());
     cap.applicable = instance.ok;
@@ -704,8 +703,8 @@ class Gmp90Strategy : public InferenceStrategy {
   }
 
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
-              const InferenceOptions& options, Answer* answer) const override {
-    if (!options.use_defaults) return Outcome::kSkip;
+              const InferenceOptions& /*options*/,
+              Answer* answer) const override {
     defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
         ctx.kb_conjuncts(), query, Limits());
     if (!instance.ok) return Outcome::kSkip;
@@ -774,16 +773,11 @@ class EvidenceStrategy : public InferenceStrategy {
  public:
   std::string name() const override { return "evidence"; }
 
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
+  engines::Capability Assess(
+      QueryContext& ctx, const logic::FormulaPtr& query,
+      const InferenceOptions& /*options*/) const override {
     engines::Capability cap =
         engines::DescribeInstance(ctx.vocabulary(), query);
-    if (!options.use_evidence) {
-      cap.applicable = false;
-      cap.reason = "disabled (evidence combination off)";
-      return cap;
-    }
     evidence::EvidenceInstance instance =
         evidence::AnalyzeEvidenceInstance(ctx.kb_conjuncts(), query);
     cap.applicable = instance.ok;
@@ -809,8 +803,8 @@ class EvidenceStrategy : public InferenceStrategy {
   }
 
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
-              const InferenceOptions& options, Answer* answer) const override {
-    if (!options.use_evidence) return Outcome::kSkip;
+              const InferenceOptions& /*options*/,
+              Answer* answer) const override {
     evidence::EvidenceInstance instance =
         evidence::AnalyzeEvidenceInstance(ctx.kb_conjuncts(), query);
     if (!instance.ok) return Outcome::kSkip;
@@ -894,10 +888,8 @@ class CalibratedStrategy : public InferenceStrategy {
     engines::ProfileEngine profile;
     engines::ExactEngine exact;
     cap.applicable =
-        (options.use_profile &&
-         AnySupported(profile, ctx, query, options.limit.domain_sizes)) ||
-        (options.use_exact_fallback &&
-         AnySupported(exact, ctx, query, ExactFallbackStrategy::SmallSizes()));
+        AnySupported(profile, ctx, query, options.limit.domain_sizes) ||
+        AnySupported(exact, ctx, query, ExactFallbackStrategy::SmallSizes());
     cap.reason = cap.applicable
                      ? "interval at confidence requested; a numeric sweep "
                        "engine covers the schedule"
@@ -909,8 +901,7 @@ class CalibratedStrategy : public InferenceStrategy {
       QueryContext& ctx, const logic::FormulaPtr& query,
       const InferenceOptions& options) const override {
     engines::ProfileEngine profile;
-    if (options.use_profile &&
-        AnySupported(profile, ctx, query, options.limit.domain_sizes)) {
+    if (AnySupported(profile, ctx, query, options.limit.domain_sizes)) {
       return SweepCost(profile, ctx, query, options.limit.domain_sizes,
                        options.limit.tolerance_scales.size(),
                        options.limit.convergence_epsilon);
@@ -928,13 +919,11 @@ class CalibratedStrategy : public InferenceStrategy {
     engines::ExactEngine exact;
     engines::LimitResult lr;
     std::string sweep_label;
-    if (options.use_profile &&
-        AnySupported(profile, ctx, query, options.limit.domain_sizes)) {
+    if (AnySupported(profile, ctx, query, options.limit.domain_sizes)) {
       lr = engines::EstimateLimit(profile, ctx, query, options.tolerances,
                                   options.limit);
       sweep_label = "profile sweep";
-    } else if (options.use_exact_fallback &&
-               AnySupported(exact, ctx, query,
+    } else if (AnySupported(exact, ctx, query,
                             ExactFallbackStrategy::SmallSizes())) {
       engines::LimitOptions small = options.limit;
       small.domain_sizes = ExactFallbackStrategy::SmallSizes();
@@ -970,17 +959,14 @@ class CalibratedStrategy : public InferenceStrategy {
     // Hull with the symbolic kPartial path: a sound Pr_∞ point or
     // interval, when a theorem applies, must stay inside the answer.
     std::string hull_note;
-    if (options.use_symbolic) {
-      engines::SymbolicEngine symbolic;
-      engines::SymbolicAnswer sa = symbolic.Infer(ctx, query);
-      if (sa.status == engines::SymbolicAnswer::Status::kInterval) {
-        if (sa.lo < lo || sa.hi > hi) {
-          lo = std::min(lo, sa.lo);
-          hi = std::max(hi, sa.hi);
-          hull_note = "; widened to cover the symbolic " +
-                      std::string(sa.is_point() ? "point" : "interval");
-        }
-      }
+    engines::SymbolicEngine symbolic;
+    engines::SymbolicAnswer sa = symbolic.Infer(ctx, query);
+    if (sa.status == engines::SymbolicAnswer::Status::kInterval &&
+        (sa.lo < lo || sa.hi > hi)) {
+      lo = std::min(lo, sa.lo);
+      hi = std::max(hi, sa.hi);
+      hull_note = "; widened to cover the symbolic " +
+                  std::string(sa.is_point() ? "point" : "interval");
     }
 
     answer->status = Answer::Status::kInterval;

@@ -1,16 +1,16 @@
 // Inference: the public entry point for computing degrees of belief.
 //
-// Routes a (KB, query) pair through the available engines:
+// Routes a (KB, query) pair through the registered strategies
+// (core/engine_registry.h) under the cost-based planner (core/planner.h):
+// the symbolic theorems, the profile / exact / Monte-Carlo sweeps over
+// growing N and shrinking τ, the maximum-entropy limit, the defaults family
+// (epsilon_semantics, klm, gmp90), Dempster evidence combination, and the
+// preemptive fixed-N and calibrated-interval modes.  Every strategy
+// estimates the same Pr_∞(φ | KB), so which ones may run is one choice:
+// InferenceOptions::strategies.
 //
-//   1. the symbolic engine (closed-form Pr_∞ via the paper's theorems;
-//      works for the full language),
-//   2. the profile engine (exact Pr_N^τ for unary KBs, swept over growing N
-//      and shrinking τ to estimate the limit),
-//   3. the maximum-entropy engine (the true N→∞ limit for unary KBs),
-//   4. the exact enumeration engine (tiny instances; mostly for validation).
-//
-// and reports a point value or interval together with which method produced
-// it and the convergence series (the data behind the paper-style
+// The answer is a point value or interval together with which method
+// produced it and the convergence series (the data behind the paper-style
 // convergence figures).
 #ifndef RWL_CORE_INFERENCE_H_
 #define RWL_CORE_INFERENCE_H_
@@ -18,6 +18,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/knowledge_base.h"
@@ -42,29 +43,51 @@ enum class PlanMode {
   kMinCost,
 };
 
+// The strategies the planner may run, by registered name.  The default
+// admits every registered strategy except the opt-in `montecarlo` sweep,
+// which turns some kUnknown answers into sampled estimates that callers
+// must ask for.  Only("gmp90") admits exactly one strategy: forcing a
+// strategy (rwlq --engine, the protocol's "engine" field) is a set of one.
+class StrategySet {
+ public:
+  static StrategySet Only(std::string name);
+
+  // Admit or withdraw one strategy; both return *this for chaining.
+  StrategySet& Add(std::string_view name);
+  StrategySet& Remove(std::string_view name);
+
+  bool Contains(std::string_view name) const;
+
+  // The names an Only() set lists, each of which must be registered;
+  // empty for sets derived from the default.
+  std::span<const std::string> Required() const {
+    return only_ ? std::span<const std::string>(names_)
+                 : std::span<const std::string>();
+  }
+
+  // Canonical encoding (the plan-cache key component): '+' for the listed
+  // names only or '-' for all but them, then the sorted names.
+  void AppendKey(std::string* key) const;
+
+ private:
+  // Puts `name` on or off names_, keeping it sorted.
+  StrategySet& List(std::string_view name, bool listed);
+
+  bool only_ = false;
+  // Sorted; the members when only_, else the strategies left out.
+  std::vector<std::string> names_ = {"montecarlo"};
+};
+
 struct InferenceOptions {
   // Base tolerance vector (scaled down during the τ → 0 sweep).
   semantics::ToleranceVector tolerances{0.05};
   engines::LimitOptions limit;
-  bool use_symbolic = true;
-  bool use_profile = true;
-  bool use_maxent = true;
-  bool use_exact_fallback = true;
-  // Opt-in: rejection-sampling sweep for instances outside every other
-  // engine's fragment (binary predicates at medium N).  Off by default —
-  // it turns some kUnknown answers into estimates, which callers must
-  // want explicitly.
-  bool use_montecarlo = false;
+  // Which strategies may run (see StrategySet).
+  StrategySet strategies;
   // Sampling-error budget for the Monte-Carlo sweep: number of samples
   // per (N, ⃗τ) point (0 = the engine default).  Smaller budgets trade
   // accuracy for latency; the planner's cost model accounts for it.
   uint64_t montecarlo_samples = 0;
-  // The defaults family (epsilon_semantics, klm, gmp90): exact limits for
-  // KBs in the propositional-defaults fragment (defaults/fragment.h).
-  bool use_defaults = true;
-  // Dempster evidence combination for Theorem 5.26 instances
-  // (evidence/combination.h).
-  bool use_evidence = true;
   // Calibrated-interval mode (conformal-style): a value in (0, 1) asks
   // for an interval answer at confidence 1-δ with δ = 1-interval_confidence:
   // the preemptive `calibrated` strategy sweeps the numeric schedule and
@@ -96,10 +119,6 @@ struct InferenceOptions {
   // (engines::CostEstimate::work; 0 = none): candidates predicted over
   // budget are skipped, recorded in the plan trace.
   double work_budget = 0.0;
-  // Force a single strategy by name, bypassing the planner (rwlq
-  // --engine).  The forced strategy runs with its use_* switch enabled;
-  // an inapplicable forced strategy yields kUnknown.
-  std::string force_engine;
 };
 
 struct Answer {

@@ -110,6 +110,9 @@ uint64_t HashFormulaShape(const logic::FormulaPtr& f) {
   return h;
 }
 
+// The capability reason of a strategy outside InferenceOptions::strategies.
+constexpr char kNotInSet[] = "not in the strategy set";
+
 // ---- plan cache ----
 
 // The cached artifact: the assessed candidate list in execution order.
@@ -145,13 +148,7 @@ std::string PlanCacheKey(const InferenceOptions& options, uint64_t shape,
   key += "|t=";
   key += options.tolerances.CacheKey();
   key += "|f=";
-  key += options.use_symbolic ? '1' : '0';
-  key += options.use_profile ? '1' : '0';
-  key += options.use_maxent ? '1' : '0';
-  key += options.use_exact_fallback ? '1' : '0';
-  key += options.use_montecarlo ? '1' : '0';
-  key += options.use_defaults ? '1' : '0';
-  key += options.use_evidence ? '1' : '0';
+  options.strategies.AppendKey(&key);
   key += "|ic=";
   {
     char buf[40];
@@ -177,10 +174,10 @@ std::string OutcomeName(InferenceStrategy::Outcome outcome) {
   return "?";
 }
 
-// Builds the planned candidate list: every registered strategy assessed
-// and costed, applicable candidates first in the mode's order (preemptive
-// strategies pinned to the front), inapplicable ones kept at the tail for
-// the trace.
+// Builds the planned candidate list: every registered strategy in the
+// strategy set assessed and costed, applicable candidates first in the
+// mode's order (preemptive strategies pinned to the front), inapplicable
+// and out-of-set ones kept at the tail for the trace.
 std::vector<PlanStep> BuildPlan(
     const std::vector<std::shared_ptr<const InferenceStrategy>>& strategies,
     QueryContext& ctx, const logic::FormulaPtr& query,
@@ -195,9 +192,13 @@ std::vector<PlanStep> BuildPlan(
     const auto& strategy = strategies[i];
     Assessed a;
     a.step.strategy = strategy->name();
-    a.step.capability = strategy->Assess(ctx, query, options);
-    if (a.step.capability.applicable) {
-      a.step.predicted = strategy->EstimateCost(ctx, query, options);
+    if (!options.strategies.Contains(a.step.strategy)) {
+      a.step.capability.reason = kNotInSet;
+    } else {
+      a.step.capability = strategy->Assess(ctx, query, options);
+      if (a.step.capability.applicable) {
+        a.step.predicted = strategy->EstimateCost(ctx, query, options);
+      }
     }
     a.step.preemptive = strategy->preemptive();
     a.rank = i;
@@ -231,20 +232,32 @@ std::vector<PlanStep> BuildPlan(
   return steps;
 }
 
-void FinalizeAnswer(Answer* answer, bool deadline_hit, bool budget_skips) {
+void FinalizeAnswer(Answer* answer, bool deadline_hit,
+                    const std::vector<PlanStep>& steps) {
   // Mirrors the pre-planner pipeline: a sound symbolic interval survives
   // as the answer; otherwise the query is unanswered.
   if (answer->status == Answer::Status::kInterval) return;
   answer->status = Answer::Status::kUnknown;
-  if (answer->explanation.empty()) {
-    if (deadline_hit) {
-      answer->explanation =
-          "deadline exhausted before any engine produced an answer";
-    } else if (budget_skips) {
-      answer->explanation =
-          "every applicable engine was predicted over the work budget";
-    } else {
-      answer->explanation = "no engine applies to this (KB, query) pair";
+  if (!answer->explanation.empty()) return;
+  const bool budget_skips =
+      std::any_of(steps.begin(), steps.end(), [](const PlanStep& step) {
+        return step.action == PlanStep::Action::kSkippedBudget;
+      });
+  if (deadline_hit) {
+    answer->explanation =
+        "deadline exhausted before any engine produced an answer";
+  } else if (budget_skips) {
+    answer->explanation =
+        "every applicable engine was predicted over the work budget";
+  } else {
+    // Say why each strategy in the set declined.
+    answer->explanation = "no engine applies to this (KB, query) pair";
+    for (const PlanStep& step : steps) {
+      if (step.action == PlanStep::Action::kSkippedInapplicable &&
+          step.capability.reason != kNotInSet) {
+        answer->explanation +=
+            "; " + step.strategy + ": " + step.capability.reason;
+      }
     }
   }
 }
@@ -311,81 +324,18 @@ Answer PlanAndExecute(const EngineRegistry& registry, QueryContext& ctx,
   auto trace = std::make_shared<PlanTrace>();
   trace->shape_fingerprint = PlanShapeFingerprint(query);
 
-  // ---- forced single-strategy path (rwlq --engine) ----
-  if (!options.force_engine.empty()) {
-    trace->mode = "forced:" + options.force_engine;
-    std::shared_ptr<const InferenceStrategy> strategy =
-        registry.Find(options.force_engine);
-    if (strategy == nullptr) {
-      answer.status = Answer::Status::kUnknown;
-      answer.explanation =
-          "no strategy named '" + options.force_engine + "' is registered";
-      answer.plan = trace;
-      return answer;
-    }
-    // Forcing implies enabling: the forced strategy's opt-in switch is
-    // turned on, and only it runs.
-    InferenceOptions forced = options;
-    forced.force_engine.clear();
-    forced.use_symbolic = true;
-    forced.use_profile = true;
-    forced.use_maxent = true;
-    forced.use_exact_fallback = true;
-    forced.use_montecarlo = true;
-    forced.use_defaults = true;
-    forced.use_evidence = true;
-    if (options.deadline_ms > 0.0) {
-      forced.limit.deadline =
-          start + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double, std::milli>(
-                          options.deadline_ms));
-    }
-    PlanStep step;
-    step.strategy = strategy->name();
-    step.capability = strategy->Assess(ctx, query, forced);
-    if (step.capability.applicable) {
-      step.predicted = strategy->EstimateCost(ctx, query, forced);
-      if (options.work_budget > 0.0 &&
-          step.predicted.work > options.work_budget) {
-        step.action = PlanStep::Action::kSkippedBudget;
-        answer.status = Answer::Status::kUnknown;
-        answer.explanation = "forced strategy '" + options.force_engine +
-                             "' predicted over the work budget";
-        trace->steps.push_back(std::move(step));
-        trace->total_ms = MillisSince(start);
-        answer.plan = trace;
-        return answer;
-      }
-      Clock::time_point t0 = Clock::now();
-      InferenceStrategy::Outcome outcome =
-          strategy->Run(ctx, query, forced, &answer);
-      step.action = PlanStep::Action::kRan;
-      step.outcome = OutcomeName(outcome);
-      step.observed_ms = MillisSince(t0);
-      if (outcome != InferenceStrategy::Outcome::kFinal) {
-        const bool past_deadline =
-            options.deadline_ms > 0.0 &&
-            Clock::now() > forced.limit.deadline;
-        trace->deadline_hit = past_deadline;
-        FinalizeAnswer(&answer, past_deadline, false);
-      }
-    } else {
-      step.action = PlanStep::Action::kSkippedInapplicable;
-      answer.status = Answer::Status::kUnknown;
-      answer.explanation = "forced strategy '" + options.force_engine +
-                           "' is inapplicable: " + step.capability.reason;
-    }
-    trace->steps.push_back(std::move(step));
-    trace->total_ms = MillisSince(start);
-    answer.plan = trace;
-    return answer;
-  }
-
   // ---- plan (or fetch the cached plan) ----
   trace->mode =
       options.plan_mode == PlanMode::kMinCost ? "cost" : "fidelity";
   const std::vector<std::shared_ptr<const InferenceStrategy>> strategies =
       registry.Ordered();
+  for (const std::string& name : options.strategies.Required()) {
+    if (registry.Find(name) == nullptr) {
+      answer.explanation = "no strategy named '" + name + "' is registered";
+      answer.plan = trace;
+      return answer;
+    }
+  }
   // Plans cache per registry composition: two registries sharing one
   // context (tests, custom pipelines) must not replay each other's plans.
   uint64_t registry_fingerprint = 0;
@@ -507,14 +457,7 @@ Answer PlanAndExecute(const EngineRegistry& registry, QueryContext& ctx,
   // A deadline that fired inside the LAST candidate's sweep has no later
   // step to trip the skip check; the elapsed clock is the ground truth.
   if (deadline_set && Clock::now() > deadline) trace->deadline_hit = true;
-  if (!finalized) {
-    bool budget_skips = false;
-    for (const PlanStep& step : steps) {
-      budget_skips =
-          budget_skips || step.action == PlanStep::Action::kSkippedBudget;
-    }
-    FinalizeAnswer(&answer, trace->deadline_hit, budget_skips);
-  }
+  if (!finalized) FinalizeAnswer(&answer, trace->deadline_hit, steps);
   trace->steps = std::move(steps);
   trace->total_ms = MillisSince(start);
   answer.plan = trace;

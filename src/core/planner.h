@@ -2,7 +2,8 @@
 //
 // For each query the planner:
 //
-//   1. assesses every registered strategy's Capability (does it apply to
+//   1. assesses the Capability of every registered strategy in
+//      InferenceOptions::strategies (does it apply to
 //      this (KB, query) at all?) and CostEstimate (predicted work and
 //      accuracy, derived from the KB analyses cached in the QueryContext:
 //      profile leaf counts, world-odometer size, compiled-program length,
@@ -11,8 +12,9 @@
 //      (PlanMode::kFidelity, the default) or cheapest-predicted-first
 //      (PlanMode::kMinCost, the service mode),
 //   3. caches the plan in the QueryContext keyed by (KB signature, query
-//      shape, N schedule, ⃗τ, planner options), so batch and repeated
-//      traffic skips assessment and scoring entirely — a cache hit
+//      shape, N schedule, ⃗τ, strategy set, planner options), so batch
+//      and repeated traffic skips assessment and scoring entirely — a
+//      cache hit
 //      executes the identical candidate order, so its answers are
 //      bit-identical to a cold plan,
 //   4. executes candidates in order under the per-query deadline / work
@@ -69,7 +71,7 @@ struct PlanStep {
 // The structured trace attached to every planner answer.
 struct PlanTrace {
   std::vector<PlanStep> steps;  // in planned (execution) order
-  // "fidelity", "cost", or "forced:<name>".
+  // "fidelity" or "cost".
   std::string mode;
   bool from_cache = false;   // plan order came from the context's cache
   bool deadline_hit = false;  // the deadline cut planning or execution short

@@ -110,8 +110,6 @@ LimitResult EstimateLimitImpl(const FiniteEngine& engine, QueryContext* ctx,
   for (int s = 0; s < num_scales; ++s) {
     if (engine_exhausted) break;
     std::optional<double> last_defined;
-    double prev = -1.0;
-    std::optional<double> prev_delta;
     bool n_converged = false;
     for (int d = 0; d < num_sizes; ++d) {
       if (!supported[d]) continue;
@@ -138,33 +136,12 @@ LimitResult EstimateLimitImpl(const FiniteEngine& engine, QueryContext* ctx,
       result.series.push_back(point);
       if (!fr.well_defined) continue;
       result.never_defined = false;
-      std::optional<double> delta;
-      if (last_defined.has_value()) {
-        delta = std::fabs(fr.probability - prev);
-        if (*delta < options.convergence_epsilon) n_converged = true;
+      if (last_defined.has_value() &&
+          std::fabs(fr.probability - *last_defined) <
+              options.convergence_epsilon) {
+        n_converged = true;
       }
-      prev = fr.probability;
       last_defined = fr.probability;
-      // Rate-aware early exit: with two successive deltas contracting and
-      // the geometric tail bound r·Δ/(1−r) within the convergence epsilon,
-      // the remaining (largest, most expensive) N points cannot move the
-      // estimate past the tolerance — skip them.
-      if (options.rate_aware_early_exit && delta.has_value() &&
-          prev_delta.has_value() && *delta < options.convergence_epsilon) {
-        bool tail_converged = false;
-        if (*delta == 0.0) {
-          tail_converged = true;
-        } else if (*delta < *prev_delta) {
-          const double rate = *delta / *prev_delta;
-          tail_converged = *delta * rate / (1.0 - rate) <
-                           options.convergence_epsilon;
-        }
-        if (tail_converged) {
-          n_converged = true;
-          break;
-        }
-      }
-      if (delta.has_value()) prev_delta = delta;
     }
     if (last_defined.has_value()) {
       per_scale_estimates.push_back(*last_defined);

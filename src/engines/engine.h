@@ -203,17 +203,6 @@ struct LimitOptions {
   std::vector<double> tolerance_scales = {1.0, 0.5, 0.25};
   // |last - previous| below this counts as converged.
   double convergence_epsilon = 5e-3;
-  // Rate-aware early exit for the N-sweep (explicit-rate analyses of
-  // Halpern-type iterations; flag-guarded, off by default).  When two
-  // successive defined points contract geometrically — |Δ_k| ≤ |Δ_{k-1}|
-  // with the extrapolated geometric tail Σ_j |Δ_k| r^j (r = Δ_k/Δ_{k-1})
-  // inside convergence_epsilon — the remaining larger-N points of the
-  // scale are skipped and the scale counts as N-converged.  Saves the most
-  // expensive (largest-N) evaluations when the series has visibly settled.
-  // The savings apply to the serial sweep (num_threads == 1, the default);
-  // with a worker pool the grid is precomputed eagerly, so the exit only
-  // shortens the reported series, not the work.
-  bool rate_aware_early_exit = false;
   // Worker-pool size for evaluating the (N, τ-scale) grid: the points are
   // independent, so they are computed concurrently and the convergence
   // reduction replays them in schedule order (the result is identical to

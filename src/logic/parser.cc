@@ -161,9 +161,23 @@ bool IsUpper(const std::string& s) {
   return !s.empty() && std::isupper(static_cast<unsigned char>(s[0]));
 }
 
+// Deepest nesting the parser accepts.  Each nested construct is a
+// recursive call here and in every later pass over the tree, so one bound
+// at the boundary keeps a hostile line from overflowing the stack.  Flat
+// chains (a & b & c ...) are loops, not nesting.
+constexpr int kMaxNesting = 500;
+// Work bound: primaries parsed before the parser gives up.  A '(' is read
+// as a formula and, failing that, again as an expression, so parentheses
+// nested inside proportions re-read their contents exponentially often;
+// the bound stops a short hostile line in well under a second.
+constexpr size_t kMaxPrimaries = size_t{1} << 20;
+constexpr size_t kPrimariesPerByte = 64;
+
 class Parser {
  public:
-  explicit Parser(std::string_view input) : lexer_(input) {}
+  explicit Parser(std::string_view input)
+      : lexer_(input),
+        primaries_left_(kMaxPrimaries + kPrimariesPerByte * input.size()) {}
 
   FormulaPtr Parse(std::string* error, size_t* error_offset) {
     FormulaPtr f = ParseIff();
@@ -187,6 +201,23 @@ class Parser {
       error_offset_ = lexer_.Peek().offset;
     }
     return nullptr;
+  }
+
+  // Runs `parse` one nesting level down: for the operand of '!', a
+  // quantifier body, the inside of a parenthesis or proportion, a function
+  // argument, or the right side of '=>'.
+  template <typename ParseFn>
+  auto Nested(ParseFn parse) -> decltype(parse()) {
+    if (depth_ == kMaxNesting) {
+      gave_up_ = true;
+      Fail("formula nests deeper than " + std::to_string(kMaxNesting) +
+           " levels");
+      return nullptr;
+    }
+    ++depth_;
+    auto result = parse();
+    --depth_;
+    return result;
   }
 
   bool Expect(Tok kind, const char* what) {
@@ -217,7 +248,7 @@ class Parser {
     if (lhs == nullptr) return nullptr;
     if (lexer_.Peek().kind == Tok::kImplies) {
       lexer_.Take();
-      FormulaPtr rhs = ParseImplies();
+      FormulaPtr rhs = Nested([&] { return ParseImplies(); });
       if (rhs == nullptr) return nullptr;
       return Formula::Implies(lhs, rhs);
     }
@@ -252,7 +283,7 @@ class Parser {
     const Token& t = lexer_.Peek();
     if (t.kind == Tok::kBang) {
       lexer_.Take();
-      FormulaPtr body = ParseUnary();
+      FormulaPtr body = Nested([&] { return ParseUnary(); });
       if (body == nullptr) return nullptr;
       return Formula::Not(body);
     }
@@ -267,7 +298,7 @@ class Parser {
       if (lexer_.Peek().kind != Tok::kIdent) return Fail("expected variable");
       std::string var = lexer_.Take().text;
       if (!Expect(Tok::kDot, "'.' after quantified variable")) return nullptr;
-      FormulaPtr body = ParseUnary();
+      FormulaPtr body = Nested([&] { return ParseUnary(); });
       if (body == nullptr) return nullptr;
       if (is_forall) return Formula::ForAll(var, body);
       if (!unique) return Formula::Exists(var, body);
@@ -279,6 +310,11 @@ class Parser {
   // primary := 'true' | 'false' | '(' iff ')' | atom | term (=|!=) term
   //          | compare-formula starting with an expression
   FormulaPtr ParsePrimary() {
+    if (primaries_left_ == 0) {
+      gave_up_ = true;
+      return Fail("formula too complex to parse");
+    }
+    --primaries_left_;
     const Token& t = lexer_.Peek();
     if (t.kind == Tok::kIdent && t.text == "true") {
       lexer_.Take();
@@ -296,11 +332,13 @@ class Parser {
       std::string saved_error = error_;
       size_t saved_offset = error_offset_;
       lexer_.Take();
-      FormulaPtr inner = ParseIff();
+      FormulaPtr inner = Nested([&] { return ParseIff(); });
       if (inner != nullptr && lexer_.Peek().kind == Tok::kRParen) {
         lexer_.Take();
         return inner;
       }
+      // A limit hit reads the same either way: keep its error, no retry.
+      if (gave_up_) return nullptr;
       lexer_ = saved;
       error_ = saved_error;
       error_offset_ = saved_offset;
@@ -400,7 +438,7 @@ class Parser {
     }
     if (t.kind == Tok::kLParen) {
       lexer_.Take();
-      ExprPtr inner = ParseExpr();
+      ExprPtr inner = Nested([&] { return ParseExpr(); });
       if (inner == nullptr) return nullptr;
       if (!Expect(Tok::kRParen, "')'")) return nullptr;
       return inner;
@@ -408,12 +446,12 @@ class Parser {
     if (t.kind == Tok::kHash) {
       lexer_.Take();
       if (!Expect(Tok::kLParen, "'(' after '#'")) return nullptr;
-      FormulaPtr body = ParseIff();
+      FormulaPtr body = Nested([&] { return ParseIff(); });
       if (body == nullptr) return nullptr;
       FormulaPtr cond;
       if (lexer_.Peek().kind == Tok::kSemicolon) {
         lexer_.Take();
-        cond = ParseIff();
+        cond = Nested([&] { return ParseIff(); });
         if (cond == nullptr) return nullptr;
       }
       if (!Expect(Tok::kRParen, "')'")) return nullptr;
@@ -452,7 +490,7 @@ class Parser {
       lexer_.Take();
       std::vector<TermPtr> args;
       while (true) {
-        TermPtr arg = ParseTerm();
+        TermPtr arg = Nested([&] { return ParseTerm(); });
         if (arg == nullptr) return nullptr;
         args.push_back(arg);
         if (lexer_.Peek().kind == Tok::kComma) {
@@ -471,6 +509,9 @@ class Parser {
   Lexer lexer_;
   std::string error_;
   size_t error_offset_ = 0;
+  size_t primaries_left_;
+  int depth_ = 0;
+  bool gave_up_ = false;
 };
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "src/core/planner.h"
 #include "src/service/replica.h"
@@ -249,12 +251,29 @@ bool WantString(const Json& request, const std::string& key,
   return true;
 }
 
-double NumberOr(const Json& request, const std::string& key,
-                double fallback) {
+// Reads an optional numeric field into *out (0 when absent).  A present
+// field must be a number in [lo, hi], whole for an integer T: casting a
+// double outside T's range is undefined.
+template <typename T>
+bool BoundedNumber(const Json& request, const std::string& key, double lo,
+                   double hi, T* out, std::string* error) {
   const Json* field = request.Find(key);
-  if (field == nullptr || field->type != Json::Type::kNumber) return fallback;
-  return field->number;
+  const double value = field == nullptr ? 0.0 : field->number;
+  if (field != nullptr &&
+      (field->type != Json::Type::kNumber || !(value >= lo && value <= hi) ||
+       (std::is_integral_v<T> && value != std::floor(value)))) {
+    char range[96];
+    std::snprintf(range, sizeof(range), " in [%.17g, %.17g]", lo, hi);
+    *error = "field '" + key + "' must be " +
+             (std::is_integral_v<T> ? "an integer" : "a number") + range;
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
 }
+
+// The integers a double carries exactly.
+constexpr double kMaxExact = 9007199254740992.0;  // 2^53
 
 bool StringArray(const Json& request, const std::string& key,
                  std::vector<std::string>* out, std::string* error) {
@@ -334,7 +353,9 @@ bool ParseRequest(const std::string& line, Request* out, std::string* error) {
     *error = "request must be a JSON object";
     return false;
   }
-  out->id = static_cast<int64_t>(NumberOr(json, "id", 0));
+  if (!BoundedNumber(json, "id", -kMaxExact, kMaxExact, &out->id, error)) {
+    return false;
+  }
 
   std::string op;
   if (!WantString(json, "op", &op, error)) return false;
@@ -391,12 +412,17 @@ bool ParseRequest(const std::string& line, Request* out, std::string* error) {
       break;
   }
 
-  out->options.deadline_ms = NumberOr(json, "deadline_ms", 0.0);
-  out->options.work_budget = NumberOr(json, "budget", 0.0);
-  out->options.min_version =
-      static_cast<uint64_t>(NumberOr(json, "min_version", 0.0));
-  out->options.fixed_domain_size =
-      static_cast<int>(NumberOr(json, "fixed_n", 0.0));
+  // A deadline of at most a day keeps the planner's tick count in range.
+  if (!BoundedNumber(json, "deadline_ms", 0.0, 86400000.0,
+                     &out->options.deadline_ms, error) ||
+      !BoundedNumber(json, "budget", 0.0, std::numeric_limits<double>::max(),
+                     &out->options.work_budget, error) ||
+      !BoundedNumber(json, "min_version", 0.0, kMaxExact,
+                     &out->options.min_version, error) ||
+      !BoundedNumber(json, "fixed_n", 0.0, 2147483647.0,
+                     &out->options.fixed_domain_size, error)) {
+    return false;
+  }
   const Json* plan = json.Find("plan");
   if (plan != nullptr) {
     if (plan->type != Json::Type::kString ||

@@ -177,7 +177,9 @@ InferenceOptions KbService::EffectiveOptions(
   } else if (request.plan == "fidelity") {
     options.plan_mode = PlanMode::kFidelity;
   }
-  if (!request.engine.empty()) options.force_engine = request.engine;
+  if (!request.engine.empty()) {
+    options.strategies = StrategySet::Only(request.engine);
+  }
   if (request.interval_confidence > 0.0) {
     options.interval_confidence = request.interval_confidence;
   }

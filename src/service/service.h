@@ -81,9 +81,9 @@ struct RequestOptions {
   double work_budget = 0.0;  // 0 = service default
   std::string plan;          // "", "fidelity" or "cost"
   int fixed_domain_size = 0;  // 0 = service default
-  // Forces a single named strategy, bypassing the planner (QUERY field
-  // "engine"; empty = plan normally).  An inapplicable forced strategy
-  // answers kUnknown, like rwlq --engine.
+  // Runs only this named strategy (QUERY field "engine"; empty = the
+  // service's strategy set).  An inapplicable strategy answers kUnknown,
+  // like rwlq --engine.
   std::string engine;
   // Calibrated-interval mode (QUERY field "interval"): confidence in
   // (0,1); 0 keeps the service default (normally off).

@@ -643,7 +643,7 @@ void RunDefaultsCheck(const Scenario& scenario,
     std::vector<Forced> points;
     for (const char* name : kDefaultsFamily) {
       InferenceOptions forced = base;
-      forced.force_engine = name;
+      forced.strategies = StrategySet::Only(name);
       Answer answer = DegreeOfBelief(kb, query, forced);
       if (answer.status == Answer::Status::kPoint) {
         points.push_back(Forced{name, answer});
@@ -710,12 +710,12 @@ void RunEvidenceCheck(const Scenario& scenario,
     if (!instance.ok) continue;
 
     InferenceOptions forced_evidence = base;
-    forced_evidence.force_engine = "evidence";
+    forced_evidence.strategies = StrategySet::Only("evidence");
     Answer combined = DegreeOfBelief(kb, query, forced_evidence);
     if (combined.status == Answer::Status::kUnknown) continue;
 
     InferenceOptions forced_symbolic = base;
-    forced_symbolic.force_engine = "symbolic";
+    forced_symbolic.strategies = StrategySet::Only("symbolic");
     Answer symbolic = DegreeOfBelief(kb, query, forced_symbolic);
     if (symbolic.status != Answer::Status::kUnknown) {
       ++report->comparisons;
@@ -961,7 +961,7 @@ DifferentialReport RunDifferential(
     }
     if (options.check_pipeline) {
       InferenceOptions numeric = full;
-      numeric.use_symbolic = false;
+      numeric.strategies.Remove("symbolic");
       for (size_t i = 0; i < scenario.queries.size(); ++i) {
         Answer numeric_answer =
             DegreeOfBelief(kb, scenario.queries[i], numeric);
@@ -1108,7 +1108,7 @@ DifferentialReport RunDifferential(
           continue;
         }
         InferenceOptions forced_options = planner_options;
-        forced_options.force_engine = forced_name;
+        forced_options.strategies = StrategySet::Only(forced_name);
         if (is_montecarlo) {
           forced_options.montecarlo_samples =
               options.planner_montecarlo_samples;

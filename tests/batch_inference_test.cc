@@ -75,7 +75,8 @@ TEST(BatchInference, CachingOnAndOffAreBitIdentical) {
   });
 
   InferenceOptions cached;
-  cached.use_symbolic = false;  // route everything through the sweeps
+  // Route everything through the sweeps.
+  cached.strategies.Remove("symbolic");
   cached.limit.domain_sizes = {8, 16};
   InferenceOptions uncached = cached;
   uncached.enable_caching = false;

@@ -29,9 +29,7 @@ TEST_P(PaperCorpus, ReproducesPaperValue) {
   options.limit.domain_sizes = {16, 32, 48};
   options.limit.tolerance_scales = {1.0, 0.5};
   if (example.numeric_only) {
-    options.use_symbolic = false;
-    options.use_maxent = false;
-    options.use_exact_fallback = false;
+    options.strategies.Remove("symbolic").Remove("maxent").Remove("exact");
     options.limit.domain_sizes = {32, 64, 128};
     options.limit.tolerance_scales = {1.0};
   }

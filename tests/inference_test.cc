@@ -71,7 +71,7 @@ TEST(InferenceTest, SeriesRecordedForSweeps) {
   KnowledgeBase kb;
   ASSERT_TRUE(kb.AddParsed("Bird(Tweety)\n"));
   InferenceOptions options;
-  options.use_symbolic = false;
+  options.strategies.Remove("symbolic");
   Answer answer = DegreeOfBelief(kb, "Bird(Tweety)", options);
   ASSERT_EQ(answer.status, Answer::Status::kPoint);
   EXPECT_FALSE(answer.series.empty());
@@ -83,7 +83,7 @@ TEST(InferenceTest, UndefinedForUnsatisfiableKb) {
   ASSERT_TRUE(kb.AddParsed(
       "(exists x. A(x)) & (forall x. !A(x))\n"));
   InferenceOptions options;
-  options.use_maxent = false;
+  options.strategies.Remove("maxent");
   Answer answer = DegreeOfBelief(kb, "A(K)", options);
   EXPECT_EQ(answer.status, Answer::Status::kUndefined);
 }

@@ -93,8 +93,7 @@ TEST(Lottery, PooleBirdPartitionIsInconsistent) {
   options.tolerances = semantics::ToleranceVector::Uniform(0.05);
   options.limit.domain_sizes = {12, 20};
   options.limit.tolerance_scales = {1.0};
-  options.use_maxent = false;
-  options.use_exact_fallback = false;
+  options.strategies.Remove("maxent").Remove("exact");
   Answer answer = DegreeOfBelief(kb, "Bird(Tweety)", options);
   EXPECT_EQ(answer.status, Answer::Status::kUndefined)
       << StatusToString(answer.status);

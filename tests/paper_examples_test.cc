@@ -58,7 +58,7 @@ TEST(PaperExamples, E5_11_DisjunctiveReferenceClassHarmless) {
       "Jaun(Eric)\n"
       "#(Hep(x) ; Jaun(x))[x] ~= 0.8\n"));
   InferenceOptions options = FastOptions();
-  options.use_symbolic = false;
+  options.strategies.Remove("symbolic");
   options.limit.domain_sizes = {24, 48};
   Answer answer = DegreeOfBelief(kb, "Hep(Eric)", options);
   ASSERT_EQ(answer.status, Answer::Status::kPoint) << answer.explanation;
@@ -128,9 +128,8 @@ TEST(PaperExamples, E5_24_ChirpsStrengthInterval) {
   // The theorem guarantees Pr_∞ ∈ [0.7, 0.8]; the numeric sweep may sharpen
   // the interval to a point inside it.
   InferenceOptions options = FastOptions();
-  options.use_profile = false;  // symbolic answer is the paper's claim
-  options.use_maxent = false;
-  options.use_exact_fallback = false;
+  // The symbolic answer is the paper's claim.
+  options.strategies.Remove("profile").Remove("maxent").Remove("exact");
   Answer answer = DegreeOfBelief(kb, "Chirps(Tweety)", options);
   ASSERT_EQ(answer.status, Answer::Status::kInterval) << answer.explanation;
   EXPECT_NEAR(answer.lo, 0.7, 1e-9);
@@ -138,7 +137,7 @@ TEST(PaperExamples, E5_24_ChirpsStrengthInterval) {
 
   // And the numeric estimate falls inside the interval.
   InferenceOptions numeric = FastOptions();
-  numeric.use_symbolic = false;
+  numeric.strategies.Remove("symbolic");
   numeric.limit.domain_sizes = {16, 24};
   numeric.limit.tolerance_scales = {1.0};
   Answer point = DegreeOfBelief(kb, "Chirps(Tweety)", numeric);
@@ -156,7 +155,7 @@ TEST(PaperExamples, E5_25_MoodyMagpiesNotIgnored) {
       "forall x. (Magpie(x) => Bird(x))\n"
       "Magpie(Tweety)\n"));
   InferenceOptions options = FastOptions();
-  options.use_symbolic = false;  // force the numeric path
+  options.strategies.Remove("symbolic");  // force the numeric path
   options.limit.domain_sizes = {10, 12};
   options.limit.tolerance_scales = {1.0};
   Answer answer = DegreeOfBelief(kb, "Chirps(Tweety)", options);

@@ -100,6 +100,26 @@ TEST(ParserRobustness, DeeplyNestedInputTerminates) {
   for (int i = 0; i < 200; ++i) text += ")";
   ParseResult result = ParseFormula(text);
   EXPECT_TRUE(result.ok());
+
+  // 20,000 levels of any nesting construct (hostile input): a clean
+  // error, not a stack overflow.
+  for (const char* open :
+       {"!", "(", "!(", "forall x. ", "F(", "P(x) => ", "(#(P(x) ; "}) {
+    std::string deep;
+    for (int i = 0; i < 20000; ++i) deep += open;
+    ParseResult too_deep = ParseFormula(deep + "Jaun(Eric)");
+    EXPECT_NE(too_deep.error.find("nests deeper"), std::string::npos)
+        << open << ": " << too_deep.error;
+  }
+  // Each '(' is read as a formula, then as an expression: without a work
+  // bound, 60 levels of "(#(" would take hours.
+  std::string backtracking;
+  for (int i = 0; i < 60; ++i) backtracking += "(#(";
+  EXPECT_FALSE(ParseFormula(backtracking + "P(x)").ok());
+  // Flat chains are loops, not nesting: 8,000 conjuncts still parse.
+  std::string flat = "P(A0)";
+  for (int i = 1; i < 8000; ++i) flat += " & P(A" + std::to_string(i) + ")";
+  EXPECT_TRUE(ParseFormula(flat).ok());
 }
 
 TEST(ParserRobustness, OffsetsPointIntoTheInput) {

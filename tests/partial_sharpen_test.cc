@@ -51,9 +51,7 @@ const PlanStep* RanStep(const Answer& answer, const std::string& strategy) {
 TEST(PartialSharpenTest, SymbolicAloneYieldsTheInterval) {
   KnowledgeBase kb = IntervalBirdKb();
   InferenceOptions options = FastOptions();
-  options.use_profile = false;
-  options.use_maxent = false;
-  options.use_exact_fallback = false;
+  options.strategies.Remove("profile").Remove("maxent").Remove("exact");
   Answer answer = DegreeOfBelief(kb, "Fly(Tweety)", options);
   ASSERT_EQ(answer.status, Answer::Status::kInterval);
   EXPECT_NEAR(answer.lo, 0.7, 0.06);
@@ -71,9 +69,7 @@ TEST(PartialSharpenTest, NumericStrategySharpensTheInterval) {
 
   // Symbolic-only answer for the containment assertion below.
   InferenceOptions symbolic_only = options;
-  symbolic_only.use_profile = false;
-  symbolic_only.use_maxent = false;
-  symbolic_only.use_exact_fallback = false;
+  symbolic_only.strategies.Remove("profile").Remove("maxent").Remove("exact");
   Answer interval = DegreeOfBelief(kb, "Fly(Tweety)", symbolic_only);
   ASSERT_EQ(interval.status, Answer::Status::kInterval);
 

@@ -1,7 +1,7 @@
 // The cost-based query planner (core/planner.h): capability gating, plan
-// traces, plan-cache bit-identity, deadlines, work budgets, forced
-// strategies, and differential equivalence of planner answers against
-// every forced applicable engine on generated workloads.
+// traces, plan-cache bit-identity, deadlines, work budgets, strategy sets,
+// and differential equivalence of planner answers against every forced
+// applicable engine on generated workloads.
 #include <chrono>
 #include <random>
 #include <span>
@@ -140,36 +140,115 @@ TEST(PlannerTest, ShapeFingerprintDistinguishesStructure) {
   EXPECT_NE(PlanShapeFingerprint(hep), PlanShapeFingerprint(both));
 }
 
-TEST(PlannerTest, ForcedEngineBypassesPlanner) {
+TEST(PlannerTest, SetOfOneRunsOnlyThatStrategy) {
   KnowledgeBase kb = HepatitisKb();
   InferenceOptions options = FastOptions();
 
-  options.force_engine = "profile";
+  options.strategies = StrategySet::Only("profile");
   Answer profile = DegreeOfBelief(kb, "Hep(Eric)", options);
   ASSERT_EQ(profile.status, Answer::Status::kPoint);
   EXPECT_NEAR(profile.value, 0.8, 0.02);
   EXPECT_NE(profile.method.find("profile"), std::string::npos);
   ASSERT_NE(profile.plan, nullptr);
-  EXPECT_EQ(profile.plan->mode, "forced:profile");
-  EXPECT_EQ(profile.plan->steps.size(), 1u);
+  EXPECT_EQ(profile.plan->mode, "fidelity");
+  EXPECT_EQ(CountRan(profile), 1);
 
-  options.force_engine = "maxent";
+  options.strategies = StrategySet::Only("maxent");
   Answer maxent = DegreeOfBelief(kb, "Hep(Eric)", options);
   ASSERT_EQ(maxent.status, Answer::Status::kPoint);
   EXPECT_NEAR(maxent.value, 0.8, 0.02);
 
-  // Forcing implies enabling: montecarlo answers though use_montecarlo
-  // stays false, with the requested sampling budget.
-  options.force_engine = "montecarlo";
+  // The opt-in montecarlo sweep answers once it is in the set, with the
+  // requested sampling budget.
+  options.strategies = StrategySet::Only("montecarlo");
   options.montecarlo_samples = 20000;
   Answer mc = DegreeOfBelief(kb, "Hep(Eric)", options);
   ASSERT_EQ(mc.status, Answer::Status::kPoint);
   EXPECT_NEAR(mc.value, 0.8, 0.05);
+}
 
-  options.force_engine = "no-such-engine";
+TEST(PlannerTest, SetOfOneAnswersLikeRunningTheStrategyAlone) {
+  // What forcing a strategy has always meant: its own Run on a fresh answer.
+  KnowledgeBase kb = HepatitisKb();
+  logic::FormulaPtr query = logic::ParseFormula("Hep(Eric)").formula;
+  for (const char* name : {"symbolic", "profile", "maxent", "exact"}) {
+    InferenceOptions only = FastOptions();
+    only.strategies = StrategySet::Only(name);
+    Answer planned = DegreeOfBelief(kb, query, only);
+    QueryContext ctx = MakeQueryContext(
+        kb, std::span<const logic::FormulaPtr>(&query, 1), only);
+    Answer alone;
+    EngineRegistry::Default().Find(name)->Run(ctx, query, only, &alone);
+    EXPECT_TRUE(BitIdentical(planned, alone)) << name;
+  }
+}
+
+// Counts the planner's calls into it; never answers.
+struct CountingStrategy : InferenceStrategy {
+  std::string name() const override { return "counting"; }
+  engines::Capability Assess(QueryContext& ctx,
+                             const logic::FormulaPtr& query,
+                             const InferenceOptions& options) const override {
+    ++calls;
+    return InferenceStrategy::Assess(ctx, query, options);
+  }
+  Outcome Run(QueryContext&, const logic::FormulaPtr&,
+              const InferenceOptions&, Answer*) const override {
+    ++calls;
+    return Outcome::kSkip;
+  }
+  mutable int calls = 0;
+};
+
+TEST(PlannerTest, OutOfSetStrategiesAreNeverAssessed) {
+  auto counting = std::make_shared<CountingStrategy>();
+  EngineRegistry registry;
+  registry.Register(0, counting);
+  registry.Register(10, EngineRegistry::Default().Find("symbolic"));
+  KnowledgeBase kb = HepatitisKb();
+  logic::FormulaPtr query = logic::ParseFormula("Hep(Eric)").formula;
+  InferenceOptions options = FastOptions();
+  QueryContext ctx = MakeQueryContext(
+      kb, std::span<const logic::FormulaPtr>(&query, 1), options);
+
+  options.strategies.Remove("counting");
+  Answer answer = PlanAndExecute(registry, ctx, query, options);
+  EXPECT_EQ(answer.status, Answer::Status::kPoint);
+  EXPECT_EQ(counting->calls, 0);
+  ASSERT_NE(FindStep(answer, "counting"), nullptr);
+  EXPECT_EQ(FindStep(answer, "counting")->capability.reason,
+            "not in the strategy set");
+
+  // The default set admits a custom strategy: assessed, then run.
+  PlanAndExecute(registry, ctx, query, FastOptions());
+  EXPECT_EQ(counting->calls, 2);
+}
+
+TEST(PlannerTest, UnknownStrategyNameIsReported) {
+  KnowledgeBase kb = HepatitisKb();
+  InferenceOptions options = FastOptions();
+  options.strategies = StrategySet::Only("symbolic").Add("no-such-engine");
   Answer bogus = DegreeOfBelief(kb, "Hep(Eric)", options);
   EXPECT_EQ(bogus.status, Answer::Status::kUnknown);
-  EXPECT_NE(bogus.explanation.find("registered"), std::string::npos);
+  EXPECT_EQ(bogus.explanation,
+            "no strategy named 'no-such-engine' is registered");
+}
+
+TEST(PlannerTest, DifferentSetsCacheDifferentPlans) {
+  KnowledgeBase kb = HepatitisKb();
+  logic::FormulaPtr query = logic::ParseFormula("Hep(Eric)").formula;
+  InferenceOptions all = FastOptions();
+  InferenceOptions numeric = FastOptions();
+  numeric.strategies.Remove("symbolic");
+  QueryContext ctx = MakeQueryContext(
+      kb, std::span<const logic::FormulaPtr>(&query, 1), all);
+  for (bool warm : {false, true}) {
+    Answer a = DegreeOfBelief(ctx, query, all);
+    Answer b = DegreeOfBelief(ctx, query, numeric);
+    EXPECT_EQ(a.plan->from_cache, warm);
+    EXPECT_EQ(b.plan->from_cache, warm);
+    EXPECT_NE(a.method, b.method);
+  }
 }
 
 TEST(PlannerTest, ForcedAnswersMatchPlannerAnswer) {
@@ -179,7 +258,7 @@ TEST(PlannerTest, ForcedAnswersMatchPlannerAnswer) {
   ASSERT_EQ(planned.status, Answer::Status::kPoint);
   for (const char* name : {"profile", "maxent", "exact"}) {
     InferenceOptions forced_options = options;
-    forced_options.force_engine = name;
+    forced_options.strategies = StrategySet::Only(name);
     Answer forced = DegreeOfBelief(kb, "Hep(Eric)", forced_options);
     ASSERT_EQ(forced.status, Answer::Status::kPoint) << name;
     EXPECT_NEAR(forced.value, planned.value, 0.06) << name;
@@ -189,7 +268,7 @@ TEST(PlannerTest, ForcedAnswersMatchPlannerAnswer) {
 TEST(PlannerTest, WorkBudgetSkipsExpensiveCandidates) {
   KnowledgeBase kb = HepatitisKb();
   InferenceOptions options = FastOptions();
-  options.use_symbolic = false;
+  options.strategies.Remove("symbolic");
 
   // A budget below every numeric candidate: nothing may run.
   options.work_budget = 1e3;
@@ -213,18 +292,20 @@ TEST(PlannerTest, WorkBudgetSkipsExpensiveCandidates) {
 TEST(PlannerTest, WorkBudgetAppliesToForcedStrategies) {
   KnowledgeBase kb = HepatitisKb();
   InferenceOptions options = FastOptions();
-  options.force_engine = "profile";
+  options.strategies = StrategySet::Only("profile");
   options.work_budget = 1.0;
   Answer answer = DegreeOfBelief(kb, "Hep(Eric)", options);
   EXPECT_EQ(answer.status, Answer::Status::kUnknown);
-  ASSERT_EQ(answer.plan->steps.size(), 1u);
-  EXPECT_EQ(answer.plan->steps[0].action, PlanStep::Action::kSkippedBudget);
+  const PlanStep* profile = FindStep(answer, "profile");
+  ASSERT_NE(profile, nullptr);
+  EXPECT_EQ(profile->action, PlanStep::Action::kSkippedBudget);
+  EXPECT_EQ(CountRan(answer), 0);
 }
 
 TEST(PlannerTest, ExpiredDeadlineRunsOnlyTheCheapestCandidate) {
   KnowledgeBase kb = HepatitisKb();
   InferenceOptions options = FastOptions();
-  options.use_symbolic = false;
+  options.strategies.Remove("symbolic");
   // Effectively already expired when execution starts; the planner still
   // runs exactly one candidate — the cheapest (the profile sweep on this
   // small KB) — so a late query gets its bounded-overshoot answer.
@@ -284,7 +365,7 @@ TEST(PlannerTest, DeadlineCutSweepDoesNotClaimUndefined) {
   // ("the KB has no worlds") on a satisfiable KB.
   KnowledgeBase kb = HepatitisKb();
   InferenceOptions options = FastOptions();
-  options.force_engine = "profile";
+  options.strategies = StrategySet::Only("profile");
   options.deadline_ms = 1e-6;
   Answer answer = DegreeOfBelief(kb, "Hep(Eric)", options);
   EXPECT_NE(answer.status, Answer::Status::kUndefined);
@@ -296,7 +377,7 @@ TEST(PlannerTest, DeadlineCutSweepDoesNotClaimUndefined) {
 TEST(PlannerTest, CostModePicksCheapestApplicable) {
   KnowledgeBase kb = HepatitisKb();
   InferenceOptions options = FastOptions();
-  options.use_symbolic = false;
+  options.strategies.Remove("symbolic");
   options.plan_mode = PlanMode::kMinCost;
   Answer answer = DegreeOfBelief(kb, "Hep(Eric)", options);
   ASSERT_EQ(answer.status, Answer::Status::kPoint);
@@ -374,14 +455,14 @@ TEST(PlannerTest, DefaultsFamilyInapplicableOutsideFragment) {
     EXPECT_FALSE(cap.applicable) << name << ": " << cap.reason;
 
     InferenceOptions forced = options;
-    forced.force_engine = name;
+    forced.strategies = StrategySet::Only(name);
     Answer answer = DegreeOfBelief(kb, "Hep(Eric)", forced);
     EXPECT_EQ(answer.status, Answer::Status::kUnknown) << name;
     ASSERT_NE(answer.plan, nullptr) << name;
-    ASSERT_EQ(answer.plan->steps.size(), 1u) << name;
-    EXPECT_EQ(answer.plan->steps[0].action,
-              PlanStep::Action::kSkippedInapplicable)
-        << name;
+    const PlanStep* step = FindStep(answer, name);
+    ASSERT_NE(step, nullptr) << name;
+    EXPECT_EQ(step->action, PlanStep::Action::kSkippedInapplicable) << name;
+    EXPECT_EQ(CountRan(answer), 0) << name;
   }
 }
 
@@ -406,7 +487,7 @@ TEST(PlannerTest, DefaultsFamilyAppliesToPenguinKb) {
     EXPECT_LT(cost.work, 1e5) << name;
 
     InferenceOptions forced = options;
-    forced.force_engine = name;
+    forced.strategies = StrategySet::Only(name);
     Answer fly = DegreeOfBelief(kb, "Fly(Opus)", forced);
     ASSERT_EQ(fly.status, Answer::Status::kPoint) << name;
     EXPECT_EQ(fly.value, 0.0) << name;
@@ -415,21 +496,23 @@ TEST(PlannerTest, DefaultsFamilyAppliesToPenguinKb) {
     ASSERT_EQ(bird.status, Answer::Status::kPoint) << name;
     EXPECT_EQ(bird.value, 1.0) << name;
   }
-  // use_defaults = false withdraws the whole family.
-  InferenceOptions disabled = options;
-  disabled.use_defaults = false;
-  QueryContext ctx2 = MakeQueryContext(
-      kb, std::span<const logic::FormulaPtr>(&query, 1), disabled);
+  // Removing the family from the set withdraws it from the plan.
+  InferenceOptions without = options;
+  without.strategies.Remove("epsilon_semantics").Remove("klm").Remove(
+      "gmp90");
+  Answer planned = DegreeOfBelief(kb, "Fly(Opus)", without);
   for (const char* name : {"epsilon_semantics", "klm", "gmp90"}) {
-    auto strategy = EngineRegistry::Default().Find(name);
-    EXPECT_FALSE(strategy->Assess(ctx2, query, disabled).applicable) << name;
+    const PlanStep* step = FindStep(planned, name);
+    ASSERT_NE(step, nullptr) << name;
+    EXPECT_FALSE(step->capability.applicable) << name;
+    EXPECT_EQ(step->capability.reason, "not in the strategy set") << name;
   }
 }
 
 TEST(PlannerTest, EvidenceStrategyCombinesByDempstersRule) {
   KnowledgeBase kb = DempsterKb();
   InferenceOptions options = FastOptions();
-  options.force_engine = "evidence";
+  options.strategies = StrategySet::Only("evidence");
   Answer forced = DegreeOfBelief(kb, "Hep(Eric)", options);
   ASSERT_EQ(forced.status, Answer::Status::kPoint);
   // 0.8·0.75 / (0.8·0.75 + 0.2·0.25) = 12/13.
@@ -439,7 +522,7 @@ TEST(PlannerTest, EvidenceStrategyCombinesByDempstersRule) {
 
   // The planner (symbolic first in fidelity order) lands on the same
   // closed form.
-  options.force_engine.clear();
+  options.strategies = StrategySet();
   Answer planned = DegreeOfBelief(kb, "Hep(Eric)", options);
   ASSERT_EQ(planned.status, Answer::Status::kPoint);
   EXPECT_NEAR(planned.value, 12.0 / 13.0, 1e-9);
@@ -452,7 +535,7 @@ TEST(PlannerTest, CostModeCacheReplaysDefaultsPlanBitIdentically) {
   KnowledgeBase kb = PenguinKb();
   InferenceOptions options = FastOptions();
   options.plan_mode = PlanMode::kMinCost;
-  options.use_symbolic = false;
+  options.strategies.Remove("symbolic");
   logic::FormulaPtr query = logic::ParseFormula("Fly(Opus)").formula;
   QueryContext ctx = MakeQueryContext(
       kb, std::span<const logic::FormulaPtr>(&query, 1), options);

@@ -28,6 +28,7 @@
 #include "src/core/inference.h"
 #include "src/logic/parser.h"
 #include "src/service/catalog.h"
+#include "src/service/protocol.h"
 #include "src/service/scheduler.h"
 #include "src/service/service.h"
 
@@ -429,6 +430,37 @@ TEST(ServiceStressTest, OpenFormulasRejectedAtAdmission) {
 
   // The service survives and still answers closed queries.
   EXPECT_TRUE(kb_service.Query("kb", "(#(P(x))[x] <~ 0.5)").ok);
+}
+
+TEST(ServiceStressTest, ProtocolRejectsOutOfRangeNumbers) {
+  // Numeric fields are cast to integers or clock ticks; a cast from an
+  // out-of-range double is undefined, so the parser must refuse them.
+  for (const char* field :
+       {R"("fixed_n":1e12)", R"("fixed_n":-1)", R"("fixed_n":8.5)",
+        R"("fixed_n":"8")", R"("min_version":-1)", R"("min_version":1e300)",
+        R"("min_version":0.5)", R"("budget":-5)", R"("budget":1e999)",
+        R"("deadline_ms":-1)", R"("deadline_ms":1e300)", R"("id":1e30)",
+        R"("id":0.5)"}) {
+    const std::string line =
+        std::string(R"j({"op":"QUERY","kb":"k","q":"P(A)",)j") + field + "}";
+    service::Request request;
+    std::string error;
+    EXPECT_FALSE(service::ParseRequest(line, &request, &error)) << line;
+    EXPECT_NE(error.find("must be"), std::string::npos) << line << error;
+  }
+
+  service::Request request;
+  std::string error;
+  ASSERT_TRUE(service::ParseRequest(
+      R"j({"id":7,"op":"QUERY","kb":"k","q":"P(A)","fixed_n":16,)j"
+      R"j("min_version":3,"budget":2.5e6,"deadline_ms":20.5})j",
+      &request, &error))
+      << error;
+  EXPECT_EQ(request.id, 7);
+  EXPECT_EQ(request.options.fixed_domain_size, 16);
+  EXPECT_EQ(request.options.min_version, 3u);
+  EXPECT_EQ(request.options.work_budget, 2.5e6);
+  EXPECT_EQ(request.options.deadline_ms, 20.5);
 }
 
 TEST(ServiceStressTest, VersionChainAndRetractSemantics) {

@@ -18,16 +18,13 @@
 //   --fixed-n N      known domain size: compute Pr_N directly (footnote 9)
 //   --threads N      worker pool for the (N, τ) sweep grid (0 = all cores)
 //   --no-cache       disable the shared QueryContext caches (debugging)
-//   --rate-exit      rate-aware early exit in the N-sweep (skip the largest
-//                    N points once successive degrees contract within the
-//                    convergence tolerance)
 //   --explain        print the planner's plan trace per query (strategies
 //                    assessed/tried, predicted vs observed costs, skips);
 //                    with --json, adds a "plan" object per query
-//   --engine NAME    force a single strategy, bypassing the planner
-//                    (fixed-n, calibrated, symbolic, profile,
-//                    epsilon_semantics, klm, gmp90, evidence, maxent,
-//                    exact, montecarlo)
+//   --engine NAME    run only this strategy (fixed-n, calibrated, symbolic,
+//                    profile, epsilon_semantics, klm, gmp90, evidence,
+//                    maxent, exact, montecarlo); overrides --no-symbolic
+//                    and --montecarlo
 //   --interval CONF  calibrated-interval mode: report an order-statistic
 //                    interval that covers a 1-CONF-trimmed share of the
 //                    sweep series (confidence in (0,1); 0 disables)
@@ -39,7 +36,7 @@
 //                    probes; overshoot is at most one probe)
 //   --budget W       per-candidate predicted-work budget (abstract engine
 //                    work units; over-budget candidates are skipped)
-//   --montecarlo     enable the opt-in Monte-Carlo sweep as a candidate
+//   --montecarlo     add the opt-in Monte-Carlo sweep to the candidates
 //
 // Multiple queries are answered as one batch over a shared QueryContext:
 // the KB analyses and per-(N, τ) world enumerations run once, duplicate
@@ -66,7 +63,7 @@ int Usage(const char* argv0) {
                "usage: %s (<kb-file> | --kb TEXT) [options] <query>...\n"
                "options: --nmax N  --tol T  --no-symbolic  --series\n"
                "         --json  --fixed-n N  --threads N  --no-cache\n"
-               "         --rate-exit  --explain  --engine NAME\n"
+               "         --explain  --engine NAME\n"
                "         --interval CONF\n"
                "         --list-engines  --plan fidelity|cost\n"
                "         --deadline-ms D  --budget W  --montecarlo\n",
@@ -91,8 +88,11 @@ int ListEngines(const rwl::KnowledgeBase& kb,
   std::printf("%-11s %-14s %-11s %s\n", "engine", "class", "applicable",
               "capability on this KB");
   for (const auto& strategy : rwl::EngineRegistry::Default().Ordered()) {
-    rwl::engines::Capability cap =
-        strategy->Assess(ctx, rwl::logic::Formula::True(), options);
+    rwl::engines::Capability cap;
+    cap.reason = "not in the strategy set";
+    if (options.strategies.Contains(strategy->name())) {
+      cap = strategy->Assess(ctx, rwl::logic::Formula::True(), options);
+    }
     std::string detail = cap.reason;
     if (cap.applicable) {
       rwl::engines::CostEstimate cost =
@@ -186,6 +186,7 @@ int main(int argc, char** argv) {
   bool json = false;
   bool explain = false;
   bool list_engines = false;
+  std::string engine;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
       options.tolerances =
           rwl::semantics::ToleranceVector::Uniform(std::atof(argv[i]));
     } else if (arg == "--no-symbolic") {
-      options.use_symbolic = false;
+      options.strategies.Remove("symbolic");
     } else if (arg == "--series") {
       print_series = true;
     } else if (arg == "--json") {
@@ -214,13 +215,11 @@ int main(int argc, char** argv) {
       options.limit.num_threads = std::atoi(argv[i]);
     } else if (arg == "--no-cache") {
       options.enable_caching = false;
-    } else if (arg == "--rate-exit") {
-      options.limit.rate_aware_early_exit = true;
     } else if (arg == "--explain") {
       explain = true;
     } else if (arg == "--engine") {
       if (++i >= argc) return Usage(argv[0]);
-      options.force_engine = argv[i];
+      engine = argv[i];
     } else if (arg == "--interval") {
       if (++i >= argc) return Usage(argv[0]);
       double conf = std::atof(argv[i]);
@@ -248,7 +247,7 @@ int main(int argc, char** argv) {
       if (++i >= argc) return Usage(argv[0]);
       options.work_budget = std::atof(argv[i]);
     } else if (arg == "--montecarlo") {
-      options.use_montecarlo = true;
+      options.strategies.Add("montecarlo");
     } else if (!have_kb) {
       std::ifstream file(arg);
       if (!file) {
@@ -265,6 +264,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!have_kb || (queries.empty() && !list_engines)) return Usage(argv[0]);
+  if (!engine.empty()) options.strategies = rwl::StrategySet::Only(engine);
 
   // Sweep schedule up to nmax.
   options.limit.domain_sizes.clear();
