@@ -1,5 +1,6 @@
 // Evaluator microbenchmark: compiled bytecode VM vs. the tree-walking
-// interpreter, plus world-loop thread scaling of the sharded exact engine.
+// interpreter, world-loop thread scaling of the sharded exact engine, and
+// the profile engine's leaf kernel (ns per DFS leaf).
 //
 // Emits one BENCH_JSON line per row (grep into BENCH_eval.json — see
 // bench_util.h) so the perf trajectory of the evaluation hot path is
@@ -13,7 +14,9 @@
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "src/core/knowledge_base.h"
 #include "src/engines/exact_engine.h"
+#include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
 #include "src/logic/parser.h"
 #include "src/semantics/compile.h"
@@ -357,6 +360,83 @@ void ReportThreadScaling() {
   line.Emit();
 }
 
+// ---- profile-engine leaf kernel (one JSON row per case) ----
+
+// Wall time per DFS leaf of one profile sweep point.  The sweep is cut at
+// a leaf budget below the point's leaf count, so exactly `leaves` leaves
+// are evaluated (the engine reports exhaustion on the next one); the time
+// includes the DFS walk between them.  Best of five runs.
+void ReportProfileLeaves() {
+  rwl::bench::PrintHeader("Profile engine: leaf kernel");
+  struct Case {
+    const char* id;
+    const char* kb;
+    const char* query;
+    int n;
+    uint64_t leaves;
+  };
+  const Case cases[] = {
+      // Corpus E5.24: class-counted conditional proportions, a taxonomy
+      // and one constant (8 placements per leaf).
+      {"profile_leaf_E5.24_N32",
+       "(0.7 <~_1 #(Chirps(x) ; Bird(x))[x]) & "
+       "(#(Chirps(x) ; Bird(x))[x] <~_2 0.8)\n"
+       "(0 <~_3 #(Chirps(x) ; Magpie(x))[x]) & "
+       "(#(Chirps(x) ; Magpie(x))[x] <~_4 0.99)\n"
+       "forall x. (Magpie(x) => Bird(x))\n"
+       "Magpie(Tweety)\n",
+       "Chirps(Tweety)", 32, 80000},
+      // Four constants over four atoms: 756 placements per leaf, each
+      // checked against the constant-dependent KB and the query.
+      {"profile_leaf_placements_N32",
+       "#(A(x) ; B(x))[x] ~= 0.6\n"
+       "A(C1) | B(C2)\n"
+       "!(C3 = C4) & B(C3)\n",
+       "A(C1) & !A(C4)", 32, 500},
+  };
+  const auto tol = rwl::semantics::ToleranceVector::Uniform(0.04);
+  for (const Case& c : cases) {
+    rwl::KnowledgeBase kb;
+    std::string error;
+    if (!kb.AddParsed(c.kb, &error)) {
+      std::printf("  %s: bad KB: %s\n", c.id, error.c_str());
+      continue;
+    }
+    FormulaPtr query = rwl::logic::ParseFormula(c.query).formula;
+    kb.RegisterQuerySymbols(query);
+    rwl::engines::ProfileEngine::Options options;
+    options.max_leaves = c.leaves;
+    rwl::engines::ProfileEngine engine(options);
+    using Clock = std::chrono::steady_clock;
+    double best_ns = 0.0;
+    bool exhausted = true;
+    for (int rep = 0; rep < 5; ++rep) {
+      auto start = Clock::now();
+      auto r = engine.DegreeAt(kb.vocabulary(), kb.AsFormula(), query, c.n,
+                               tol);
+      double ns =
+          std::chrono::duration<double, std::nano>(Clock::now() - start)
+              .count();
+      exhausted = exhausted && r.exhausted;
+      if (rep == 0 || ns < best_ns) best_ns = ns;
+    }
+    if (!exhausted) {
+      std::printf("  %s: the point has fewer than %llu leaves\n", c.id,
+                  static_cast<unsigned long long>(c.leaves));
+      continue;
+    }
+    const double ns_per_leaf = best_ns / static_cast<double>(c.leaves);
+    std::printf("  [%s] %llu leaves  %.0f ns/leaf\n", c.id,
+                static_cast<unsigned long long>(c.leaves), ns_per_leaf);
+    rwl::bench::JsonLine line("eval");
+    line.Field("id", c.id)
+        .Field("domain_size", c.n)
+        .Field("leaves", static_cast<int64_t>(c.leaves))
+        .Field("profile_ns_per_leaf", ns_per_leaf);
+    line.Emit();
+  }
+}
+
 // ---- google-benchmark timings ----
 
 void BM_TreeWalkerEval(benchmark::State& state) {
@@ -426,6 +506,7 @@ int main(int argc, char** argv) {
   ReportProportionHeavy();
   ReportCountingCollapse();
   ReportThreadScaling();
+  ReportProfileLeaves();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -64,6 +64,7 @@ struct QueryContext::Impl {
   std::optional<std::vector<logic::FormulaPtr>> conjuncts;
   std::optional<KbSplit> split;
   std::optional<engines::KbAnalysis> analysis;
+  std::shared_ptr<const engines::ProfileKbProgram> profile_program;
 
   struct BlobEntry {
     std::shared_ptr<const void> blob;
@@ -123,6 +124,24 @@ const engines::KbAnalysis& QueryContext::kb_analysis() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   if (!impl_->analysis.has_value()) impl_->analysis = std::move(computed);
   return *impl_->analysis;
+}
+
+std::shared_ptr<const engines::ProfileKbProgram>
+QueryContext::profile_kb_program() const {
+  {
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    if (impl_->profile_program != nullptr) return impl_->profile_program;
+  }
+  // Compiled outside our mutex (kb_split takes it) and racily adopted, like
+  // kb_analysis: compilation is deterministic.
+  const KbSplit& split = kb_split();
+  auto compiled = engines::CompileProfileKb(
+      vocabulary_, split.constant_free, split.constant_dependent);
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  if (impl_->profile_program == nullptr) {
+    impl_->profile_program = std::move(compiled);
+  }
+  return impl_->profile_program;
 }
 
 std::shared_ptr<const semantics::CompiledFormula> QueryContext::Compiled(

@@ -5,7 +5,8 @@
 // engines would otherwise recompute per call:
 //
 //   * the flattened KB conjunct list and the symbolic engine's KbAnalysis,
-//   * the profile engine's constant-free / constant-dependent split,
+//   * the profile engine's constant-free / constant-dependent split and
+//     its compiled leaf programs,
 //   * a memo of finite-engine results keyed by (engine, query id, N, ⃗τ)
 //     — node ids come from the hash-consed AST (logic/intern.h), so keys
 //     are dense and exact,
@@ -46,6 +47,7 @@
 namespace rwl::engines {
 struct FiniteResult;
 struct KbAnalysis;
+struct ProfileKbProgram;
 }  // namespace rwl::engines
 
 namespace rwl::semantics {
@@ -173,6 +175,11 @@ class QueryContext {
 
   // The symbolic engine's flattened statistical view of the KB.
   const engines::KbAnalysis& kb_analysis() const;
+
+  // The profile engine's compiled leaf programs for kb_split(), built on
+  // the first profile sweep through this context (engines/profile_engine.h;
+  // with caching disabled the engine compiles per call instead).
+  std::shared_ptr<const engines::ProfileKbProgram> profile_kb_program() const;
 
   // ---- Compiled-program cache ----
   //

@@ -16,7 +16,6 @@
 #include "src/engines/world_cache.h"
 #include "src/logic/classalg.h"
 #include "src/logic/transform.h"
-#include "src/semantics/compile.h"
 #include "src/semantics/evaluator.h"
 
 namespace rwl::engines {
@@ -45,7 +44,7 @@ struct Placement {
   std::vector<int> constant_block;  // index: position in constants list
   std::vector<int> block_atom;      // per block
   std::vector<int> blocks_in_atom;  // d_a, per atom
-  double log_extra = 0.0;           // filled per-profile (falling factorials)
+  int num_blocks = 0;
 };
 
 // All set partitions of {0..m-1} as restricted-growth strings.
@@ -96,6 +95,7 @@ std::vector<Placement> EnumeratePlacements(int num_constants, int num_atoms) {
       p.constant_block = rgs;
       p.block_atom = atom;
       p.blocks_in_atom.assign(num_atoms, 0);
+      p.num_blocks = num_blocks;
       for (int a : atom) ++p.blocks_in_atom[a];
       placements.push_back(p);
       int j = 0;
@@ -111,8 +111,280 @@ std::vector<Placement> EnumeratePlacements(int num_constants, int num_atoms) {
 }
 
 // ---------------------------------------------------------------------------
-// Symbolic evaluation over a profile.
+// Compiled leaf programs.
 // ---------------------------------------------------------------------------
+
+// A term resolved at compile time: the slot of its binder, a constant's
+// position in the vocabulary's constant list, or an error message (raised
+// only if evaluation reaches the term, as a tree walk would).
+struct TermRef {
+  enum class Kind : uint8_t { kSlot, kConstant, kError };
+  Kind kind = Kind::kError;
+  int index = 0;  // slot, constant position, or message index
+};
+
+// A contiguous range of LeafProgram::atoms.
+struct AtomRange {
+  int begin = 0;
+  int end = 0;
+};
+
+struct FormulaNode {
+  enum class Op : uint8_t {
+    kTrue, kFalse, kAtom, kEqual, kNot, kAnd, kOr, kImplies, kIff,
+    kForAll, kExists,
+    kNoneIn,  // ∀x φ, φ a class: every atom outside the class is empty
+    kAnyIn,   // ∃x φ, φ a class: some atom of the class is nonempty
+    kCompare, kError,
+  };
+  Op op = Op::kTrue;
+  int a = -1;  // child formula (or left expression for kCompare)
+  int b = -1;  // right child formula (or right expression for kCompare)
+  // kAtom: predicate bit; kForAll/kExists: binder slot; kError: message.
+  int index = 0;
+  TermRef t0, t1;
+  AtomRange atoms;
+  CompareOp compare_op = CompareOp::kEq;
+  int tolerance_index = 1;
+};
+
+struct ExprNode {
+  enum class Op : uint8_t {
+    kConstant,
+    kClassProportion,  // Σ_{a∈body} n_a / N
+    kClassConditional,  // Σ_{a∈body∩cond} n_a / Σ_{a∈cond} n_a
+    kProportion, kConditional,  // tuple counting over binder slots
+    kAdd, kSub, kMul,
+  };
+  Op op = Op::kConstant;
+  double value = 0.0;
+  int a = -1;  // body formula, or left child expression
+  int b = -1;  // condition formula, or right child expression
+  int first_slot = 0;  // kProportion/kConditional: slots first..first+k-1
+  int num_vars = 0;
+  AtomRange body, cond;
+};
+
+// One formula, with predicates resolved to atom bits, variables to binder
+// slots and constants to positions.  Single-variable proportions and
+// quantifiers over a class (logic::CompileClass) become atom-index lists
+// summed over the leaf's counts; everything else keeps the tree shape and
+// runs on LeafEvaluator's slot-indexed walker.
+struct LeafProgram {
+  std::vector<FormulaNode> formulas;
+  std::vector<ExprNode> exprs;
+  std::vector<int> atoms;
+  std::vector<std::string> errors;
+  int root = -1;
+  int num_slots = 0;
+};
+
+// Compiles formulas against one vocabulary: atom bits are predicate ids
+// (positions in `universe`), constants resolve through `constant_index`.
+class LeafCompiler {
+ public:
+  LeafCompiler(const ClassUniverse& universe,
+               const std::map<std::string, int>& constant_index)
+      : universe_(universe), constant_index_(constant_index) {}
+
+  LeafProgram Compile(const FormulaPtr& f) {
+    program_ = LeafProgram();
+    scope_.clear();
+    program_.root = CompileFormula(f);
+    return std::move(program_);
+  }
+
+ private:
+  int Error(std::string message) {
+    program_.errors.push_back(std::move(message));
+    return static_cast<int>(program_.errors.size()) - 1;
+  }
+
+  AtomRange Atoms(const AtomSet& set, bool members) {
+    AtomRange range;
+    range.begin = static_cast<int>(program_.atoms.size());
+    for (int a = 0; a < set.num_atoms(); ++a) {
+      if (set.Get(a) == members) program_.atoms.push_back(a);
+    }
+    range.end = static_cast<int>(program_.atoms.size());
+    return range;
+  }
+
+  std::optional<AtomSet> Class(const FormulaPtr& f, const std::string& var) {
+    return logic::CompileClass(universe_, f, logic::Term::Variable(var));
+  }
+
+  int Bind(const std::string& var) {
+    scope_.push_back(var);
+    program_.num_slots =
+        std::max(program_.num_slots, static_cast<int>(scope_.size()));
+    return static_cast<int>(scope_.size()) - 1;
+  }
+
+  TermRef Resolve(const logic::TermPtr& t) {
+    TermRef ref;
+    if (t->is_variable()) {
+      for (int s = static_cast<int>(scope_.size()) - 1; s >= 0; --s) {
+        if (scope_[s] == t->name()) {
+          ref.kind = TermRef::Kind::kSlot;
+          ref.index = s;
+          return ref;
+        }
+      }
+      ref.index = Error("unbound variable " + t->name());
+      return ref;
+    }
+    if (!t->is_constant()) {
+      ref.index = Error("non-constant function in unary profile evaluation");
+      return ref;
+    }
+    auto it = constant_index_.find(t->name());
+    if (it == constant_index_.end()) {
+      ref.index = Error("unknown constant " + t->name());
+      return ref;
+    }
+    ref.kind = TermRef::Kind::kConstant;
+    ref.index = it->second;
+    return ref;
+  }
+
+  int Push(FormulaNode node) {
+    program_.formulas.push_back(node);
+    return static_cast<int>(program_.formulas.size()) - 1;
+  }
+
+  int CompileFormula(const FormulaPtr& f) {
+    FormulaNode node;
+    using Op = FormulaNode::Op;
+    switch (f->kind()) {
+      case Formula::Kind::kTrue:
+        node.op = Op::kTrue;
+        return Push(node);
+      case Formula::Kind::kFalse:
+        node.op = Op::kFalse;
+        return Push(node);
+      case Formula::Kind::kAtom: {
+        if (f->terms().size() != 1) {
+          node.op = Op::kError;
+          node.index =
+              Error("non-unary atom in profile evaluation: " + f->predicate());
+          return Push(node);
+        }
+        const int bit = universe_.PredicateIndex(f->predicate());
+        if (bit < 0) {
+          node.op = Op::kError;
+          node.index = Error("unknown predicate " + f->predicate());
+          return Push(node);
+        }
+        node.op = Op::kAtom;
+        node.index = bit;
+        node.t0 = Resolve(f->terms()[0]);
+        return Push(node);
+      }
+      case Formula::Kind::kEqual:
+        node.op = Op::kEqual;
+        node.t0 = Resolve(f->terms()[0]);
+        node.t1 = Resolve(f->terms()[1]);
+        return Push(node);
+      case Formula::Kind::kNot:
+        node.op = Op::kNot;
+        node.a = CompileFormula(f->body());
+        return Push(node);
+      case Formula::Kind::kAnd:
+      case Formula::Kind::kOr:
+      case Formula::Kind::kImplies:
+      case Formula::Kind::kIff:
+        node.op = f->kind() == Formula::Kind::kAnd       ? Op::kAnd
+                  : f->kind() == Formula::Kind::kOr      ? Op::kOr
+                  : f->kind() == Formula::Kind::kImplies ? Op::kImplies
+                                                         : Op::kIff;
+        node.a = CompileFormula(f->left());
+        node.b = CompileFormula(f->right());
+        return Push(node);
+      case Formula::Kind::kForAll:
+      case Formula::Kind::kExists: {
+        const bool is_forall = f->kind() == Formula::Kind::kForAll;
+        if (auto cls = Class(f->body(), f->var())) {
+          // The candidates of a quantifier cover exactly the nonempty atoms.
+          node.op = is_forall ? Op::kNoneIn : Op::kAnyIn;
+          node.atoms = Atoms(*cls, /*members=*/!is_forall);
+          return Push(node);
+        }
+        node.op = is_forall ? Op::kForAll : Op::kExists;
+        node.index = Bind(f->var());
+        node.a = CompileFormula(f->body());
+        scope_.pop_back();
+        return Push(node);
+      }
+      case Formula::Kind::kCompare:
+        node.op = Op::kCompare;
+        node.a = CompileExpr(f->expr_left());
+        node.b = CompileExpr(f->expr_right());
+        node.compare_op = f->compare_op();
+        node.tolerance_index = f->tolerance_index();
+        return Push(node);
+    }
+    Die("unreachable formula kind");
+  }
+
+  int PushExpr(ExprNode node) {
+    program_.exprs.push_back(node);
+    return static_cast<int>(program_.exprs.size()) - 1;
+  }
+
+  int CompileExpr(const ExprPtr& e) {
+    ExprNode node;
+    using Op = ExprNode::Op;
+    switch (e->kind()) {
+      case Expr::Kind::kConstant:
+        node.op = Op::kConstant;
+        node.value = e->value();
+        return PushExpr(node);
+      case Expr::Kind::kProportion:
+      case Expr::Kind::kConditional: {
+        const bool conditional = e->kind() == Expr::Kind::kConditional;
+        if (e->vars().size() == 1) {
+          // Over a profile the tuple count of a class is Σ n_a: pool,
+          // pinned and named elements of atom a together number n_a.
+          auto body = Class(e->body(), e->vars()[0]);
+          auto cond = conditional ? Class(e->cond(), e->vars()[0])
+                                  : std::optional<AtomSet>(
+                                        AtomSet::All(universe_));
+          if (body && cond) {
+            node.op = conditional ? Op::kClassConditional
+                                  : Op::kClassProportion;
+            node.body = Atoms(body->Intersect(*cond), /*members=*/true);
+            node.cond = Atoms(*cond, /*members=*/true);
+            return PushExpr(node);
+          }
+        }
+        node.op = conditional ? Op::kConditional : Op::kProportion;
+        node.num_vars = static_cast<int>(e->vars().size());
+        node.first_slot = static_cast<int>(scope_.size());
+        for (const auto& var : e->vars()) Bind(var);
+        node.a = CompileFormula(e->body());
+        if (conditional) node.b = CompileFormula(e->cond());
+        scope_.resize(node.first_slot);
+        return PushExpr(node);
+      }
+      case Expr::Kind::kAdd:
+      case Expr::Kind::kSub:
+      case Expr::Kind::kMul:
+        node.op = e->kind() == Expr::Kind::kAdd   ? Op::kAdd
+                  : e->kind() == Expr::Kind::kSub ? Op::kSub
+                                                  : Op::kMul;
+        node.a = CompileExpr(e->lhs());
+        node.b = CompileExpr(e->rhs());
+        return PushExpr(node);
+    }
+    Die("unreachable expr kind");
+  }
+
+  const ClassUniverse& universe_;
+  const std::map<std::string, int>& constant_index_;
+  LeafProgram program_;
+  std::vector<std::string> scope_;  // variable name per binder slot
+};
 
 // A bound element: its atom and a unique identity.  Identities 0..B-1 are
 // the constant blocks; identities >= B are pinned anonymous elements.
@@ -121,87 +393,93 @@ struct Elem {
   int id = 0;
 };
 
-class ProfileEvaluator {
+// Evaluates leaf programs over one profile (and optionally one placement).
+// One evaluator serves a whole sweep: its scratch state is balanced after
+// every evaluation, so switching leaves and placements allocates nothing.
+class LeafEvaluator {
  public:
-  ProfileEvaluator(const logic::Vocabulary& vocabulary,
-                   const std::vector<int64_t>& atom_counts,
-                   const Placement* placement,
-                   const std::map<std::string, int>& constant_index,
-                   const semantics::ToleranceVector& tolerances)
-      : vocabulary_(vocabulary),
-        atom_counts_(atom_counts),
-        placement_(placement),
-        constant_index_(constant_index),
-        tolerances_(tolerances) {
-    int num_atoms = static_cast<int>(atom_counts.size());
-    fresh_in_atom_.assign(num_atoms, 0);
-    num_blocks_ = 0;
-    if (placement_ != nullptr) {
-      for (int b : placement_->constant_block) {
-        num_blocks_ = std::max(num_blocks_, b + 1);
-      }
-    }
-    next_fresh_id_ = num_blocks_;
+  explicit LeafEvaluator(int num_atoms) : fresh_in_atom_(num_atoms, 0) {}
+
+  void SetLeaf(const int64_t* counts) {
+    counts_ = counts;
+    n_ = 0;
+    for (size_t a = 0; a < fresh_in_atom_.size(); ++a) n_ += counts[a];
   }
 
-  bool Eval(const FormulaPtr& f) { return EvalFormula(f); }
+  // nullptr: a constant-free evaluation.
+  void SetPlacement(const Placement* placement) { placement_ = placement; }
+
+  bool Eval(const LeafProgram& program,
+            const semantics::ToleranceVector& tolerances) {
+    program_ = &program;
+    tolerances_ = &tolerances;
+    if (slots_.size() < static_cast<size_t>(program.num_slots)) {
+      slots_.resize(program.num_slots);
+    }
+    next_fresh_id_ = placement_ != nullptr ? placement_->num_blocks : 0;
+    return EvalFormula(program.root);
+  }
 
  private:
   struct ExprValue {
     double value = 0.0;
     bool defined = true;
   };
+  struct Counts {
+    int64_t body = 0;
+    int64_t cond = 0;
+  };
+
+  [[noreturn]] void Fail(int message) const {
+    Die(program_->errors[message]);
+  }
+
+  int64_t Sum(const AtomRange& range) const {
+    int64_t sum = 0;
+    for (int i = range.begin; i < range.end; ++i) {
+      sum += counts_[program_->atoms[i]];
+    }
+    return sum;
+  }
 
   int64_t PoolSize(int atom) const {
     int64_t named = placement_ != nullptr ? placement_->blocks_in_atom[atom] : 0;
-    return atom_counts_[atom] - named;
+    return counts_[atom] - named;
   }
 
-  Elem ElemOfConstant(const std::string& name) const {
-    if (placement_ == nullptr) {
-      Die("constant '" + name + "' in a constant-free evaluation");
+  Elem ElemOf(const TermRef& t) const {
+    switch (t.kind) {
+      case TermRef::Kind::kSlot:
+        return slots_[t.index];
+      case TermRef::Kind::kConstant: {
+        if (placement_ == nullptr) {
+          Die("constant #" + std::to_string(t.index) +
+              " in a constant-free evaluation");
+        }
+        int block = placement_->constant_block[t.index];
+        return Elem{placement_->block_atom[block], block};
+      }
+      case TermRef::Kind::kError:
+        break;
     }
-    auto it = constant_index_.find(name);
-    if (it == constant_index_.end()) Die("unknown constant " + name);
-    int block = placement_->constant_block[it->second];
-    return Elem{placement_->block_atom[block], block};
+    Fail(t.index);
   }
 
-  Elem ElemOfTerm(const logic::TermPtr& t) const {
-    if (t->is_variable()) {
-      auto it = env_.find(t->name());
-      if (it == env_.end()) Die("unbound variable " + t->name());
-      return it->second;
-    }
-    if (!t->is_constant()) {
-      Die("non-constant function in unary profile evaluation");
-    }
-    return ElemOfConstant(t->name());
-  }
-
-  bool AtomHolds(int atom, const std::string& predicate) const {
-    auto sym = vocabulary_.FindPredicate(predicate);
-    if (!sym.has_value()) Die("unknown predicate " + predicate);
-    return (atom >> sym->id) & 1;
-  }
-
-  // Enumerates candidate bindings for a variable.  The callback receives the
-  // element and the number of concrete domain elements it represents; it
-  // returns false to stop the enumeration early.
+  // Enumerates candidate bindings for a variable: named blocks, pinned
+  // anonymous elements, then a fresh element from each nonempty pool.  The
+  // callback receives the element, the number of concrete domain elements
+  // it represents and whether it is fresh; it returns false to stop.
   template <typename Callback>
   void ForEachCandidate(const Callback& cb) {
-    // Named blocks.
     if (placement_ != nullptr) {
-      for (int b = 0; b < num_blocks_; ++b) {
+      for (int b = 0; b < placement_->num_blocks; ++b) {
         if (!cb(Elem{placement_->block_atom[b], b}, int64_t{1}, false)) return;
       }
     }
-    // Pinned anonymous elements (currently bound fresh elements).
     for (const Elem& e : fresh_stack_) {
       if (!cb(e, int64_t{1}, false)) return;
     }
-    // A fresh element from each nonempty anonymous pool.
-    int num_atoms = static_cast<int>(atom_counts_.size());
+    const int num_atoms = static_cast<int>(fresh_in_atom_.size());
     for (int a = 0; a < num_atoms; ++a) {
       int64_t remaining = PoolSize(a) - fresh_in_atom_[a];
       if (remaining > 0) {
@@ -210,9 +488,10 @@ class ProfileEvaluator {
     }
   }
 
-  // Binds `var` to a candidate for the duration of `body`.
+  // Binds `slot` to a candidate for the duration of `body`.  Slots are
+  // lexical, so a binder never needs to restore what it overwrote.
   template <typename Body>
-  auto WithBinding(const std::string& var, const Elem& elem, bool is_fresh,
+  auto WithBinding(int slot, const Elem& elem, bool is_fresh,
                    const Body& body) {
     Elem bound = elem;
     if (is_fresh) {
@@ -220,16 +499,8 @@ class ProfileEvaluator {
       fresh_stack_.push_back(bound);
       ++fresh_in_atom_[bound.atom];
     }
-    auto saved = env_.find(var) != env_.end()
-                     ? std::optional<Elem>(env_[var])
-                     : std::nullopt;
-    env_[var] = bound;
+    slots_[slot] = bound;
     auto result = body();
-    if (saved.has_value()) {
-      env_[var] = *saved;
-    } else {
-      env_.erase(var);
-    }
     if (is_fresh) {
       --fresh_in_atom_[bound.atom];
       fresh_stack_.pop_back();
@@ -238,12 +509,11 @@ class ProfileEvaluator {
     return result;
   }
 
-  bool EvalQuantifier(const FormulaPtr& f) {
-    bool is_forall = f->kind() == Formula::Kind::kForAll;
+  bool EvalQuantifier(const FormulaNode& node, bool is_forall) {
     bool result = is_forall;
     ForEachCandidate([&](const Elem& e, int64_t /*ways*/, bool fresh) {
-      bool holds = WithBinding(f->var(), e, fresh,
-                               [&] { return EvalFormula(f->body()); });
+      bool holds = WithBinding(node.index, e, fresh,
+                               [&] { return EvalFormula(node.a); });
       if (is_forall && !holds) {
         result = false;
         return false;
@@ -257,18 +527,12 @@ class ProfileEvaluator {
     return result;
   }
 
-  // Counts assignments of vars[idx..] satisfying cond (or all, when cond is
-  // null), and those satisfying body ∧ cond.
-  struct Counts {
-    int64_t body = 0;
-    int64_t cond = 0;
-  };
-
-  Counts CountTuples(const std::vector<std::string>& vars, size_t idx,
-                     const FormulaPtr& body, const FormulaPtr& cond) {
-    if (idx == vars.size()) {
+  // Counts assignments of slots [slot, end) satisfying cond (or all, when
+  // cond < 0), and those satisfying body ∧ cond.
+  Counts CountTuples(int slot, int end, int body, int cond) {
+    if (slot == end) {
       Counts c;
-      bool cond_holds = cond == nullptr || EvalFormula(cond);
+      bool cond_holds = cond < 0 || EvalFormula(cond);
       if (!cond_holds) return c;
       c.cond = 1;
       if (EvalFormula(body)) c.body = 1;
@@ -276,8 +540,8 @@ class ProfileEvaluator {
     }
     Counts total;
     ForEachCandidate([&](const Elem& e, int64_t ways, bool fresh) {
-      Counts sub = WithBinding(vars[idx], e, fresh, [&] {
-        return CountTuples(vars, idx + 1, body, cond);
+      Counts sub = WithBinding(slot, e, fresh, [&] {
+        return CountTuples(slot + 1, end, body, cond);
       });
       total.body += ways * sub.body;
       total.cond += ways * sub.cond;
@@ -286,38 +550,48 @@ class ProfileEvaluator {
     return total;
   }
 
-  ExprValue EvalExpr(const ExprPtr& e) {
-    switch (e->kind()) {
-      case Expr::Kind::kConstant:
-        return {e->value(), true};
-      case Expr::Kind::kProportion: {
-        Counts c = CountTuples(e->vars(), 0, e->body(), nullptr);
+  ExprValue EvalExpr(int index) {
+    const ExprNode& e = program_->exprs[index];
+    switch (e.op) {
+      case ExprNode::Op::kConstant:
+        return {e.value, true};
+      case ExprNode::Op::kClassProportion:
+        return {static_cast<double>(Sum(e.body)) / static_cast<double>(n_),
+                true};
+      case ExprNode::Op::kClassConditional: {
+        int64_t cond = Sum(e.cond);
+        if (cond == 0) return {0.0, false};
+        return {static_cast<double>(Sum(e.body)) / static_cast<double>(cond),
+                true};
+      }
+      case ExprNode::Op::kProportion: {
+        Counts c = CountTuples(e.first_slot, e.first_slot + e.num_vars, e.a,
+                               -1);
         double total = 1.0;
-        int64_t n = 0;
-        for (int64_t cnt : atom_counts_) n += cnt;
-        for (size_t i = 0; i < e->vars().size(); ++i) {
-          total *= static_cast<double>(n);
+        for (int i = 0; i < e.num_vars; ++i) {
+          total *= static_cast<double>(n_);
         }
         return {static_cast<double>(c.body) / total, true};
       }
-      case Expr::Kind::kConditional: {
-        Counts c = CountTuples(e->vars(), 0, e->body(), e->cond());
+      case ExprNode::Op::kConditional: {
+        Counts c = CountTuples(e.first_slot, e.first_slot + e.num_vars, e.a,
+                               e.b);
         if (c.cond == 0) return {0.0, false};
         return {static_cast<double>(c.body) / static_cast<double>(c.cond),
                 true};
       }
-      case Expr::Kind::kAdd:
-      case Expr::Kind::kSub:
-      case Expr::Kind::kMul: {
-        ExprValue lhs = EvalExpr(e->lhs());
-        ExprValue rhs = EvalExpr(e->rhs());
+      case ExprNode::Op::kAdd:
+      case ExprNode::Op::kSub:
+      case ExprNode::Op::kMul: {
+        ExprValue lhs = EvalExpr(e.a);
+        ExprValue rhs = EvalExpr(e.b);
         ExprValue out;
         out.defined = lhs.defined && rhs.defined;
-        switch (e->kind()) {
-          case Expr::Kind::kAdd:
+        switch (e.op) {
+          case ExprNode::Op::kAdd:
             out.value = lhs.value + rhs.value;
             break;
-          case Expr::Kind::kSub:
+          case ExprNode::Op::kSub:
             out.value = lhs.value - rhs.value;
             break;
           default:
@@ -327,62 +601,68 @@ class ProfileEvaluator {
         return out;
       }
     }
-    Die("unreachable expr kind");
+    Die("unreachable expr op");
   }
 
-  bool EvalFormula(const FormulaPtr& f) {
-    switch (f->kind()) {
-      case Formula::Kind::kTrue:
+  bool EvalFormula(int index) {
+    const FormulaNode& f = program_->formulas[index];
+    using Op = FormulaNode::Op;
+    switch (f.op) {
+      case Op::kTrue:
         return true;
-      case Formula::Kind::kFalse:
+      case Op::kFalse:
         return false;
-      case Formula::Kind::kAtom: {
-        if (f->terms().size() != 1) {
-          Die("non-unary atom in profile evaluation: " + f->predicate());
+      case Op::kAtom:
+        return (ElemOf(f.t0).atom >> f.index) & 1;
+      case Op::kEqual:
+        return ElemOf(f.t0).id == ElemOf(f.t1).id;
+      case Op::kNot:
+        return !EvalFormula(f.a);
+      case Op::kAnd:
+        return EvalFormula(f.a) && EvalFormula(f.b);
+      case Op::kOr:
+        return EvalFormula(f.a) || EvalFormula(f.b);
+      case Op::kImplies:
+        return !EvalFormula(f.a) || EvalFormula(f.b);
+      case Op::kIff:
+        return EvalFormula(f.a) == EvalFormula(f.b);
+      case Op::kForAll:
+        return EvalQuantifier(f, /*is_forall=*/true);
+      case Op::kExists:
+        return EvalQuantifier(f, /*is_forall=*/false);
+      case Op::kNoneIn:
+        for (int i = f.atoms.begin; i < f.atoms.end; ++i) {
+          if (counts_[program_->atoms[i]] > 0) return false;
         }
-        Elem e = ElemOfTerm(f->terms()[0]);
-        return AtomHolds(e.atom, f->predicate());
-      }
-      case Formula::Kind::kEqual: {
-        Elem a = ElemOfTerm(f->terms()[0]);
-        Elem b = ElemOfTerm(f->terms()[1]);
-        return a.id == b.id;
-      }
-      case Formula::Kind::kNot:
-        return !EvalFormula(f->body());
-      case Formula::Kind::kAnd:
-        return EvalFormula(f->left()) && EvalFormula(f->right());
-      case Formula::Kind::kOr:
-        return EvalFormula(f->left()) || EvalFormula(f->right());
-      case Formula::Kind::kImplies:
-        return !EvalFormula(f->left()) || EvalFormula(f->right());
-      case Formula::Kind::kIff:
-        return EvalFormula(f->left()) == EvalFormula(f->right());
-      case Formula::Kind::kForAll:
-      case Formula::Kind::kExists:
-        return EvalQuantifier(f);
-      case Formula::Kind::kCompare: {
-        ExprValue lhs = EvalExpr(f->expr_left());
-        ExprValue rhs = EvalExpr(f->expr_right());
+        return true;
+      case Op::kAnyIn:
+        for (int i = f.atoms.begin; i < f.atoms.end; ++i) {
+          if (counts_[program_->atoms[i]] > 0) return true;
+        }
+        return false;
+      case Op::kCompare: {
+        ExprValue lhs = EvalExpr(f.a);
+        ExprValue rhs = EvalExpr(f.b);
         if (!lhs.defined || !rhs.defined) return true;  // 0/0 convention
-        double tau = tolerances_.Get(f->tolerance_index());
-        return semantics::CompareValues(lhs.value, f->compare_op(), rhs.value,
+        double tau = tolerances_->Get(f.tolerance_index);
+        return semantics::CompareValues(lhs.value, f.compare_op, rhs.value,
                                         tau);
       }
+      case Op::kError:
+        Fail(f.index);
     }
-    Die("unreachable formula kind");
+    Die("unreachable formula op");
   }
 
-  const logic::Vocabulary& vocabulary_;
-  const std::vector<int64_t>& atom_counts_;
-  const Placement* placement_;
-  const std::map<std::string, int>& constant_index_;
-  const semantics::ToleranceVector& tolerances_;
+  const LeafProgram* program_ = nullptr;
+  const semantics::ToleranceVector* tolerances_ = nullptr;
+  const int64_t* counts_ = nullptr;
+  int64_t n_ = 0;
+  const Placement* placement_ = nullptr;
 
-  std::map<std::string, Elem> env_;
+  std::vector<Elem> slots_;
   std::vector<Elem> fresh_stack_;
   std::vector<int> fresh_in_atom_;
-  int num_blocks_ = 0;
   int next_fresh_id_ = 0;
 };
 
@@ -400,19 +680,26 @@ struct PruneConstraint {
   double hi = 1.0;
 };
 
-// Attempts to turn a KB conjunct into a pruning constraint over the universe.
-std::optional<PruneConstraint> ExtractConstraint(
-    const ClassUniverse& universe, const FormulaPtr& conjunct,
-    const semantics::ToleranceVector& tolerances) {
+// The τ-independent part of a PruneConstraint: a conjunct
+// `proportion op constant` (or `constant op proportion`) over one class.
+struct PruneTemplate {
+  AtomSet body;  // body ∩ cond
+  AtomSet cond;
+  double value = 0.0;
+  CompareOp op = CompareOp::kEq;
+  bool flipped = false;
+  int tolerance_index = 1;
+};
+
+std::optional<PruneTemplate> ExtractTemplate(const ClassUniverse& universe,
+                                             const FormulaPtr& conjunct) {
   if (conjunct->kind() != Formula::Kind::kCompare) return std::nullopt;
-  // Require: proportion-expression op constant  (or constant op proportion).
   ExprPtr prop = conjunct->expr_left();
   ExprPtr constant = conjunct->expr_right();
-  CompareOp op = conjunct->compare_op();
-  bool flipped = false;
+  PruneTemplate out;
   if (prop->kind() == Expr::Kind::kConstant) {
     std::swap(prop, constant);
-    flipped = true;
+    out.flipped = true;
   }
   if (constant->kind() != Expr::Kind::kConstant) return std::nullopt;
   if (prop->kind() != Expr::Kind::kProportion &&
@@ -429,15 +716,23 @@ std::optional<PruneConstraint> ExtractConstraint(
     if (!compiled) return std::nullopt;
     cond = *compiled;
   }
-
-  double v = constant->value();
-  double tau = logic::IsApproximate(op)
-                   ? tolerances.Get(conjunct->tolerance_index())
-                   : 0.0;
-  PruneConstraint out;
   out.body = body->Intersect(cond);
   out.cond = cond;
-  switch (op) {
+  out.value = constant->value();
+  out.op = conjunct->compare_op();
+  out.tolerance_index = conjunct->tolerance_index();
+  return out;
+}
+
+PruneConstraint Instantiate(const PruneTemplate& t,
+                            const semantics::ToleranceVector& tolerances) {
+  const double v = t.value;
+  const double tau =
+      logic::IsApproximate(t.op) ? tolerances.Get(t.tolerance_index) : 0.0;
+  PruneConstraint out;
+  out.body = t.body;
+  out.cond = t.cond;
+  switch (t.op) {
     case CompareOp::kApproxEq:
     case CompareOp::kEq:
       out.lo = v - tau;
@@ -446,7 +741,7 @@ std::optional<PruneConstraint> ExtractConstraint(
     case CompareOp::kApproxLeq:
     case CompareOp::kLeq:
       // prop ≤ v (+τ); flipped: v ≤ prop (+τ).
-      if (!flipped) {
+      if (!t.flipped) {
         out.lo = 0.0;
         out.hi = v + tau;
       } else {
@@ -456,7 +751,7 @@ std::optional<PruneConstraint> ExtractConstraint(
       break;
     case CompareOp::kApproxGeq:
     case CompareOp::kGeq:
-      if (!flipped) {
+      if (!t.flipped) {
         out.lo = v - tau;
         out.hi = 1.0;
       } else {
@@ -470,6 +765,61 @@ std::optional<PruneConstraint> ExtractConstraint(
   return out;
 }
 
+}  // namespace
+
+// The KB half of every profile evaluation, compiled once per (vocabulary,
+// KB): the names leaf programs resolve against (atom bits are predicate
+// ids, constants are positions in declaration order), the placements,
+// leaf programs for the constant-free and constant-dependent parts, the
+// taxonomy's allowed atoms and the τ-independent pruning templates.
+struct ProfileKbProgram {
+  explicit ProfileKbProgram(const logic::Vocabulary& vocabulary)
+      : universe([&] {
+          std::vector<std::string> names;
+          for (const auto& p : vocabulary.predicates()) names.push_back(p.name);
+          return names;
+        }()),
+        num_atoms(universe.num_atoms()),
+        allowed(AtomSet::All(universe)) {
+    int i = 0;
+    for (const auto& c : vocabulary.Constants()) constant_index[c.name] = i++;
+    placements = EnumeratePlacements(i, num_atoms);
+  }
+
+  LeafProgram Compile(const FormulaPtr& f) const {
+    return LeafCompiler(universe, constant_index).Compile(f);
+  }
+
+  ClassUniverse universe;
+  int num_atoms;
+  std::map<std::string, int> constant_index;
+  std::vector<Placement> placements;
+  LeafProgram constant_free;
+  LeafProgram constant_dependent;
+  AtomSet allowed;
+  std::vector<PruneTemplate> prune;
+};
+
+std::shared_ptr<const ProfileKbProgram> CompileProfileKb(
+    const logic::Vocabulary& vocabulary, const logic::FormulaPtr& constant_free,
+    const logic::FormulaPtr& constant_dependent) {
+  auto kb = std::make_shared<ProfileKbProgram>(vocabulary);
+  kb->constant_free = kb->Compile(constant_free);
+  kb->constant_dependent = kb->Compile(constant_dependent);
+  // Pruning constraints (from constant-free conjuncts only) and taxonomy
+  // zero-atoms.
+  logic::Taxonomy taxonomy(kb->universe);
+  for (const auto& conjunct : logic::Conjuncts(constant_free)) {
+    if (taxonomy.Absorb(conjunct)) continue;
+    auto t = ExtractTemplate(kb->universe, conjunct);
+    if (t.has_value()) kb->prune.push_back(std::move(*t));
+  }
+  kb->allowed = taxonomy.allowed();
+  return kb;
+}
+
+namespace {
+
 // ---------------------------------------------------------------------------
 // Cached world lists (context path).
 // ---------------------------------------------------------------------------
@@ -479,36 +829,39 @@ std::optional<PruneConstraint> ExtractConstraint(
 // KB, an entry is a (leaf, placement) pair that also passed the
 // constant-dependent KB, carrying the world-count log-weight.  Entries are
 // stored in DFS emission order so a replay accumulates the identical
-// LogSumExp sequence.
+// LogSumExp sequence.  Placements index the vocabulary's enumeration
+// (ProfileKbProgram), which every context of one signature shares.
 struct ProfileWorldList {
   // Record-and-replay protocol state (see engines/world_cache.h).
   internal::WorldCacheState state = internal::WorldCacheState::kSeenOnce;
   // False: recording overflowed the size cap (maps to kTooBig).
   bool valid = false;
-  std::vector<std::vector<int64_t>> leaf_counts;
+  int num_atoms = 0;
+  // Leaf i's counts are leaf_counts[i·num_atoms, (i+1)·num_atoms).
+  std::vector<int64_t> leaf_counts;
   struct Entry {
     int32_t leaf = 0;
     int32_t placement = 0;
     double log_weight = 0.0;
   };
   std::vector<Entry> entries;
-  std::vector<Placement> placements;
   // The ⃗τ the list was recorded at (part of the blob key, but carried here
   // too so PatchProfileWorlds can re-run the leaf evaluator without
   // parsing the key back).
   semantics::ToleranceVector tolerances;
 
+  size_t num_leaves() const {
+    return num_atoms == 0 ? 0 : leaf_counts.size() / num_atoms;
+  }
+  const int64_t* leaf(int32_t i) const {
+    return leaf_counts.data() + static_cast<size_t>(i) * num_atoms;
+  }
+
+  // What the list occupies, allocation slack included: this is what the
+  // context's blob budget is charged.
   size_t ByteSize() const {
-    size_t bytes = entries.size() * sizeof(Entry);
-    for (const auto& counts : leaf_counts) {
-      bytes += counts.size() * sizeof(int64_t);
-    }
-    for (const auto& p : placements) {
-      bytes += (p.constant_block.size() + p.block_atom.size() +
-                p.blocks_in_atom.size()) *
-               sizeof(int);
-    }
-    return bytes;
+    return sizeof(*this) + entries.capacity() * sizeof(Entry) +
+           leaf_counts.capacity() * sizeof(int64_t);
   }
 };
 
@@ -516,46 +869,37 @@ struct ProfileWorldList {
 constexpr size_t kMaxRecordedEntries = 1u << 20;
 constexpr size_t kMaxRecordedLeaves = 1u << 19;
 
-// The full Pr_N^τ computation (the seed's DegreeAt), with an optional
-// recording sink: when `record` is non-null, every world that enters the
-// denominator is appended.  Recording never changes the result.
+FiniteResult Finish(const LogSumExp& numerator,
+                    const LogSumExp& denominator) {
+  FiniteResult result;
+  if (denominator.IsZero()) return result;
+  result.well_defined = true;
+  result.log_numerator = numerator.Value();
+  result.log_denominator = denominator.Value();
+  result.probability =
+      numerator.IsZero()
+          ? 0.0
+          : std::exp(numerator.Value() - denominator.Value());
+  return result;
+}
+
+// The full Pr_N^τ computation, with an optional recording sink: when
+// `record` is non-null, every world that enters the denominator is
+// appended.  Recording never changes the result.
 FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
-                               const logic::Vocabulary& vocabulary,
-                               const FormulaPtr& kb_free,
-                               const FormulaPtr& kb_dep,
-                               const FormulaPtr& query, int domain_size,
+                               const ProfileKbProgram& kb,
+                               const LeafProgram& query, int domain_size,
                                const semantics::ToleranceVector& tolerances,
                                ProfileWorldList* record) {
-  const int num_atoms = 1 << vocabulary.num_predicates();
+  const int num_atoms = kb.num_atoms;
   const int64_t n_total = domain_size;
-
-  // Predicate names in vocabulary id order define the atom bits.
-  std::vector<std::string> predicate_names;
-  for (const auto& p : vocabulary.predicates()) {
-    predicate_names.push_back(p.name);
-  }
-  ClassUniverse universe(predicate_names);
-
-  // Constants.
-  std::map<std::string, int> constant_index;
-  {
-    int i = 0;
-    for (const auto& c : vocabulary.Constants()) constant_index[c.name] = i++;
-  }
-  const int num_constants = static_cast<int>(constant_index.size());
-  std::vector<Placement> placements =
-      EnumeratePlacements(num_constants, num_atoms);
-
-  // Pruning constraints (from constant-free conjuncts only) and taxonomy
-  // zero-atoms.
+  const std::vector<Placement>& placements = kb.placements;
+  const AtomSet& allowed = kb.allowed;
   std::vector<PruneConstraint> constraints;
-  logic::Taxonomy taxonomy(universe);
-  for (const auto& conjunct : logic::Conjuncts(kb_free)) {
-    if (taxonomy.Absorb(conjunct)) continue;
-    auto c = ExtractConstraint(universe, conjunct, tolerances);
-    if (c.has_value()) constraints.push_back(*c);
+  constraints.reserve(kb.prune.size());
+  for (const auto& t : kb.prune) {
+    constraints.push_back(Instantiate(t, tolerances));
   }
-  const AtomSet& allowed = taxonomy.allowed();
 
   // DFS over atom-count vectors.
   std::vector<int64_t> counts(num_atoms, 0);
@@ -564,6 +908,7 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
   uint64_t leaves = 0;
   bool exhausted = false;
   bool record_overflow = false;
+  if (record != nullptr) record->num_atoms = num_atoms;
 
   // Partial sums per constraint: body and cond over assigned atoms.
   const int num_constraints = static_cast<int>(constraints.size());
@@ -626,7 +971,8 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
     return false;
   };
 
-  const int num_predicates = vocabulary.num_predicates();
+  LeafEvaluator eval(num_atoms);
+  const int num_predicates = kb.universe.num_predicates();
   auto process_leaf = [&]() {
     ++leaves;
     if (leaves > options.max_leaves) {
@@ -650,11 +996,9 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
     }
 
     // Constant-free part: once per profile.
-    {
-      ProfileEvaluator eval(vocabulary, counts, nullptr, constant_index,
-                            tolerances);
-      if (!eval.Eval(kb_free)) return;
-    }
+    eval.SetLeaf(counts.data());
+    eval.SetPlacement(nullptr);
+    if (!eval.Eval(kb.constant_free, tolerances)) return;
     int32_t recorded_leaf = -1;
     for (size_t pi = 0; pi < placements.size(); ++pi) {
       const Placement& placement = placements[pi];
@@ -672,18 +1016,18 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
       }
       if (!feasible) continue;
 
-      ProfileEvaluator eval(vocabulary, counts, &placement, constant_index,
-                            tolerances);
-      if (!eval.Eval(kb_dep)) continue;
+      eval.SetPlacement(&placement);
+      if (!eval.Eval(kb.constant_dependent, tolerances)) continue;
       double log_weight = log_multinomial + log_falling;
       denominator.Add(log_weight);
       if (record != nullptr && !record_overflow) {
         if (recorded_leaf < 0) {
-          if (record->leaf_counts.size() >= kMaxRecordedLeaves) {
+          if (record->num_leaves() >= kMaxRecordedLeaves) {
             record_overflow = true;
           } else {
-            recorded_leaf = static_cast<int32_t>(record->leaf_counts.size());
-            record->leaf_counts.push_back(counts);
+            recorded_leaf = static_cast<int32_t>(record->num_leaves());
+            record->leaf_counts.insert(record->leaf_counts.end(),
+                                       counts.begin(), counts.end());
           }
         }
         if (!record_overflow) {
@@ -695,7 +1039,7 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
           }
         }
       }
-      if (eval.Eval(query)) numerator.Add(log_weight);
+      if (eval.Eval(query, tolerances)) numerator.Add(log_weight);
     }
   };
 
@@ -755,60 +1099,39 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
   if (record != nullptr) {
     record->valid = !record_overflow && !exhausted;
     if (record->valid) {
-      record->placements = std::move(placements);
       record->tolerances = tolerances;
+      record->leaf_counts.shrink_to_fit();
+      record->entries.shrink_to_fit();
     } else {
-      record->leaf_counts.clear();
-      record->entries.clear();
+      record->leaf_counts = {};
+      record->entries = {};
     }
   }
 
-  FiniteResult result;
   if (exhausted) {
+    FiniteResult result;
     result.exhausted = true;
     return result;
   }
-  if (denominator.IsZero()) return result;
-  result.well_defined = true;
-  result.log_numerator = numerator.Value();
-  result.log_denominator = denominator.Value();
-  result.probability =
-      numerator.IsZero()
-          ? 0.0
-          : std::exp(numerator.Value() - denominator.Value());
-  return result;
+  return Finish(numerator, denominator);
 }
 
 // Replays a recorded world list for a new query: one evaluation per
 // surviving world, log-weights accumulated in recorded (= DFS) order.
-FiniteResult ReplayWorldList(const logic::Vocabulary& vocabulary,
+FiniteResult ReplayWorldList(const ProfileKbProgram& kb,
                              const ProfileWorldList& worlds,
-                             const FormulaPtr& query,
+                             const LeafProgram& query,
                              const semantics::ToleranceVector& tolerances) {
-  std::map<std::string, int> constant_index;
-  {
-    int i = 0;
-    for (const auto& c : vocabulary.Constants()) constant_index[c.name] = i++;
-  }
   LogSumExp denominator;
   LogSumExp numerator;
+  LeafEvaluator eval(worlds.num_atoms);
   for (const auto& entry : worlds.entries) {
     denominator.Add(entry.log_weight);
-    ProfileEvaluator eval(vocabulary, worlds.leaf_counts[entry.leaf],
-                          &worlds.placements[entry.placement], constant_index,
-                          tolerances);
-    if (eval.Eval(query)) numerator.Add(entry.log_weight);
+    eval.SetLeaf(worlds.leaf(entry.leaf));
+    eval.SetPlacement(&kb.placements[entry.placement]);
+    if (eval.Eval(query, tolerances)) numerator.Add(entry.log_weight);
   }
-  FiniteResult result;
-  if (denominator.IsZero()) return result;
-  result.well_defined = true;
-  result.log_numerator = numerator.Value();
-  result.log_denominator = denominator.Value();
-  result.probability =
-      numerator.IsZero()
-          ? 0.0
-          : std::exp(numerator.Value() - denominator.Value());
-  return result;
+  return Finish(numerator, denominator);
 }
 
 }  // namespace
@@ -823,8 +1146,8 @@ std::shared_ptr<const void> PatchProfileWorlds(
       !worlds->valid) {
     return nullptr;
   }
-  // Split the appended conjuncts the way ComputeSweepPoint splits the KB:
-  // constant-free conjuncts gate a whole leaf (evaluated placement-free),
+  // Split the appended conjuncts the way the KB split does: constant-free
+  // conjuncts gate a whole leaf (evaluated placement-free),
   // constant-dependent ones gate each (leaf, placement) entry.  The
   // evaluations are exactly the ones a fresh sweep of the new KB would
   // run, so survivors — in unchanged order, with unchanged log-weights —
@@ -835,53 +1158,38 @@ std::shared_ptr<const void> PatchProfileWorlds(
     (logic::ConstantsOf(conjunct).empty() ? appended_free : appended_dep)
         .push_back(conjunct);
   }
-  std::map<std::string, int> constant_index;
-  {
-    int i = 0;
-    for (const auto& c : vocabulary.Constants()) constant_index[c.name] = i++;
-  }
+  auto delta = CompileProfileKb(vocabulary, Formula::AndAll(appended_free),
+                                Formula::AndAll(appended_dep));
+  const semantics::ToleranceVector& tolerances = worlds->tolerances;
   auto patched = std::make_shared<ProfileWorldList>();
   patched->state = internal::WorldCacheState::kRecorded;
   patched->valid = true;
+  patched->num_atoms = worlds->num_atoms;
   patched->leaf_counts = worlds->leaf_counts;
-  patched->placements = worlds->placements;
-  patched->tolerances = worlds->tolerances;
+  patched->tolerances = tolerances;
   patched->entries.reserve(worlds->entries.size());
   // Per-leaf memo of the constant-free verdict (-1 unknown, else 0/1):
   // consecutive entries share leaves, and the fresh sweep, too, evaluates
   // the constant-free part once per leaf.
-  std::vector<int8_t> leaf_pass(worlds->leaf_counts.size(), -1);
+  std::vector<int8_t> leaf_pass(worlds->num_leaves(), -1);
+  LeafEvaluator eval(worlds->num_atoms);
   for (const auto& entry : worlds->entries) {
+    eval.SetLeaf(worlds->leaf(entry.leaf));
     if (!appended_free.empty()) {
       int8_t& verdict = leaf_pass[entry.leaf];
       if (verdict < 0) {
-        ProfileEvaluator eval(vocabulary, worlds->leaf_counts[entry.leaf],
-                              nullptr, constant_index, worlds->tolerances);
-        verdict = 1;
-        for (const auto& conjunct : appended_free) {
-          if (!eval.Eval(conjunct)) {
-            verdict = 0;
-            break;
-          }
-        }
+        eval.SetPlacement(nullptr);
+        verdict = eval.Eval(delta->constant_free, tolerances) ? 1 : 0;
       }
       if (verdict == 0) continue;
     }
     if (!appended_dep.empty()) {
-      ProfileEvaluator eval(vocabulary, worlds->leaf_counts[entry.leaf],
-                            &worlds->placements[entry.placement],
-                            constant_index, worlds->tolerances);
-      bool pass = true;
-      for (const auto& conjunct : appended_dep) {
-        if (!eval.Eval(conjunct)) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
+      eval.SetPlacement(&delta->placements[entry.placement]);
+      if (!eval.Eval(delta->constant_dependent, tolerances)) continue;
     }
     patched->entries.push_back(entry);
   }
+  patched->entries.shrink_to_fit();
   if (bytes_out != nullptr) *bytes_out = patched->ByteSize();
   return patched;
 }
@@ -915,8 +1223,10 @@ FiniteResult ProfileEngine::DegreeAt(
   // Constant-free conjuncts evaluate once per profile, the rest once per
   // placement; the same SplitByConstants feeds QueryContext::kb_split.
   logic::ConstantSplit split = logic::SplitByConstants(kb);
-  return ComputeSweepPoint(options_, vocabulary, split.constant_free,
-                           split.constant_dependent, query, domain_size,
+  auto program = CompileProfileKb(vocabulary, split.constant_free,
+                                  split.constant_dependent);
+  LeafProgram query_program = program->Compile(query);
+  return ComputeSweepPoint(options_, *program, query_program, domain_size,
                            tolerances, nullptr);
 }
 
@@ -969,20 +1279,19 @@ FiniteResult ProfileEngine::DegreeAtInContext(
     return DegreeAt(ctx.vocabulary(), ctx.kb(), query, domain_size,
                     tolerances);
   }
-  const QueryContext::KbSplit& split = ctx.kb_split();
+  std::shared_ptr<const ProfileKbProgram> program = ctx.profile_kb_program();
+  LeafProgram query_program = program->Compile(query);
   std::string blob_key = "profile.worlds|" + CacheSalt() + "|" +
                          std::to_string(domain_size) + "|" +
                          tolerances.CacheKey();
   return internal::LazyRecordReplay<ProfileWorldList>(
       ctx, blob_key,
       [&](ProfileWorldList* record) {
-        return ComputeSweepPoint(options_, ctx.vocabulary(),
-                                 split.constant_free,
-                                 split.constant_dependent, query,
+        return ComputeSweepPoint(options_, *program, query_program,
                                  domain_size, tolerances, record);
       },
       [&](const ProfileWorldList& worlds) {
-        return ReplayWorldList(ctx.vocabulary(), worlds, query, tolerances);
+        return ReplayWorldList(*program, worlds, query_program, tolerances);
       });
 }
 

@@ -12,13 +12,27 @@
 //     multinomial(N; ⃗n) × Π_a falling(n_a, d_a)
 //
 // where d_a is the number of distinct constant-elements placed in atom a.
-// Truth of any L≈ sentence is constant across a profile and is decided
-// symbolically by evaluating over element classes (named constant elements
-// plus one anonymous pool per atom), so Pr_N^τ is computed exactly by a
-// DFS over profiles with log-space weights.  Linear proportion constraints
-// extracted from the KB prune the DFS; pruning is conservative (it never
-// discards a satisfiable profile) and the leaf evaluation re-checks the KB
-// semantically, so pruning affects speed only.
+// Truth of any L≈ sentence is constant across a profile, so Pr_N^τ is
+// computed exactly by a DFS over profiles with log-space weights.  Linear
+// proportion constraints extracted from the KB prune the DFS; pruning is
+// conservative (it never discards a satisfiable profile) and the leaf
+// evaluation re-checks the KB semantically, so pruning affects speed only.
+//
+// Leaf evaluation runs a compiled *leaf program*: predicates are resolved
+// to atom bits, variables to binder slots and constants to placement
+// blocks once, before the DFS.  A single-variable proportion, conditional
+// proportion or quantifier over a class (logic::CompileClass) is an atom
+// list summed over ⃗n — the integer a per-element count would reach, since
+// pool, pinned and named elements of atom a number n_a together — so the
+// doubles are those of the definition.  Anything else (equality, several
+// variables, nested quantifiers) runs on the same program's slot-indexed
+// walker over element classes (named constant elements plus one anonymous
+// pool per atom).  The KB's constant-free part (checked once per profile)
+// and constant-dependent part (once per placement) are compiled once per
+// QueryContext, together with the taxonomy and the pruning templates; the
+// query is compiled once per call.  One program serves every evaluation
+// site: the sweep, replay of a recorded world list, and patching a
+// recorded list after an append.
 #ifndef RWL_ENGINES_PROFILE_ENGINE_H_
 #define RWL_ENGINES_PROFILE_ENGINE_H_
 
@@ -32,6 +46,17 @@
 #include "src/logic/vocabulary.h"
 
 namespace rwl::engines {
+
+// The compiled KB half of every profile evaluation (leaf programs for the
+// constant-free and constant-dependent parts, taxonomy, pruning
+// templates, placements).  Opaque; QueryContext::profile_kb_program()
+// holds one per context.
+struct ProfileKbProgram;
+
+std::shared_ptr<const ProfileKbProgram> CompileProfileKb(
+    const logic::Vocabulary& vocabulary,
+    const logic::FormulaPtr& constant_free,
+    const logic::FormulaPtr& constant_dependent);
 
 // Filter-patches one recorded profile world list (a type-erased context
 // blob stored under a "profile.worlds|..." key) for a signature-preserving

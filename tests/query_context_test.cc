@@ -1,6 +1,12 @@
 // QueryContext invariants: every engine answers identically through a
 // caching context, an uncached context, and the legacy entry points — bit
 // for bit — and the parallel limit sweep reproduces the serial one.
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
 #include <gtest/gtest.h>
 
 #include "src/core/inference.h"
@@ -13,6 +19,59 @@
 #include "src/engines/symbolic_engine.h"
 #include "src/logic/parser.h"
 #include "src/logic/transform.h"
+
+// Live heap bytes, tracked through the replaceable global allocation
+// functions: a header in front of every block carries its size, so the
+// budget test below can compare what a cached world list is charged with
+// what it really keeps allocated.  Every non-aligned form is replaced, so
+// no block crosses between this allocator and a sanitizer's.
+namespace {
+std::atomic<int64_t> live_heap_bytes{0};
+constexpr size_t kHeader = alignof(std::max_align_t);
+
+void* CountedAlloc(size_t size) noexcept {
+  auto* block = static_cast<unsigned char*>(std::malloc(size + kHeader));
+  if (block == nullptr) return nullptr;
+  *reinterpret_cast<size_t*>(block) = size;
+  live_heap_bytes.fetch_add(static_cast<int64_t>(size),
+                            std::memory_order_relaxed);
+  return block + kHeader;
+}
+
+void* CountedAllocOrThrow(size_t size) {
+  void* p = CountedAlloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void CountedFree(void* p) noexcept {
+  if (p == nullptr) return;
+  auto* block = static_cast<unsigned char*>(p) - kHeader;
+  live_heap_bytes.fetch_sub(
+      static_cast<int64_t>(*reinterpret_cast<size_t*>(block)),
+      std::memory_order_relaxed);
+  std::free(block);
+}
+}  // namespace
+
+void* operator new(size_t size) { return CountedAllocOrThrow(size); }
+void* operator new[](size_t size) { return CountedAllocOrThrow(size); }
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 
 namespace rwl {
 namespace {
@@ -288,6 +347,41 @@ TEST(QueryContextBudget, EngineDegradesGracefullyWhenBudgetIsFull) {
       << "world-list records should have been rejected over budget";
   EXPECT_EQ(stats.blob_bytes, QueryContext::kBlobBudgetBytes)
       << "dropped stores must leave the charge untouched";
+}
+
+TEST(QueryContextBudget, WorldListChargeCoversItsAllocation) {
+  // A recorded world list must be charged for all the memory it keeps —
+  // per-leaf storage and vector capacity included — or the 256 MiB budget
+  // admits more than it says.  Two contexts run the same first query at
+  // one point; one records the list (eager mode), the other only leaves a
+  // marker, so the difference in retained heap is the list itself.
+  Fixture f = MakeFixture();
+  engines::ProfileEngine profile;
+  semantics::ToleranceVector tol = semantics::ToleranceVector::Uniform(0.05);
+  const int n = 24;
+  {
+    // Warm every lazily built static the computation touches.
+    QueryContext warm(f.vocabulary, f.kb.AsFormula(), true);
+    profile.DegreeAt(warm, f.query, n, tol);
+  }
+  QueryContext marked(f.vocabulary, f.kb.AsFormula(), true);
+  QueryContext recorded(f.vocabulary, f.kb.AsFormula(), true);
+  recorded.set_eager_world_recording(true);
+
+  int64_t before = live_heap_bytes.load();
+  profile.DegreeAt(marked, f.query, n, tol);
+  const int64_t marked_growth = live_heap_bytes.load() - before;
+  before = live_heap_bytes.load();
+  profile.DegreeAt(recorded, f.query, n, tol);
+  const int64_t recorded_growth = live_heap_bytes.load() - before;
+
+  const int64_t list_bytes = recorded_growth - marked_growth;
+  const uint64_t charged = recorded.cache_stats().blob_bytes;
+  ASSERT_GT(list_bytes, 64 * 1024) << "the point should record a real list";
+  EXPECT_GE(charged, static_cast<uint64_t>(list_bytes))
+      << "charged " << charged << " bytes for a list retaining "
+      << list_bytes;
+  EXPECT_LE(charged, 2 * static_cast<uint64_t>(list_bytes));
 }
 
 TEST(EstimateLimitParallel, MatchesSerialSweepBitwise) {
