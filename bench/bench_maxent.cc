@@ -3,8 +3,11 @@
 // profile engine on the maxent point as N grows, and Example 5.29.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/inference.h"
@@ -12,6 +15,8 @@
 #include "src/engines/maxent_engine.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/parser.h"
+#include "src/maxent/solver.h"
+#include "tests/maxent_golden.h"
 
 namespace {
 
@@ -73,6 +78,43 @@ void ReportTable() {
   }
 }
 
+// Wall time of one maxent::Solve on each unary2-maxent catalog problem
+// (rwbench's forced-maxent cold_solve items, at the default τ = 0.05): the
+// median of 15 rounds of 20 solves.  Reported as BENCH_JSON rows, not
+// gated; the iteration counts are deterministic.
+void ReportSolveTimes() {
+  std::printf("\n  maxent::Solve on the unary2-maxent catalog problems:\n");
+  for (const auto& item : rwl::maxent_golden::MaxEntCatalogKbs()) {
+    const rwl::maxent::Problem problem =
+        rwl::maxent_golden::CatalogProblem(item, 1.0);
+    rwl::maxent::Solution solution;
+    std::vector<double> rounds;
+    for (int round = 0; round < 15; ++round) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int rep = 0; rep < 20; ++rep) {
+        solution = rwl::maxent::Solve(problem);
+        benchmark::DoNotOptimize(solution);
+      }
+      const std::chrono::duration<double, std::micro> elapsed =
+          std::chrono::steady_clock::now() - start;
+      rounds.push_back(elapsed.count() / 20.0);
+    }
+    std::nth_element(rounds.begin(), rounds.begin() + rounds.size() / 2,
+                     rounds.end());
+    const double us = rounds[rounds.size() / 2];
+    std::printf("    %-18s %9.1f us/solve  %5d iterations (%d skipped at the "
+                "fixed point)\n",
+                item.name, us, solution.iterations,
+                solution.fixed_point_skips);
+    rwl::bench::JsonLine line("maxent");
+    line.Field("id", std::string("solve_") + item.name)
+        .Field("us_per_solve", us)
+        .Field("iterations", solution.iterations)
+        .Field("fixed_point_skips", solution.fixed_point_skips);
+    line.Emit();
+  }
+}
+
 void BM_MaxEntSolve(benchmark::State& state) {
   KnowledgeBase kb;
   kb.AddParsed(
@@ -91,6 +133,7 @@ BENCHMARK(BM_MaxEntSolve);
 
 int main(int argc, char** argv) {
   ReportTable();
+  ReportSolveTimes();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -90,6 +90,21 @@ bool AnySupported(const Engine& engine, const QueryContext& ctx,
   return false;
 }
 
+// The engine's cost at one N of a sweep.  Exact's N-independent analysis
+// (compiling and analyzing the KB and the query) runs once per sweep.
+template <typename Engine>
+auto PointCost(const Engine& engine, QueryContext& ctx,
+               const logic::FormulaPtr& query) {
+  return [&](int n) { return engine.EstimateCost(ctx, query, n); };
+}
+
+auto PointCost(const engines::ExactEngine& exact, QueryContext& ctx,
+               const logic::FormulaPtr& query) {
+  return [&exact, &ctx, inputs = exact.AnalyzeCost(ctx, query)](int n) {
+    return exact.EstimateCost(ctx, inputs, n);
+  };
+}
+
 // Shared by the sweep strategies: per-point engine cost summed over the
 // (N, ⃗τ-scale) schedule.
 template <typename Engine>
@@ -97,6 +112,7 @@ engines::CostEstimate SweepCost(const Engine& engine, QueryContext& ctx,
                                 const logic::FormulaPtr& query,
                                 const std::vector<int>& domain_sizes,
                                 size_t num_scales, double limit_error) {
+  const auto point_cost = PointCost(engine, ctx, query);
   engines::CostEstimate total;
   total.error = limit_error;
   // The basis describes the dominant (most expensive) probe — the one a
@@ -104,7 +120,7 @@ engines::CostEstimate SweepCost(const Engine& engine, QueryContext& ctx,
   double dominant_work = -1.0;
   for (int n : domain_sizes) {
     if (!engine.Supports(ctx, query, n)) continue;
-    engines::CostEstimate point = engine.EstimateCost(ctx, query, n);
+    engines::CostEstimate point = point_cost(n);
     total.work += point.work * static_cast<double>(num_scales);
     total.error = std::max(total.error, point.error);
     if (point.work > dominant_work) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -245,31 +246,56 @@ struct CountingPlan {
   double compositions = 0.0;  // C(N + 2^m - 1, 2^m - 1)
 };
 
-CountingPlan PlanCounting(const semantics::Program& kb_program,
-                          const semantics::Program& query_program,
-                          int domain_size) {
-  CountingPlan plan;
-  if (domain_size <= 0) return plan;
+// The N-independent half of PlanCounting: the sorted predicates the
+// counting loop would run over, or nullopt when either program is not
+// aggregate-only or they involve more than kMaxCountingPreds predicates.
+std::optional<std::vector<int>> CountingPredicates(
+    const semantics::Program& kb_program,
+    const semantics::Program& query_program) {
   semantics::AggregateAnalysis kb_agg =
       semantics::AnalyzeAggregate(kb_program);
   semantics::AggregateAnalysis query_agg =
       semantics::AnalyzeAggregate(query_program);
-  if (!kb_agg.aggregate_only || !query_agg.aggregate_only) return plan;
+  if (!kb_agg.aggregate_only || !query_agg.aggregate_only) {
+    return std::nullopt;
+  }
   std::vector<int> preds = std::move(kb_agg.predicates);
   preds.insert(preds.end(), query_agg.predicates.begin(),
                query_agg.predicates.end());
   std::sort(preds.begin(), preds.end());
   preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
-  const int m = static_cast<int>(preds.size());
-  if (m > kMaxCountingPreds) return plan;
+  if (static_cast<int>(preds.size()) > kMaxCountingPreds) return std::nullopt;
+  return preds;
+}
+
+// The N-dependent half: the composition count of a counting loop over
+// `num_preds` predicates at N, or nullopt when the loop is out of range.
+std::optional<double> CountingCompositions(int num_preds, int domain_size) {
+  if (domain_size <= 0) return std::nullopt;
   // Composition weights sum to 2^(mN); keep that inside double range for
   // the beyond-int64 instances.
-  if (static_cast<int64_t>(m) * domain_size > 900) return plan;
-  const int num_classes = 1 << m;
-  plan.compositions =
+  if (static_cast<int64_t>(num_preds) * domain_size > 900) {
+    return std::nullopt;
+  }
+  const int num_classes = 1 << num_preds;
+  const double compositions =
       std::exp(LogBinomial(domain_size + num_classes - 1, num_classes - 1));
-  if (!(plan.compositions <= kMaxCompositions)) return plan;
-  plan.preds = std::move(preds);
+  if (!(compositions <= kMaxCompositions)) return std::nullopt;
+  return compositions;
+}
+
+CountingPlan PlanCounting(const semantics::Program& kb_program,
+                          const semantics::Program& query_program,
+                          int domain_size) {
+  CountingPlan plan;
+  std::optional<std::vector<int>> preds =
+      CountingPredicates(kb_program, query_program);
+  if (!preds.has_value()) return plan;
+  std::optional<double> compositions = CountingCompositions(
+      static_cast<int>(preds->size()), domain_size);
+  if (!compositions.has_value()) return plan;
+  plan.compositions = *compositions;
+  plan.preds = std::move(*preds);
   plan.eligible = true;
   return plan;
 }
@@ -589,13 +615,11 @@ FiniteResult ExactEngine::DegreeAt(
                       domain_size, tolerances, nullptr, num_threads_);
 }
 
-CostEstimate ExactEngine::EstimateCost(const QueryContext& ctx,
-                                       const logic::FormulaPtr& query,
-                                       int domain_size) const {
-  CostEstimate cost;
-  const double log2_worlds = Log2WorldCount(ctx.vocabulary(), domain_size);
-  const double length = ApproximateProgramLength(ctx, ctx.kb()) +
-                        ApproximateProgramLength(ctx, query);
+ExactEngine::CostInputs ExactEngine::AnalyzeCost(
+    const QueryContext& ctx, const logic::FormulaPtr& query) const {
+  CostInputs inputs;
+  inputs.length = ApproximateProgramLength(ctx, ctx.kb()) +
+                  ApproximateProgramLength(ctx, query);
 
   // Counting-loop plans are near-free and must be preferred: the loop runs
   // over compositions of N, not worlds.  Detecting eligibility needs the
@@ -621,28 +645,49 @@ CostEstimate ExactEngine::EstimateCost(const QueryContext& ctx,
     if (query_local.ok()) query_program = query_local.program.get();
   }
   if (kb_program != nullptr && query_program != nullptr) {
-    const CountingPlan plan =
-        PlanCounting(*kb_program, *query_program, domain_size);
-    if (plan.eligible) {
-      cost.work = plan.compositions * length;
+    std::optional<std::vector<int>> preds =
+        CountingPredicates(*kb_program, *query_program);
+    if (preds.has_value()) {
+      inputs.counting_predicates = static_cast<int>(preds->size());
+    }
+  }
+  return inputs;
+}
+
+CostEstimate ExactEngine::EstimateCost(const QueryContext& ctx,
+                                       const logic::FormulaPtr& query,
+                                       int domain_size) const {
+  return EstimateCost(ctx, AnalyzeCost(ctx, query), domain_size);
+}
+
+CostEstimate ExactEngine::EstimateCost(const QueryContext& ctx,
+                                       const CostInputs& inputs,
+                                       int domain_size) const {
+  CostEstimate cost;
+  if (inputs.counting_predicates >= 0) {
+    std::optional<double> compositions =
+        CountingCompositions(inputs.counting_predicates, domain_size);
+    if (compositions.has_value()) {
+      cost.work = *compositions * inputs.length;
       cost.error = 0.0;
       char buf[128];
       std::snprintf(buf, sizeof(buf),
                     "counting loop over %.3g compositions (%d predicates)",
-                    plan.compositions,
-                    static_cast<int>(plan.preds.size()));
+                    *compositions, inputs.counting_predicates);
       cost.basis = buf;
       return cost;
     }
   }
 
   // Two evaluations (KB, then query on KB-worlds) per enumerated world.
-  cost.work = log2_worlds >= 60.0 ? 1e20 : std::exp2(log2_worlds) * length;
+  const double log2_worlds = Log2WorldCount(ctx.vocabulary(), domain_size);
+  cost.work =
+      log2_worlds >= 60.0 ? 1e20 : std::exp2(log2_worlds) * inputs.length;
   cost.error = 0.0;  // definitional computation
   char buf[128];
   std::snprintf(buf, sizeof(buf),
                 "world odometer 2^%.1f x program length %.0f", log2_worlds,
-                length);
+                inputs.length);
   cost.basis = buf;
   return cost;
 }

@@ -80,6 +80,20 @@ class ExactEngine : public FiniteEngine {
                             const logic::FormulaPtr& query,
                             int domain_size) const override;
 
+  // The N-independent half of EstimateCost: the KB + query program length
+  // and, when both compile to aggregate-only programs over few enough
+  // predicates, the counting loop's predicate count (else -1).  A sweep
+  // analyzes once and prices each N with the overload below; the estimate
+  // is the same as EstimateCost(ctx, query, N).
+  struct CostInputs {
+    double length = 0.0;
+    int counting_predicates = -1;
+  };
+  CostInputs AnalyzeCost(const QueryContext& ctx,
+                         const logic::FormulaPtr& query) const;
+  CostEstimate EstimateCost(const QueryContext& ctx, const CostInputs& inputs,
+                            int domain_size) const;
+
  protected:
   // Context path: the KB-satisfying worlds at one (N, ⃗τ) are
   // query-independent, so the first query records them (within a memory

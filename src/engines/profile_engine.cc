@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -670,16 +671,6 @@ class LeafEvaluator {
 // DFS pruning constraints.
 // ---------------------------------------------------------------------------
 
-// Conservative linear bound extracted from a proportion conjunct:
-//   lo · Σ_{a∈cond} n_a  ≤  Σ_{a∈body} n_a  ≤  hi · Σ_{a∈cond} n_a
-// where body ⊆ cond.  (For unconditional proportions cond is every atom.)
-struct PruneConstraint {
-  AtomSet body;
-  AtomSet cond;
-  double lo = 0.0;
-  double hi = 1.0;
-};
-
 // The τ-independent part of a PruneConstraint: a conjunct
 // `proportion op constant` (or `constant op proportion`) over one class.
 struct PruneTemplate {
@@ -818,6 +809,153 @@ std::shared_ptr<const ProfileKbProgram> CompileProfileKb(
   return kb;
 }
 
+// ---------------------------------------------------------------------------
+// Emptiness certificate.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// The row player's optimal strategy y ≥ 0 of the matrix game `rows` (rows
+// k, columns a): it maximizes min_a Σ_k y_k rows[k][a].  With every entry
+// shifted positive, y is the dual solution of
+//   max Σ_a w_a  s.t.  Σ_a (rows[k][a] + shift) w_a ≤ 1 for all k,  w ≥ 0,
+// read off the slack columns of the final tableau (dense simplex, Bland's
+// rule, a pivot cap).  Empty when the search gives up.  Nothing here needs
+// to be exact: the caller verifies whatever y comes back.
+std::vector<double> GameMultipliers(
+    const std::vector<std::vector<double>>& rows) {
+  const int m = static_cast<int>(rows.size());
+  const int n = static_cast<int>(rows[0].size());
+  double min_entry = 0.0;
+  for (const auto& row : rows) {
+    for (double v : row) min_entry = std::min(min_entry, v);
+  }
+  const double shift = 1.0 - min_entry;
+  // Columns: w (n), slacks (m), right-hand side.  Row m is the objective.
+  const int width = n + m + 1;
+  const int rhs = width - 1;
+  std::vector<double> tableau(static_cast<size_t>(m + 1) * width, 0.0);
+  auto at = [&](int r, int c) -> double& {
+    return tableau[static_cast<size_t>(r) * width + c];
+  };
+  std::vector<int> basis(m);
+  for (int k = 0; k < m; ++k) {
+    for (int a = 0; a < n; ++a) at(k, a) = rows[k][a] + shift;
+    at(k, n + k) = 1.0;
+    at(k, rhs) = 1.0;
+    basis[k] = n + k;
+  }
+  for (int a = 0; a < n; ++a) at(m, a) = -1.0;
+  constexpr double kTiny = 1e-12;
+  const int max_pivots = 8 * (n + m) + 32;
+  for (int pivots = 0;; ++pivots) {
+    int enter = -1;
+    for (int c = 0; c < n + m && enter < 0; ++c) {
+      if (at(m, c) < -kTiny) enter = c;
+    }
+    if (enter < 0) break;  // optimal
+    if (pivots == max_pivots) return {};
+    int leave = -1;
+    double best = 0.0;
+    for (int k = 0; k < m; ++k) {
+      if (at(k, enter) <= kTiny) continue;
+      const double ratio = at(k, rhs) / at(k, enter);
+      if (leave < 0 || ratio < best ||
+          (ratio == best && basis[k] < basis[leave])) {
+        leave = k;
+        best = ratio;
+      }
+    }
+    if (leave < 0) return {};  // unbounded: cannot happen, entries > 0
+    const double pivot = at(leave, enter);
+    for (int c = 0; c < width; ++c) at(leave, c) /= pivot;
+    for (int r = 0; r <= m; ++r) {
+      const double factor = at(r, enter);
+      if (r == leave || factor == 0.0) continue;
+      for (int c = 0; c < width; ++c) at(r, c) -= factor * at(leave, c);
+    }
+    basis[leave] = enter;
+  }
+  std::vector<double> y(m);
+  for (int k = 0; k < m; ++k) y[k] = std::max(0.0, at(m, n + k));
+  return y;
+}
+
+}  // namespace
+
+bool CertifiesNoCountVector(const std::vector<PruneConstraint>& constraints,
+                            const AtomSet& allowed, int64_t domain_size) {
+  if (domain_size <= 0) return false;
+  std::vector<int> atoms;
+  for (int a = 0; a < allowed.num_atoms(); ++a) {
+    if (allowed.Get(a)) atoms.push_back(a);
+  }
+  if (atoms.empty()) return false;
+  // Rows over the allowed atoms: lo·cond − body and body − hi·cond.  A
+  // row without a positive coefficient cannot help and is left out (its
+  // multiplier is 0).
+  std::vector<std::vector<double>> rows;
+  for (const PruneConstraint& c : constraints) {
+    if (!std::isfinite(c.lo) || !std::isfinite(c.hi)) return false;
+    std::vector<double> lower(atoms.size());
+    std::vector<double> upper(atoms.size());
+    bool lower_useful = false;
+    bool upper_useful = false;
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      const double body = c.body.Get(atoms[i]) ? 1.0 : 0.0;
+      const double cond = c.cond.Get(atoms[i]) ? 1.0 : 0.0;
+      lower[i] = c.lo * cond - body;
+      upper[i] = body - c.hi * cond;
+      lower_useful = lower_useful || lower[i] > 0.0;
+      upper_useful = upper_useful || upper[i] > 0.0;
+    }
+    if (lower_useful) rows.push_back(std::move(lower));
+    if (upper_useful) rows.push_back(std::move(upper));
+  }
+  if (rows.empty()) return false;
+  const std::vector<double> y = GameMultipliers(rows);
+  if (y.empty()) return false;
+  // Verification.  A passing leaf has every row ≤ 1e-9 up to rounding,
+  // so Σ_k y_k row_k(n) ≤ Σy·(1e-9 + 3·2⁻⁵³·N); but Σ_k y_k row_k(n) =
+  // Σ_a n_a·c_a ≥ δ·N with c_a the combined coefficients.  δ·N − 1e-9·Σy
+  // above 1e-6·Σy·N leaves room for every rounding error here and in the
+  // leaf test, so no count vector can pass.
+  double sum_y = 0.0;
+  for (double v : y) sum_y += v;
+  if (!(sum_y > 0.0)) return false;
+  double delta = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    double combined = 0.0;
+    for (size_t k = 0; k < rows.size(); ++k) combined += y[k] * rows[k][i];
+    delta = std::min(delta, combined);
+  }
+  const double n = static_cast<double>(domain_size);
+  return delta * n - 1e-9 * sum_y > 1e-6 * sum_y * n;
+}
+
+namespace {
+
+std::vector<PruneConstraint> InstantiateAll(
+    const ProfileKbProgram& kb, const semantics::ToleranceVector& tolerances) {
+  std::vector<PruneConstraint> constraints;
+  constraints.reserve(kb.prune.size());
+  for (const auto& t : kb.prune) {
+    constraints.push_back(Instantiate(t, tolerances));
+  }
+  return constraints;
+}
+
+}  // namespace
+
+bool SweepPointCertifiedEmpty(const ProfileKbProgram& kb, int domain_size,
+                              const semantics::ToleranceVector& tolerances) {
+  // The DFS runs over several atoms only; a single-atom vocabulary has one
+  // leaf and no constraint test.
+  return kb.num_atoms > 1 &&
+         CertifiesNoCountVector(InstantiateAll(kb, tolerances), kb.allowed,
+                                domain_size);
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -895,11 +1033,8 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
   const int64_t n_total = domain_size;
   const std::vector<Placement>& placements = kb.placements;
   const AtomSet& allowed = kb.allowed;
-  std::vector<PruneConstraint> constraints;
-  constraints.reserve(kb.prune.size());
-  for (const auto& t : kb.prune) {
-    constraints.push_back(Instantiate(t, tolerances));
-  }
+  const std::vector<PruneConstraint> constraints =
+      InstantiateAll(kb, tolerances);
 
   // DFS over atom-count vectors.
   std::vector<int64_t> counts(num_atoms, 0);
@@ -1092,7 +1227,9 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
   if (num_atoms == 1) {
     counts[0] = n_total;
     if (allowed.Get(0) || n_total == 0) process_leaf();
-  } else {
+  } else if (!SweepPointCertifiedEmpty(kb, domain_size, tolerances)) {
+    // Skipped only when no count vector can pass the leaf's constraint
+    // test, i.e. when the DFS would reach no leaf.
     dfs(0, n_total);
   }
 

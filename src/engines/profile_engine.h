@@ -33,6 +33,19 @@
 // query is compiled once per call.  One program serves every evaluation
 // site: the sweep, replay of a recorded world list, and patching a
 // recorded list after an append.
+//
+// Emptiness certificate: before each sweep point's DFS, the engine looks
+// for Farkas multipliers y ≥ 0 over the point's own pruning rows
+// (lo·cond − body ≤ 1e-9, body − hi·cond ≤ 1e-9, restricted to the
+// allowed atoms).  It skips the DFS only when a check in doubles proves
+// that no count vector passes the leaf's constraint test: every combined
+// allowed-atom coefficient is ≥ δ with δ·N − 1e-9·Σy > 1e-6·Σy·N, a margin
+// that covers every rounding error of the check and of the leaf test.  A
+// dense simplex proposes y, and soundness rests on that check alone.  A
+// skipped point returns exactly what a DFS that finds no leaf returns: an
+// undefined FiniteResult, and a valid, empty recorded world list.  The KB
+// is then not eventually consistent at that point (S(KB) is empty,
+// Section 6), and that is settled without a search.
 #ifndef RWL_ENGINES_PROFILE_ENGINE_H_
 #define RWL_ENGINES_PROFILE_ENGINE_H_
 
@@ -42,6 +55,7 @@
 #include <vector>
 
 #include "src/engines/engine.h"
+#include "src/logic/classalg.h"
 #include "src/logic/formula.h"
 #include "src/logic/vocabulary.h"
 
@@ -57,6 +71,35 @@ std::shared_ptr<const ProfileKbProgram> CompileProfileKb(
     const logic::Vocabulary& vocabulary,
     const logic::FormulaPtr& constant_free,
     const logic::FormulaPtr& constant_dependent);
+
+// A linear bound the DFS prunes with, instantiated from a proportion
+// conjunct of the KB at one (N, ⃗τ) point:
+//   lo · Σ_{a∈cond} n_a  ≤  Σ_{a∈body} n_a  ≤  hi · Σ_{a∈cond} n_a
+// where body ⊆ cond (cond is every atom for an unconditional proportion).
+// The leaf's constraint test accepts a count vector ⃗n when, in doubles,
+// lo·cond ≤ body + 1e-9 and body ≤ hi·cond + 1e-9 for every bound.
+struct PruneConstraint {
+  logic::AtomSet body;
+  logic::AtomSet cond;
+  double lo = 0.0;
+  double hi = 1.0;
+};
+
+// The emptiness certificate: true when Farkas multipliers y ≥ 0 over the
+// rows lo·cond − body ≤ 1e-9 and body − hi·cond ≤ 1e-9, restricted to the
+// `allowed` atoms, prove that no count vector with Σ n_a = domain_size
+// (n_a = 0 off `allowed`) passes the leaf's constraint test.  Any search
+// may propose y; the verdict rests on a check in doubles alone: with every
+// combined allowed-atom coefficient ≥ δ, δ·N − 1e-9·Σy > 1e-6·Σy·N.
+bool CertifiesNoCountVector(const std::vector<PruneConstraint>& constraints,
+                            const logic::AtomSet& allowed,
+                            int64_t domain_size);
+
+// Whether the sweep point (N, ⃗τ) of `kb` skips its DFS on a verified
+// certificate: the KB's pruning rows instantiated at ⃗τ certify that no
+// leaf can pass, over a vocabulary of more than one atom.
+bool SweepPointCertifiedEmpty(const ProfileKbProgram& kb, int domain_size,
+                              const semantics::ToleranceVector& tolerances);
 
 // Filter-patches one recorded profile world list (a type-erased context
 // blob stored under a "profile.worlds|..." key) for a signature-preserving

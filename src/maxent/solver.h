@@ -13,6 +13,23 @@
 // weight λ escalated geometrically and warm starts between stages.  The
 // exterior penalty needs no strictly feasible interior point, so equality
 // constraints (paired inequalities with τ = 0) are handled too.
+//
+// Each stage runs up to `inner_iterations` gradient steps with
+// backtracking.  One iterate record (p, its clamped logs, its constraint
+// dot products, its entropy) serves the gradient, every backtracking
+// candidate and the next stage's objective, and no buffer is allocated
+// per step.  A stage ends early at a fixed point: once a step taken at the
+// 10.0 step cap leaves p bitwise unchanged, every remaining iteration of
+// the stage would repeat it exactly, so they are skipped and counted in
+// `iterations` (and in `fixed_point_skips`).
+//
+// Bit-identity contract: Solve's results (p, entropy, max_violation,
+// iterations) are bit-identical to the plain penalty / mirror-descent
+// loop that recomputes everything per candidate; tests/maxent_test.cc
+// pins them on recorded problems.  That rests on keeping every expression
+// in its order: the sums run in index order, 2·λ·v·a_ij multiplies left to
+// right, and nothing may be reassociated.  The build sets no -march, so
+// the compiler has no FMA to contract into.
 #ifndef RWL_MAXENT_SOLVER_H_
 #define RWL_MAXENT_SOLVER_H_
 
@@ -49,7 +66,10 @@ struct Solution {
   std::vector<double> p;
   double entropy = 0.0;
   double max_violation = 0.0;
+  // Inner iterations, counting those a fixed-point exit skipped.
   int iterations = 0;
+  // The iterations the fixed-point exit skipped (part of `iterations`).
+  int fixed_point_skips = 0;
 };
 
 // Entropy of a distribution (0 ln 0 = 0).

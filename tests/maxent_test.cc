@@ -1,4 +1,7 @@
 #include <cmath>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +10,11 @@
 #include "src/logic/builder.h"
 #include "src/maxent/constraints.h"
 #include "src/maxent/solver.h"
+#include "tests/maxent_golden.h"
+
+#ifndef RWL_TEST_DATA_DIR
+#error "RWL_TEST_DATA_DIR must point at tests/data (set by CMakeLists.txt)"
+#endif
 
 namespace rwl {
 namespace {
@@ -85,6 +93,49 @@ TEST(MaxEntSolver, InfeasibleDetected) {
   problem.constraints = {a, b};
   maxent::Solution s = maxent::Solve(problem);
   EXPECT_FALSE(s.feasible);
+}
+
+// Every recorded problem (tests/maxent_golden.h) solves to the recorded
+// bits: p, entropy, max_violation and the iteration count.
+TEST(MaxEntSolver, ReproducesGoldenBits) {
+  std::ifstream in(std::string(RWL_TEST_DATA_DIR) + "/maxent_golden.txt");
+  ASSERT_TRUE(in.good());
+  std::vector<std::string> recorded;
+  for (std::string line; std::getline(in, line);) recorded.push_back(line);
+  const auto problems = maxent_golden::GoldenProblems();
+  ASSERT_EQ(recorded.size(), problems.size());
+  int mismatches = 0;
+  for (size_t i = 0; i < problems.size(); ++i) {
+    const std::string row = maxent_golden::GoldenRow(
+        problems[i].name, maxent::Solve(problems[i].problem));
+    if (row != recorded[i]) ++mismatches;
+    EXPECT_EQ(row, recorded[i]);
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// unary2-maxent-01's KB leaves the uniform start feasible, so every stage
+// reaches a bitwise fixed point at the step cap and skips the rest of its
+// iterations; the reported count still includes them.
+TEST(MaxEntSolver, FixedPointExitSkipsRepeatedIterations) {
+  const maxent::SolverOptions options;
+  const int full = options.penalty_stages * options.inner_iterations;
+  for (double scale : {1.0, 0.3, 0.1}) {
+    maxent::Problem problem = maxent_golden::CatalogProblem(
+        maxent_golden::MaxEntCatalogKbs()[1], scale);
+    maxent::Solution s = maxent::Solve(problem, options);
+    ASSERT_TRUE(s.feasible);
+    EXPECT_EQ(s.iterations, full);
+    EXPECT_GT(s.fixed_point_skips, full * 9 / 10) << "scale " << scale;
+  }
+  // A problem whose iterate keeps moving never takes the exit.
+  maxent::Problem moving;
+  moving.dim = 4;
+  maxent::LinearConstraint c;
+  c.coef = {1.0, 1.0, 0.0, 0.0};
+  c.bound = 0.3;
+  moving.constraints.push_back(c);
+  EXPECT_EQ(maxent::Solve(moving).fixed_point_skips, 0);
 }
 
 TEST(MaxEntConstraints, ExtractsTaxonomyAndStatistics) {

@@ -3,15 +3,20 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/inference.h"
 #include "src/core/knowledge_base.h"
 #include "src/core/query_context.h"
 #include "src/logic/builder.h"
 #include "src/logic/parser.h"
+#include "src/logic/transform.h"
 
 namespace rwl::engines {
 namespace {
@@ -575,6 +580,233 @@ TEST(ProfileEngineGolden, PatchedAfterAppend) {
       ExpectGolden(fresh, point, "fresh sweep of the appended KB");
       ExpectGolden(grown.engine.DegreeAt(v2, grown.query, point.n, tol),
                    point, "patched");
+    }
+  }
+}
+
+// ---- Emptiness certificate ----
+
+std::shared_ptr<const ProfileKbProgram> CompileKb(const KnowledgeBase& kb) {
+  logic::ConstantSplit split = logic::SplitByConstants(kb.AsFormula());
+  return CompileProfileKb(kb.vocabulary(), split.constant_free,
+                          split.constant_dependent);
+}
+
+// The leaf's constraint test, written out independently of the DFS.
+bool PassesLeafTest(const std::vector<PruneConstraint>& constraints,
+                    const std::vector<int64_t>& counts) {
+  for (const PruneConstraint& c : constraints) {
+    int64_t body = 0;
+    int64_t cond = 0;
+    for (size_t a = 0; a < counts.size(); ++a) {
+      if (c.body.Get(static_cast<int>(a))) body += counts[a];
+      if (c.cond.Get(static_cast<int>(a))) cond += counts[a];
+    }
+    const double b = static_cast<double>(body);
+    const double d = static_cast<double>(cond);
+    if (c.lo * d > b + 1e-9 || b > c.hi * d + 1e-9) return false;
+  }
+  return true;
+}
+
+// Calls visit(counts) for every count vector with Σ n_a = n and n_a = 0
+// off `allowed`; stops early when visit returns false.
+bool ForEachCountVector(const logic::AtomSet& allowed, int64_t n,
+                        const std::function<bool(const std::vector<int64_t>&)>&
+                            visit) {
+  const int atoms = allowed.num_atoms();
+  std::vector<int64_t> counts(atoms, 0);
+  std::function<bool(int, int64_t)> rec = [&](int a, int64_t left) {
+    if (a == atoms - 1) {
+      if (left > 0 && !allowed.Get(a)) return true;
+      counts[a] = left;
+      const bool go_on = visit(counts);
+      counts[a] = 0;
+      return go_on;
+    }
+    const int64_t max_here = allowed.Get(a) ? left : 0;
+    for (int64_t v = 0; v <= max_here; ++v) {
+      counts[a] = v;
+      if (!rec(a + 1, left - v)) return false;
+    }
+    counts[a] = 0;
+    return true;
+  };
+  return rec(0, n);
+}
+
+TEST(ProfileCertificate, SoundAgainstBruteForce) {
+  std::mt19937_64 rng(20260736);
+  auto below = [&](int n) { return static_cast<int>(rng() % n); };
+  auto unit = [&] { return static_cast<double>(rng() >> 11) * 0x1.0p-53; };
+  int certified = 0;
+  int empty = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int k = 1 + below(3);
+    const int atoms = 1 << k;
+    const int64_t n = 1 + below(12);
+    logic::AtomSet allowed(atoms, true);
+    if (below(3) == 0) {
+      for (int a = 0; a < atoms; ++a) {
+        if (below(4) == 0) allowed.Set(a, false);
+      }
+      allowed.Set(below(atoms), true);
+    }
+    std::vector<PruneConstraint> constraints;
+    const int num = 1 + below(4);
+    for (int j = 0; j < num; ++j) {
+      PruneConstraint c;
+      c.body = logic::AtomSet(atoms, false);
+      c.cond = logic::AtomSet(atoms, below(2) == 0);
+      for (int a = 0; a < atoms; ++a) {
+        if (below(2) == 0) c.cond.Set(a, true);
+        if (c.cond.Get(a) && below(2) == 0) c.body.Set(a, true);
+      }
+      // Values on the k/N grid with τ = 0, nudged by at most 1e-10, sit on
+      // the boundary of the leaf test, inside its 1e-9 slack; the rest are
+      // arbitrary doubles with some slack.
+      static const double kNudges[] = {0.0, 1e-12, -1e-11, 1e-11, -1e-10};
+      const bool on_grid = below(3) == 0;
+      const double v =
+          on_grid ? static_cast<double>(below(static_cast<int>(n) + 1)) /
+                            static_cast<double>(n) +
+                        kNudges[below(5)]
+                  : unit();
+      const double tau = on_grid ? 0.0 : 0.1 * unit();
+      switch (below(3)) {
+        case 0:
+          c.lo = v - tau;
+          c.hi = v + tau;
+          break;
+        case 1:
+          c.lo = 0.0;
+          c.hi = v + tau;
+          break;
+        default:
+          c.lo = v - tau;
+          c.hi = 1.0;
+          break;
+      }
+      c.lo = std::max(0.0, c.lo);
+      c.hi = std::min(1.0, c.hi);
+      constraints.push_back(c);
+    }
+    const bool fired = CertifiesNoCountVector(constraints, allowed, n);
+    const bool any_passes = !ForEachCountVector(
+        allowed, n, [&](const std::vector<int64_t>& counts) {
+          return !PassesLeafTest(constraints, counts);
+        });
+    if (fired) {
+      ++certified;
+      EXPECT_FALSE(any_passes) << "trial " << trial;
+    }
+    if (!any_passes) ++empty;
+  }
+  // The oracle must see the certificate fire often enough to mean
+  // something.
+  EXPECT_GT(certified, 500);
+  EXPECT_GE(empty, certified);
+}
+
+TEST(ProfileCertificate, ContradictoryUpperBoundsCertify) {
+  // #(¬P2) ≤ 0.48 and #(P2 ∨ P1) ≤ 0.203: P2 ⊆ P2 ∨ P1 and the two sets
+  // cover every atom, so y = (1, 1) on the two upper rows certifies.
+  logic::AtomSet allowed(4, true);
+  PruneConstraint not_p2{logic::AtomSet(4, false), logic::AtomSet(4, true),
+                         0.0, 0.48};
+  PruneConstraint p2_or_p1{logic::AtomSet(4, false), logic::AtomSet(4, true),
+                           0.0, 0.203};
+  for (int a = 0; a < 4; ++a) {
+    const bool p1 = (a & 1) != 0;
+    const bool p2 = (a & 2) != 0;
+    not_p2.body.Set(a, !p2);
+    p2_or_p1.body.Set(a, p2 || p1);
+  }
+  for (int64_t n : {1, 8, 16, 32, 1000000}) {
+    EXPECT_TRUE(CertifiesNoCountVector({not_p2, p2_or_p1}, allowed, n));
+  }
+  // Either bound alone is satisfiable.
+  EXPECT_FALSE(CertifiesNoCountVector({not_p2}, allowed, 16));
+  EXPECT_FALSE(CertifiesNoCountVector({p2_or_p1}, allowed, 16));
+}
+
+// The cold_solve items whose answer is "undefined / profile sweep": every
+// point of their sweep (N ∈ {8, 16, 32} × τ-scales {1, .5, .25}) skips
+// the DFS, and the answer is unchanged.
+TEST(ProfileCertificate, UndefinedCatalogKbsSkipEveryDfs) {
+  struct Item {
+    const char* id;
+    const char* kb;
+    const char* query;
+  };
+  const Item items[] = {
+      {"unary3-14",
+       "(#(!P2(x))[x] ~= 0.44046782479702029)\n"
+       "(#((P2(x) | P1(x)))[x] ~=_2 0.16293717854486184)\n"
+       "P2(K0)\n"
+       "P0(K0)\n",
+       "!P1(K0)"},
+      {"unary3-04",
+       "(#(!P0(x))[x] ~= 0.55549255564642175)\n"
+       "(#((!P1(x) & P1(x)) ; (P1(x) | P0(x)))[x] ~=_2 "
+       "0.61851562542977157)\n"
+       "P2(K0)\n"
+       "P1(K0)\n",
+       "(P2(K0) & !P1(K0))"},
+  };
+  for (const Item& item : items) {
+    KnowledgeBase kb;
+    ASSERT_TRUE(kb.AddParsed(item.kb)) << item.id;
+    FormulaPtr query = logic::ParseFormula(item.query).formula;
+    kb.RegisterQuerySymbols(query);
+    InferenceOptions options;
+    options.limit.domain_sizes = {8, 16, 32};
+    auto program = CompileKb(kb);
+    int certified = 0;
+    for (int n : options.limit.domain_sizes) {
+      for (double scale : options.limit.tolerance_scales) {
+        const bool skipped = SweepPointCertifiedEmpty(
+            *program, n, options.tolerances.Scaled(scale));
+        EXPECT_TRUE(skipped) << item.id << " N=" << n << " scale=" << scale;
+        certified += skipped ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(certified, 9) << item.id;
+    Answer answer = DegreeOfBelief(kb, query, options);
+    EXPECT_EQ(answer.status, Answer::Status::kUndefined) << item.id;
+    EXPECT_EQ(answer.method, "profile sweep") << item.id;
+  }
+}
+
+// Feasible KBs never take the certificate: not E5.24 over a long sweep,
+// and no well-defined point of the golden-bits cases (whose recorded
+// answers the golden tests above check through the same sweep).
+TEST(ProfileCertificate, FeasibleKbsAreNeverCertified) {
+  for (const auto& c : GoldenCases()) {
+    for (bool appended : {false, true}) {
+      GoldenInstance in = MakeInstance(c, appended);
+      auto program = CompileKb(in.kb);
+      for (const auto& point : PointsOf(c, appended)) {
+        if (!point.well_defined) continue;
+        EXPECT_FALSE(
+            SweepPointCertifiedEmpty(*program, point.n, TolAt(c, point)))
+            << c.id << (appended ? "+appended" : "") << " N=" << point.n
+            << " scale=" << point.scale;
+      }
+    }
+  }
+  GoldenInstance e524 = MakeInstance(GoldenCases()[0], false);
+  auto program = CompileKb(e524.kb);
+  for (int n : {1, 2, 3, 5, 24}) {
+    for (double scale : {1.0, 0.5, 0.25, 0.125}) {
+      semantics::ToleranceVector tol = Tol(0.04).Scaled(scale);
+      if (!e524.engine.DegreeAt(e524.kb.vocabulary(), e524.kb.AsFormula(),
+                                e524.query, n, tol)
+               .well_defined) {
+        continue;
+      }
+      EXPECT_FALSE(SweepPointCertifiedEmpty(*program, n, tol))
+          << "E5.24 N=" << n << " scale=" << scale;
     }
   }
 }
