@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <unordered_map>
 #include <utility>
 
@@ -1083,8 +1084,42 @@ Answer DegreeOfBelief(QueryContext& ctx, const logic::FormulaPtr& query,
   return EngineRegistry::Default().Infer(ctx, query, options);
 }
 
+std::string OpenFormulaError(const logic::FormulaPtr& formula,
+                             std::string_view what) {
+  std::set<std::string> free_variables = logic::FreeVariables(formula);
+  if (free_variables.empty()) return {};
+  std::string error(what);
+  error += " has free variables:";
+  for (const auto& name : free_variables) error += " " + name;
+  error += " (lowercase-initial terms are variables; constants start "
+           "uppercase)";
+  return error;
+}
+
+namespace {
+
+// The engines treat an unbound variable as a programming error and abort;
+// an open formula must be answered before it reaches them.  Returns true
+// (and fills *answer) when `formula` is open.
+bool AnswerIfOpen(const logic::FormulaPtr& formula, std::string_view what,
+                  Answer* answer) {
+  std::string error = OpenFormulaError(formula, what);
+  if (error.empty()) return false;
+  *answer = Answer{};
+  answer->status = Answer::Status::kUnknown;
+  answer->explanation = std::move(error);
+  return true;
+}
+
+}  // namespace
+
 Answer DegreeOfBelief(const KnowledgeBase& kb, const logic::FormulaPtr& query,
                       const InferenceOptions& options) {
+  Answer open;
+  if (AnswerIfOpen(query, "query", &open) ||
+      AnswerIfOpen(kb.AsFormula(), "knowledge base", &open)) {
+    return open;
+  }
   QueryContext ctx =
       MakeQueryContext(kb, std::span<const logic::FormulaPtr>(&query, 1),
                        options);
@@ -1123,18 +1158,24 @@ std::vector<Answer> DegreesOfBelief(const KnowledgeBase& kb,
   // one query's symbols shift another's engine support limits (world
   // counts grow with the vocabulary, and the profile engine caps atoms
   // and constants).
+  std::vector<Answer> answers(queries.size());
+  Answer open_kb;
+  if (AnswerIfOpen(kb.AsFormula(), "knowledge base", &open_kb)) {
+    std::fill(answers.begin(), answers.end(), open_kb);
+    return answers;
+  }
   QueryContext shared = MakeQueryContext(
       kb, std::span<const logic::FormulaPtr>(), options);
   // Hash-consing makes duplicate queries pointer-equal: answer each
   // distinct formula once.
   std::unordered_map<const logic::Formula*, size_t> first_index;
-  std::vector<Answer> answers(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     auto [it, inserted] = first_index.emplace(queries[i].get(), i);
     if (!inserted) {
       answers[i] = answers[it->second];
       continue;
     }
+    if (AnswerIfOpen(queries[i], "query", &answers[i])) continue;
     if (QueryCoveredByVocabulary(kb.vocabulary(), queries[i])) {
       answers[i] = DegreeOfBelief(shared, queries[i], options);
     } else {
@@ -1173,6 +1214,8 @@ Answer ConditionalDegreeOfBelief(const KnowledgeBase& kb,
                                  const logic::FormulaPtr& query,
                                  const logic::FormulaPtr& evidence,
                                  const InferenceOptions& options) {
+  Answer open;
+  if (AnswerIfOpen(evidence, "evidence", &open)) return open;
   KnowledgeBase conditioned = kb;
   conditioned.Add(evidence);
   return DegreeOfBelief(conditioned, query, options);

@@ -144,6 +144,11 @@ struct Answer {
   std::shared_ptr<const PlanTrace> plan;
 };
 
+// The KB forms below (DegreeOfBelief, DegreesOfBelief,
+// ConditionalDegreeOfBelief) accept only closed sentences: an open query,
+// KB conjunct or evidence formula is answered kUnknown, with an
+// explanation naming its free variables (OpenFormulaError), instead of
+// reaching the engines.  The context form assumes its caller checked.
 Answer DegreeOfBelief(const KnowledgeBase& kb, const logic::FormulaPtr& query,
                       const InferenceOptions& options = {});
 
@@ -153,7 +158,8 @@ Answer DegreeOfBelief(const KnowledgeBase& kb, std::string_view query,
                       const InferenceOptions& options = {});
 
 // Context form: answers against an existing QueryContext (whose vocabulary
-// must already cover the query symbols — see MakeQueryContext).  All
+// must already cover the query symbols — see MakeQueryContext — and whose
+// KB and query must be closed sentences).  All
 // engine-derived state accumulates in the context, so repeated calls share
 // work.
 Answer DegreeOfBelief(QueryContext& ctx, const logic::FormulaPtr& query,
@@ -200,6 +206,12 @@ Answer ConditionalDegreeOfBelief(const KnowledgeBase& kb,
                                  const logic::FormulaPtr& query,
                                  const logic::FormulaPtr& evidence,
                                  const InferenceOptions& options = {});
+
+// Empty when `formula` is a closed sentence; otherwise "<what> has free
+// variables: x y (...)".  The explanation the KB forms above answer an
+// open formula with, and the error rwld rejects one with at admission.
+std::string OpenFormulaError(const logic::FormulaPtr& formula,
+                             std::string_view what);
 
 std::string StatusToString(Answer::Status status);
 

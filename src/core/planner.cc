@@ -115,6 +115,13 @@ constexpr char kNotInSet[] = "not in the strategy set";
 
 // ---- plan cache ----
 
+// Fixed-width fields go into keys as raw bytes: exact, and no formatting
+// on the service's per-request path.
+template <typename T>
+void AppendRaw(const T& value, std::string* key) {
+  key->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
 // The cached artifact: the assessed candidate list in execution order.
 // Capability and cost ride along so cache hits render the same EXPLAIN
 // output without re-assessing.
@@ -124,41 +131,14 @@ struct CachedPlan {
 
 std::string PlanCacheKey(const InferenceOptions& options, uint64_t shape,
                          uint64_t registry_fingerprint) {
-  std::string key = "planner.plan|r=";
-  key += std::to_string(registry_fingerprint);
-  key += "|m=";
-  key += options.plan_mode == PlanMode::kMinCost ? "cost" : "fid";
   // No KB component: QueryContext::StoreBlob/LookupBlob transparently
   // qualify every key with the context's version_salt() (KB formula id +
   // vocabulary fingerprint), which is what keeps an adopted plan from
   // surviving a KB mutation or a signature change.
-  key += "|q=";
-  key += std::to_string(shape);
-  key += "|n=";
-  for (int n : options.limit.domain_sizes) {
-    key += std::to_string(n);
-    key += ',';
-  }
-  key += "|s=";
-  for (double s : options.limit.tolerance_scales) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g,", s);
-    key += buf;
-  }
-  key += "|t=";
-  key += options.tolerances.CacheKey();
-  key += "|f=";
-  options.strategies.AppendKey(&key);
-  key += "|ic=";
-  {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", options.interval_confidence);
-    key += buf;
-  }
-  key += "|fx=";
-  key += std::to_string(options.fixed_domain_size);
-  key += "|mc=";
-  key += std::to_string(options.montecarlo_samples);
+  std::string key = "planner.plan|";
+  AppendRaw(registry_fingerprint, &key);
+  AppendRaw(shape, &key);
+  AppendOptionsKey(options, &key);
   return key;
 }
 
@@ -264,6 +244,24 @@ void FinalizeAnswer(Answer* answer, bool deadline_hit,
 
 }  // namespace
 
+void AppendOptionsKey(const InferenceOptions& options, std::string* key) {
+  key->push_back(options.plan_mode == PlanMode::kMinCost ? 'c' : 'f');
+  AppendRaw(options.limit.domain_sizes.size(), key);
+  for (int n : options.limit.domain_sizes) AppendRaw(n, key);
+  AppendRaw(options.limit.tolerance_scales.size(), key);
+  for (double s : options.limit.tolerance_scales) AppendRaw(s, key);
+  AppendRaw(options.limit.convergence_epsilon, key);
+  AppendRaw(options.interval_confidence, key);
+  AppendRaw(options.fixed_domain_size, key);
+  AppendRaw(options.montecarlo_samples, key);
+  AppendRaw(options.work_budget, key);
+  // The two variable-length parts last, '|'-separated (neither encoding
+  // contains '|').
+  *key += options.tolerances.CacheKey();
+  key->push_back('|');
+  options.strategies.AppendKey(key);
+}
+
 uint64_t PlanShapeFingerprint(const logic::FormulaPtr& query) {
   return HashFormulaShape(query);
 }
@@ -274,7 +272,8 @@ std::string FormatPlanTrace(const PlanTrace& trace) {
   std::snprintf(buf, sizeof(buf),
                 "plan: mode=%s source=%s shape=%016llx planning=%.3fms "
                 "total=%.3fms%s\n",
-                trace.mode.c_str(), trace.from_cache ? "cache" : "cold",
+                trace.mode.c_str(),
+                trace.from_memo ? "memo" : trace.from_cache ? "cache" : "cold",
                 static_cast<unsigned long long>(trace.shape_fingerprint),
                 trace.planning_ms, trace.total_ms,
                 trace.deadline_hit ? " [deadline hit]" : "");

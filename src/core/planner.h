@@ -74,6 +74,10 @@ struct PlanTrace {
   // "fidelity" or "cost".
   std::string mode;
   bool from_cache = false;   // plan order came from the context's cache
+  // The whole answer came from the snapshot's answer memo
+  // (service/catalog.h): no step ran, `steps` is empty, and total_ms is
+  // the memo hit's own time.  Implies from_cache.
+  bool from_memo = false;
   bool deadline_hit = false;  // the deadline cut planning or execution short
   double planning_ms = 0.0;  // assessment + scoring (0 on cache hits)
   double total_ms = 0.0;     // planning + execution wall time
@@ -84,6 +88,16 @@ struct PlanTrace {
 // Hep(Eric) and Hep(Tom) share a fingerprint — and therefore a cached
 // plan — while Hep(Eric) ∧ Jaun(Eric) does not.
 uint64_t PlanShapeFingerprint(const logic::FormulaPtr& query);
+
+// Appends an exact encoding of every option that can change a plan or an
+// answer: plan mode, the N and τ schedules, convergence epsilon, base
+// tolerances, strategy set, interval confidence, fixed domain size,
+// Monte-Carlo samples and work budget.  Left out are the deadline (a
+// deadline-cut answer is never reused; see QueryContext::StoreAnswer) and
+// the knobs answers are bit-identical under (enable_caching,
+// limit.num_threads).  The plan cache and the service's answer memo
+// (service/catalog.h) both key on it.
+void AppendOptionsKey(const InferenceOptions& options, std::string* key);
 
 // Multi-line EXPLAIN rendering (rwlq --explain).
 std::string FormatPlanTrace(const PlanTrace& trace);

@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/core/inference.h"
+#include "src/core/planner.h"
 #include "src/engines/engine.h"
 #include "src/engines/exact_engine.h"
 #include "src/engines/profile_engine.h"
@@ -75,6 +77,16 @@ struct QueryContext::Impl {
   std::unordered_map<std::string, BlobEntry> blobs;
   std::unordered_map<uint64_t, std::shared_ptr<const semantics::CompiledFormula>>
       programs;
+
+  // The answer memo has its own lock: a hit must not queue behind engine
+  // work contending for `mutex`.  `answer_order` lists entries in store
+  // order for replay.
+  mutable std::mutex answer_mutex;
+  std::unordered_map<std::string, std::shared_ptr<const MemoizedAnswer>>
+      answers;
+  std::vector<std::shared_ptr<const MemoizedAnswer>> answer_order;
+  mutable uint64_t answer_hits = 0;
+  mutable uint64_t answer_misses = 0;
 
   mutable CacheStats stats;
 };
@@ -236,6 +248,36 @@ void QueryContext::StoreBlob(const std::string& key,
                                 Impl::BlobEntry{std::move(blob), bytes_hint});
 }
 
+std::shared_ptr<const QueryContext::MemoizedAnswer> QueryContext::LookupAnswer(
+    const std::string& key) const {
+  if (!caching_enabled_) return nullptr;
+  std::lock_guard<std::mutex> lock(impl_->answer_mutex);
+  auto it = impl_->answers.find(key);
+  if (it == impl_->answers.end()) {
+    ++impl_->answer_misses;
+    return nullptr;
+  }
+  ++impl_->answer_hits;
+  return it->second;
+}
+
+void QueryContext::StoreAnswer(const std::string& key,
+                               std::shared_ptr<const MemoizedAnswer> entry) {
+  if (!caching_enabled_) return;
+  const std::shared_ptr<const PlanTrace>& plan = entry->answer->plan;
+  if (plan != nullptr && plan->deadline_hit) return;
+  std::lock_guard<std::mutex> lock(impl_->answer_mutex);
+  if (impl_->answers.size() >= kMaxMemoizedAnswers) return;
+  auto [it, inserted] = impl_->answers.emplace(key, entry);
+  if (inserted) impl_->answer_order.push_back(std::move(entry));
+}
+
+std::vector<std::shared_ptr<const QueryContext::MemoizedAnswer>>
+QueryContext::MemoizedAnswers() const {
+  std::lock_guard<std::mutex> lock(impl_->answer_mutex);
+  return impl_->answer_order;
+}
+
 void QueryContext::AdoptCachesFrom(const QueryContext& prior) {
   if (!caching_enabled_ || !prior.caching_enabled_) return;
   if (&prior == this) return;
@@ -353,8 +395,15 @@ bool QueryContext::ApplyDelta(const QueryContext& prior, const KbDelta& delta) {
 }
 
 QueryContext::CacheStats QueryContext::cache_stats() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->stats;
+  CacheStats stats;
+  {
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    stats = impl_->stats;
+  }
+  std::lock_guard<std::mutex> lock(impl_->answer_mutex);
+  stats.answer_hits = impl_->answer_hits;
+  stats.answer_misses = impl_->answer_misses;
+  return stats;
 }
 
 }  // namespace rwl

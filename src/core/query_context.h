@@ -12,7 +12,9 @@
 //     are dense and exact,
 //   * a type-erased cache of engine-derived state (e.g. the profile
 //     engine's satisfying-world list per (N, ⃗τ), which makes every query
-//     after the first a replay instead of a DFS).
+//     after the first a replay instead of a DFS),
+//   * a bounded memo of finished answers (the service snapshot's answer
+//     memo, service/catalog.h).
 //
 // All lookups are thread-safe: the limit-sweep worker pool shares one
 // context across its workers, and the service layer (src/service/) runs
@@ -55,6 +57,9 @@ struct CompiledFormula;
 }  // namespace rwl::semantics
 
 namespace rwl {
+
+struct Answer;            // core/inference.h
+struct InferenceOptions;  // core/inference.h
 
 // The shape of one KB mutation, as seen by the incremental-maintenance
 // path (QueryContext::ApplyDelta and the service catalog's background
@@ -228,6 +233,36 @@ class QueryContext {
   // refunds the old entry's charge.
   static constexpr size_t kBlobBudgetBytes = 256u << 20;
 
+  // ---- Final-answer memo ----
+  //
+  // Finished answers under exact caller-built keys (the service catalog's
+  // AnswerMemoKey: query id plus every answer-affecting option).  A context
+  // pins one (vocabulary, KB) pair, so a degree of belief is a pure
+  // function of such a key.  Each entry keeps the query and options that
+  // produced it, so a successor snapshot can replay them (KbCatalog's
+  // publish-when-warm minting).  Entries are never adopted across
+  // versions and never evicted: a store beyond kMaxMemoizedAnswers is
+  // dropped.  An answer whose PlanTrace reports deadline_hit is never
+  // stored — like an exhausted FiniteResult, it reflects the execution
+  // environment, not the key.  Lookup returns null (and Store is a no-op)
+  // when caching is disabled.
+  struct MemoizedAnswer {
+    logic::FormulaPtr query;
+    std::shared_ptr<const InferenceOptions> options;
+    std::shared_ptr<const Answer> answer;
+    // Answered through this context (the query adds no symbol to its
+    // vocabulary) rather than through a private one over the same KB:
+    // only these warm this context's caches when replayed.
+    bool shared_context = false;
+  };
+  static constexpr size_t kMaxMemoizedAnswers = 1024;
+  std::shared_ptr<const MemoizedAnswer> LookupAnswer(
+      const std::string& key) const;
+  void StoreAnswer(const std::string& key,
+                   std::shared_ptr<const MemoizedAnswer> entry);
+  // Every entry, in the order it was stored.
+  std::vector<std::shared_ptr<const MemoizedAnswer>> MemoizedAnswers() const;
+
   struct CacheStats {
     uint64_t finite_hits = 0;
     uint64_t finite_misses = 0;
@@ -241,6 +276,10 @@ class QueryContext {
     uint64_t world_lists_patched = 0;  // recorded lists re-salted by filter
     uint64_t world_lists_dropped = 0;  // adopted lists a patch could not carry
     uint64_t analyses_prewarmed = 0;   // KB analyses computed off-request-path
+    // Answer-memo lookups (a successor's publish-time replay counts as
+    // misses on the successor).
+    uint64_t answer_hits = 0;
+    uint64_t answer_misses = 0;
   };
   CacheStats cache_stats() const;
 

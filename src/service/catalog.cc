@@ -3,6 +3,8 @@
 #include <chrono>
 #include <utility>
 
+#include "src/core/planner.h"
+
 #if defined(__linux__)
 #include <sys/resource.h>
 #include <sys/syscall.h>
@@ -10,26 +12,6 @@
 #endif
 
 namespace rwl::service {
-
-void KbSnapshot::RecordQuery(const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const {
-  // Only queries the shared context answered are worth replaying; a query
-  // with fresh symbols runs in a private context either way.
-  if (!QueryCoveredByVocabulary(kb.vocabulary(), query)) return;
-  std::lock_guard<std::mutex> lock(query_log_mutex_);
-  if (query_log_.size() >= kMaxLoggedQueries) return;
-  for (const auto& logged : query_log_) {
-    // Formulas are hash-consed: pointer equality is formula identity.
-    if (logged.first == query) return;
-  }
-  query_log_.emplace_back(query, options);
-}
-
-std::vector<std::pair<logic::FormulaPtr, InferenceOptions>>
-KbSnapshot::LoggedQueries() const {
-  std::lock_guard<std::mutex> lock(query_log_mutex_);
-  return query_log_;
-}
 
 KbCatalog::KbCatalog(const CatalogOptions& options) : options_(options) {
   if (options_.background_maintenance) {
@@ -75,22 +57,24 @@ std::shared_ptr<KbSnapshot> KbCatalog::MintSuccessor(const std::string& name,
     } else {
       rebuilt_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Publish-when-warm: replay the predecessor's query log so everything
-    // those queries will need on the new version — including work the old
+    // Publish-when-warm: replay the predecessor's memoized queries so
+    // everything they need on the new version — including work the old
     // version never did, like a sweep for a query the mutation knocked off
     // a symbolic fast path — is computed HERE, before readers can pin this
-    // snapshot, not on the first post-mutation request.  Answers are
-    // discarded; the caches the replay fills are transparent, so the first
-    // real query is a hit with a bit-identical result.  The log carries
-    // forward so the next successor warms the same working set.
-    for (const auto& [query, opts] : prior.LoggedQueries()) {
+    // snapshot, not on the first post-mutation request.  Each replayed
+    // answer lands in the successor's memo, so the first real read is a
+    // memo hit with a bit-identical result, and the memo carries the
+    // working set forward to the next successor.
+    size_t replayed = 0;
+    for (const auto& entry : prior.context->MemoizedAnswers()) {
+      if (!entry->shared_context) continue;
+      if (replayed++ == kMaxReplayedAnswers) break;
       try {
-        AnswerOnSnapshot(*snapshot, query, opts);
+        AnswerOnSnapshot(*snapshot, entry->query, *entry->options);
       } catch (...) {
         // Best-effort: a query that fails here fails identically (and
         // reports its own error) when a client re-asks it.
       }
-      snapshot->RecordQuery(query, opts);
     }
   }
   return snapshot;
@@ -292,7 +276,7 @@ std::shared_ptr<const KbSnapshot> KbCatalog::StagedSnapshot(
     }
   }
   // Same warm path as the worker's mint — adopt the published head's
-  // caches and patch the delta — minus the query-log replay: the caller
+  // caches and patch the delta — minus the memo replay: the caller
   // has one concrete query to answer, so warming the rest of the working
   // set here would put exactly the work this fallback exists to avoid
   // back on the request path.  The service differential check covers the
@@ -476,12 +460,42 @@ size_t RetractConjuncts(
 Answer AnswerOnSnapshot(const KbSnapshot& snapshot,
                         const logic::FormulaPtr& query,
                         const InferenceOptions& options) {
-  if (QueryCoveredByVocabulary(snapshot.kb.vocabulary(), query)) {
-    return DegreeOfBelief(*snapshot.context, query, options);
+  const auto start = std::chrono::steady_clock::now();
+  std::string key;
+  const uint64_t query_id = query->id();
+  key.append(reinterpret_cast<const char*>(&query_id), sizeof(query_id));
+  AppendOptionsKey(options, &key);
+  QueryContext& context = *snapshot.context;
+  if (std::shared_ptr<const QueryContext::MemoizedAnswer> hit =
+          context.LookupAnswer(key)) {
+    Answer answer = *hit->answer;
+    auto trace = std::make_shared<PlanTrace>();
+    if (answer.plan != nullptr) {
+      trace->mode = answer.plan->mode;
+      trace->shape_fingerprint = answer.plan->shape_fingerprint;
+    }
+    trace->from_cache = true;
+    trace->from_memo = true;
+    trace->total_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    answer.plan = std::move(trace);
+    return answer;
   }
+  const bool shared_context =
+      QueryCoveredByVocabulary(snapshot.kb.vocabulary(), query);
   // Fresh query symbols: a private context over the pinned KB (the shared
   // context's vocabulary cannot cover them) — the batch API's rule.
-  return DegreeOfBelief(snapshot.kb, query, options);
+  Answer answer = shared_context ? DegreeOfBelief(context, query, options)
+                                 : DegreeOfBelief(snapshot.kb, query, options);
+  if (context.caching_enabled()) {
+    context.StoreAnswer(
+        key, std::make_shared<const QueryContext::MemoizedAnswer>(
+                 QueryContext::MemoizedAnswer{
+                     query, std::make_shared<const InferenceOptions>(options),
+                     std::make_shared<const Answer>(answer), shared_context}));
+  }
+  return answer;
 }
 
 }  // namespace rwl::service

@@ -58,6 +58,14 @@ namespace rwl::service {
 // One immutable KB version.  `context` carries the version's shared caches
 // and is safe for concurrent queries (QueryContext is internally locked);
 // everything else is read-only after construction.
+//
+// Because a version is immutable, a degree of belief against it is a pure
+// function of (query, answer-affecting options): AnswerOnSnapshot memoizes
+// each finished Answer in the context's answer memo
+// (QueryContext::LookupAnswer), and the memo's entries double as the
+// version's working set — the maintenance worker replays the first
+// KbCatalog::kMaxReplayedAnswers of them against a successor BEFORE
+// publishing it (see MintSuccessor).
 struct KbSnapshot {
   std::string name;
   // Catalog-wide monotone counter: a tenant's successive versions are
@@ -67,30 +75,12 @@ struct KbSnapshot {
   uint64_t version = 0;
   KnowledgeBase kb;
   std::shared_ptr<QueryContext> context;
-
-  // Best-effort log of distinct queries answered on this version (capped;
-  // first options seen win; queries outside the snapshot's vocabulary are
-  // skipped — they never touch the shared context).  The maintenance
-  // worker replays the predecessor's log against a successor BEFORE
-  // publishing it, so compute a mutation forces back onto the query path —
-  // a symbolic fast path the new conjunct breaks, a sweep the old version
-  // never needed — happens off the request path while readers keep the
-  // warm predecessor.  Thread-safe.
-  static constexpr size_t kMaxLoggedQueries = 32;
-  void RecordQuery(const logic::FormulaPtr& query,
-                   const InferenceOptions& options) const;
-  std::vector<std::pair<logic::FormulaPtr, InferenceOptions>> LoggedQueries()
-      const;
-
- private:
-  mutable std::mutex query_log_mutex_;
-  mutable std::vector<std::pair<logic::FormulaPtr, InferenceOptions>>
-      query_log_;
 };
 
 struct CatalogOptions {
-  // Snapshot caches replay derived state across queries and adopted
-  // versions.  Off is for tests and measurement only — the differential
+  // Snapshot caches — the answer memo included — replay derived state
+  // across queries and adopted versions.  Off is for tests and
+  // measurement only — the differential
   // `service` check deliberately runs with caching ON and compares
   // against cache-free from-scratch rebuilds, which is exactly what
   // proves the adopted caches never change an answer.
@@ -130,6 +120,10 @@ class KbCatalog {
   // file order and ship order are version order.  Must be fast and must
   // not re-enter the catalog.
   using VersionHook = std::function<void(uint64_t version)>;
+
+  // How many of a predecessor's memoized answers (shared-context ones, in
+  // store order) a successor mint replays before publication.
+  static constexpr size_t kMaxReplayedAnswers = 32;
 
   explicit KbCatalog(const CatalogOptions& options = {});
   ~KbCatalog();
@@ -311,11 +305,23 @@ size_t RetractConjuncts(
     const std::function<bool(size_t, const logic::FormulaPtr&)>& drop);
 
 // Shared by KbService and the differential `service` check: answers one
-// query against a pinned snapshot.  Queries covered by the snapshot's
-// vocabulary run through the shared context (cache hits across queries and
-// adopted versions); a query introducing fresh symbols gets a private
-// context derived from the snapshot's KB — same rule, and bit-identical
-// answers, as the batch API (core/inference.cc).
+// query against a pinned snapshot.
+//
+// The snapshot's answer memo comes first.  Its key is the hash-consed query
+// id plus every answer-affecting option (AppendOptionsKey: work budget,
+// plan mode, fixed domain size, strategy set, interval confidence and the
+// service-constant schedule, tolerances and Monte-Carlo samples); the
+// deadline is not part of it.  A hit returns the memoized answer with a
+// fresh PlanTrace: from_cache and from_memo set, no step run, total_ms the
+// hit's own time.
+//
+// On a miss, queries covered by the snapshot's vocabulary run through the
+// shared context (cache hits across queries and adopted versions); a
+// query introducing fresh symbols gets a private context derived from the
+// snapshot's KB — same rule, and bit-identical answers, as the batch API
+// (core/inference.cc).  The answer is then memoized unless its deadline
+// cut it short, so a hit is bit-identical to a fresh single-threaded
+// DegreeOfBelief on the pinned KB.
 Answer AnswerOnSnapshot(const KbSnapshot& snapshot,
                         const logic::FormulaPtr& query,
                         const InferenceOptions& options);

@@ -1,6 +1,7 @@
 #include "src/service/protocol.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -293,10 +294,15 @@ bool StringArray(const Json& request, const std::string& key,
   return true;
 }
 
+// The shortest text that parses back to the same bits (std::to_chars'
+// round-trip guarantee), so a client decodes exactly the double the
+// library computed.  JSON has no NaN or infinity: those go out as null.
 std::string FormatDouble(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  return buf;
+  if (!std::isfinite(value)) return "null";
+  char buf[32];
+  const std::to_chars_result printed =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, printed.ptr);
 }
 
 }  // namespace
@@ -538,7 +544,9 @@ std::string StatsResponse(int64_t id, const KbService& service,
         << ",\"deltas_rebuilt\":" << cache.deltas_rebuilt
         << ",\"world_lists_patched\":" << cache.world_lists_patched
         << ",\"world_lists_dropped\":" << cache.world_lists_dropped
-        << ",\"analyses_prewarmed\":" << cache.analyses_prewarmed << "}";
+        << ",\"analyses_prewarmed\":" << cache.analyses_prewarmed
+        << ",\"answer_hits\":" << cache.answer_hits
+        << ",\"answer_misses\":" << cache.answer_misses << "}";
   }
   QueryScheduler::Stats stats = service.scheduler_stats();
   KbCatalog::MaintenanceStats maintenance = service.maintenance_stats();

@@ -4,11 +4,9 @@
 #include <chrono>
 #include <exception>
 #include <future>
-#include <set>
 #include <utility>
 
 #include "src/logic/parser.h"
-#include "src/logic/transform.h"
 #include "src/service/replica.h"
 
 namespace rwl::service {
@@ -21,18 +19,13 @@ double MillisSince(Clock::time_point start) {
       .count();
 }
 
-// The engines treat an unbound variable as a programming error and abort
-// the process; at the service boundary a formula comes off the wire, so
-// open formulas must be rejected at admission instead.
+// An open formula off the wire is rejected at admission — a protocol
+// error before any snapshot is pinned or any tenant queue is touched —
+// with the message the library would answer it with.
 bool CheckClosed(const logic::FormulaPtr& formula, const char* what,
                  std::string* error) {
-  std::set<std::string> free_variables = logic::FreeVariables(formula);
-  if (free_variables.empty()) return true;
-  *error = std::string(what) + " has free variables:";
-  for (const auto& name : free_variables) *error += " " + name;
-  *error += " (lowercase-initial terms are variables; constants start "
-            "uppercase)";
-  return false;
+  *error = OpenFormulaError(formula, what);
+  return error->empty();
 }
 
 }  // namespace
@@ -315,10 +308,6 @@ std::future<void> KbService::SubmitOnSnapshot(
     return {};
   }
   if (!CheckClosed(parsed.formula, "query", &result->error)) return {};
-  // Feed the snapshot's query log: the maintenance worker replays it when
-  // minting this version's successor, so the working set is warm before a
-  // post-mutation snapshot is ever published (catalog.h).
-  snapshot->RecordQuery(parsed.formula, options);
   auto done = std::make_shared<std::promise<void>>();
   std::future<void> future = done->get_future();
   const Clock::time_point admitted = Clock::now();
@@ -326,6 +315,10 @@ std::future<void> KbService::SubmitOnSnapshot(
       snapshot->name,
       [result, snapshot, query = parsed.formula, options, admitted, done]() {
         try {
+          // The snapshot's answer memo is consulted here, on the worker,
+          // never on the caller's thread: a hit still takes the scheduler
+          // hop, so tenants stay fair and the caller (a connection thread
+          // under rwld) does no answering work of its own.
           result->answer = AnswerOnSnapshot(*snapshot, query, options);
           result->ok = true;
         } catch (const std::exception& e) {

@@ -20,6 +20,14 @@
 //   * a query carrying RequestOptions::min_version (the protocol layer's
 //     read-your-writes: a connection's own acked mutations) waits for
 //     that version to publish before pinning;
+//   * a pinned version answers each (query, answer-affecting options)
+//     once: the job the scheduler runs looks the snapshot's answer memo
+//     up first (AnswerOnSnapshot, catalog.h), on the worker — never on
+//     the caller's or a connection thread — and a hit returns the
+//     memoized answer under the same bit-identity guarantee, with a plan
+//     trace marked from_memo.  A deadline-cut answer is never memoized,
+//     and CatalogOptions::caching_enabled = false turns the memo off with
+//     every other cache;
 //   * a BATCH pins one snapshot for all its queries;
 //   * admission control: a tenant whose queue is full gets an immediate
 //     "overloaded" rejection, and queries on other tenants are served

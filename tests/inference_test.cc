@@ -6,6 +6,7 @@
 
 #include "src/core/knowledge_base.h"
 #include "src/logic/builder.h"
+#include "src/logic/parser.h"
 #include "src/logic/printer.h"
 
 namespace rwl {
@@ -186,6 +187,53 @@ TEST(InferenceTest, StatusToStringCoversAll) {
   EXPECT_EQ(StatusToString(Answer::Status::kNonexistent), "nonexistent");
   EXPECT_EQ(StatusToString(Answer::Status::kUndefined), "undefined");
   EXPECT_EQ(StatusToString(Answer::Status::kUnknown), "unknown");
+}
+
+// Open formulas never reach the engines (which abort on an unbound
+// variable): every KB entry point answers kUnknown and names the free
+// variables.
+TEST(InferenceTest, OpenFormulasAnswerUnknownNamingFreeVariables) {
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.AddParsed("#(Hep(x) ; Jaun(x))[x] ~= 0.8\nJaun(Eric)\n"));
+  const logic::FormulaPtr open_query = logic::ParseFormula("Hep(y)").formula;
+  const logic::FormulaPtr closed_query =
+      logic::ParseFormula("Hep(Eric)").formula;
+
+  Answer single = DegreeOfBelief(kb, open_query);
+  EXPECT_EQ(single.status, Answer::Status::kUnknown);
+  EXPECT_NE(single.explanation.find("query has free variables: y"),
+            std::string::npos)
+      << single.explanation;
+
+  const std::vector<logic::FormulaPtr> batch = {open_query, closed_query};
+  std::vector<Answer> answers = DegreesOfBelief(kb, batch);
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_EQ(answers[0].status, Answer::Status::kUnknown);
+  EXPECT_NE(answers[0].explanation.find("free variables: y"),
+            std::string::npos);
+  ASSERT_EQ(answers[1].status, Answer::Status::kPoint);
+  EXPECT_NEAR(answers[1].value, 0.8, 1e-9);
+
+  Answer conditional = ConditionalDegreeOfBelief(
+      kb, closed_query, logic::ParseFormula("Jaun(z)").formula);
+  EXPECT_EQ(conditional.status, Answer::Status::kUnknown);
+  EXPECT_NE(conditional.explanation.find("evidence has free variables: z"),
+            std::string::npos)
+      << conditional.explanation;
+
+  KnowledgeBase open_kb = kb;
+  open_kb.Add(logic::ParseFormula("Jaun(w)").formula);
+  Answer on_open_kb = DegreeOfBelief(open_kb, closed_query);
+  EXPECT_EQ(on_open_kb.status, Answer::Status::kUnknown);
+  EXPECT_NE(on_open_kb.explanation.find(
+                "knowledge base has free variables: w"),
+            std::string::npos)
+      << on_open_kb.explanation;
+  for (const Answer& answer : DegreesOfBelief(open_kb, batch)) {
+    EXPECT_EQ(answer.status, Answer::Status::kUnknown);
+  }
+
+  EXPECT_EQ(OpenFormulaError(closed_query, "query"), "");
 }
 
 }  // namespace

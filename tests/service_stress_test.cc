@@ -7,6 +7,9 @@
 // pinned for it — a cross-version cache leak (an adopted memo entry
 // replayed against the wrong KB version) would break the identity.
 //
+// Readers hit the snapshots' answer memos while writers publish: a memo
+// hit is held to the same bit-identity, and the storm must produce hits.
+//
 // Also covered here: the scheduler's admission control and round-robin
 // fairness (deterministically, with latch-blocked jobs), the catalog's
 // version chain, and the old-pin guarantee (a snapshot held across later
@@ -26,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/inference.h"
+#include "src/core/planner.h"
 #include "src/logic/parser.h"
 #include "src/service/catalog.h"
 #include "src/service/protocol.h"
@@ -116,6 +120,7 @@ TEST(ServiceStressTest, SnapshotIsolationUnderConcurrentMutation) {
 
   std::atomic<int> mismatches{0};
   std::atomic<int> hard_errors{0};
+  std::atomic<int> memo_hits{0};
 
   // ---- 8 writers ----
   std::vector<std::thread> writers;
@@ -160,6 +165,9 @@ TEST(ServiceStressTest, SnapshotIsolationUnderConcurrentMutation) {
           continue;
         }
         ASSERT_NE(result.snapshot, nullptr);
+        if (result.answer.plan != nullptr && result.answer.plan->from_memo) {
+          memo_hits.fetch_add(1, std::memory_order_relaxed);
+        }
 
         // The oracle: a fresh single-threaded query against the pinned
         // version's KB — new context, no shared caches.
@@ -183,6 +191,7 @@ TEST(ServiceStressTest, SnapshotIsolationUnderConcurrentMutation) {
 
   EXPECT_EQ(hard_errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(memo_hits.load(), 0);
 
   // ---- old pins: snapshots held across the whole storm still answer as
   // their own version, through their own (possibly cache-adopted)
