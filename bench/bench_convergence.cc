@@ -8,12 +8,14 @@
 
 #include "bench/bench_util.h"
 #include "src/core/knowledge_base.h"
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/parser.h"
 
 namespace {
 
 using rwl::KnowledgeBase;
+using rwl::QueryContext;
 
 void Series(const char* title, const char* kb_text, const char* query_text,
             double limit) {
@@ -26,12 +28,13 @@ void Series(const char* title, const char* kb_text, const char* query_text,
   const double taus[] = {0.08, 0.04, 0.02};
   for (double tau : taus) std::printf(" %-10.3f", tau);
   std::printf("\n");
+  QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
+                   /*caching_enabled=*/false);
   for (int n : {8, 16, 24, 32, 48, 64}) {
     std::printf("  %-8d", n);
     for (double tau : taus) {
       auto tol = rwl::semantics::ToleranceVector::Uniform(tau);
-      auto r = engine.DegreeAt(kb.vocabulary(), kb.AsFormula(), query, n,
-                               tol);
+      auto r = engine.DegreeAt(ctx, query, n, tol);
       if (r.well_defined) {
         std::printf(" %-10.5f", r.probability);
       } else {
@@ -60,9 +63,10 @@ void BM_ProfileSweepCost(benchmark::State& state) {
   rwl::engines::ProfileEngine engine;
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.04);
   const int n = static_cast<int>(state.range(0));
+  QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
+                   /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.DegreeAt(kb.vocabulary(), kb.AsFormula(), query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, query, n, tol));
   }
   state.SetComplexityN(n);
 }

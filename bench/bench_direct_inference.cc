@@ -9,6 +9,7 @@
 #include "bench/bench_util.h"
 #include "src/core/inference.h"
 #include "src/core/knowledge_base.h"
+#include "src/core/query_context.h"
 #include "src/engines/exact_engine.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/parser.h"
@@ -19,6 +20,7 @@ using rwl::Answer;
 using rwl::DegreeOfBelief;
 using rwl::InferenceOptions;
 using rwl::KnowledgeBase;
+using rwl::QueryContext;
 
 InferenceOptions Options() {
   InferenceOptions options;
@@ -106,9 +108,10 @@ void BM_ProfileDirectInference(benchmark::State& state) {
   auto query = rwl::logic::ParseFormula("Hep(Eric)").formula;
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.05);
   const int n = static_cast<int>(state.range(0));
+  QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
+                   /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.DegreeAt(kb.vocabulary(), kb.AsFormula(),
-                                             query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, query, n, tol));
   }
 }
 BENCHMARK(BM_ProfileDirectInference)->Arg(16)->Arg(32)->Arg(64);
@@ -121,9 +124,10 @@ void BM_ExactDirectInference(benchmark::State& state) {
   auto query = rwl::logic::ParseFormula("Hep(Eric)").formula;
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.1);
   const int n = static_cast<int>(state.range(0));
+  QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
+                   /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.DegreeAt(kb.vocabulary(), kb.AsFormula(),
-                                             query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, query, n, tol));
   }
 }
 BENCHMARK(BM_ExactDirectInference)->DenseRange(4, 8, 2);

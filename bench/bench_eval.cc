@@ -15,6 +15,7 @@
 
 #include "bench/bench_util.h"
 #include "src/core/knowledge_base.h"
+#include "src/core/query_context.h"
 #include "src/engines/exact_engine.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
@@ -25,6 +26,7 @@
 
 namespace {
 
+using rwl::QueryContext;
 using rwl::logic::FormulaPtr;
 using rwl::semantics::CompiledFormula;
 using rwl::semantics::EvalFrame;
@@ -219,17 +221,19 @@ void ReportCountingCollapse() {
   rwl::engines::ExactEngine engine;
   using Clock = std::chrono::steady_clock;
 
+  QueryContext enum_ctx(vocab, kb_enum, /*caching_enabled=*/false);
   auto enum_start = Clock::now();
-  auto enumerated = engine.DegreeAt(vocab, kb_enum, query, n, tol);
+  auto enumerated = engine.DegreeAt(enum_ctx, query, n, tol);
   double enum_s =
       std::chrono::duration<double>(Clock::now() - enum_start).count();
 
   // The counting loop is microseconds; repeat it to get a stable timing.
   const int count_iters = 200;
+  QueryContext count_ctx(vocab, kb, /*caching_enabled=*/false);
   auto count_start = Clock::now();
   rwl::engines::FiniteResult counted;
   for (int i = 0; i < count_iters; ++i) {
-    counted = engine.DegreeAt(vocab, kb, query, n, tol);
+    counted = engine.DegreeAt(count_ctx, query, n, tol);
     benchmark::DoNotOptimize(counted);
   }
   double count_s =
@@ -274,8 +278,9 @@ void ReportThreadScaling() {
   using Clock = std::chrono::steady_clock;
   auto time_with = [&](int threads) {
     rwl::engines::ExactEngine engine(26.0, threads);
+    QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
     auto start = Clock::now();
-    benchmark::DoNotOptimize(engine.DegreeAt(vocab, kb, query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, query, n, tol));
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
 
@@ -410,10 +415,11 @@ void ReportProfileLeaves() {
     using Clock = std::chrono::steady_clock;
     double best_ns = 0.0;
     bool exhausted = true;
+    QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
+                     /*caching_enabled=*/false);
     for (int rep = 0; rep < 5; ++rep) {
       auto start = Clock::now();
-      auto r = engine.DegreeAt(kb.vocabulary(), kb.AsFormula(), query, c.n,
-                               tol);
+      auto r = engine.DegreeAt(ctx, query, c.n, tol);
       double ns =
           std::chrono::duration<double, std::nano>(Clock::now() - start)
               .count();
@@ -489,8 +495,9 @@ void BM_ExactEngineSharded(benchmark::State& state) {
   rwl::engines::ExactEngine engine(26.0,
                                    static_cast<int>(state.range(1)));
   const int n = static_cast<int>(state.range(0));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.DegreeAt(vocab, kb, query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, query, n, tol));
   }
 }
 BENCHMARK(BM_ExactEngineSharded)

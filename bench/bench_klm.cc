@@ -8,6 +8,7 @@
 #include <random>
 
 #include "bench/bench_util.h"
+#include "src/core/query_context.h"
 #include "src/defaults/klm.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
@@ -15,6 +16,7 @@
 
 namespace {
 
+using rwl::QueryContext;
 using rwl::logic::C;
 using rwl::logic::Formula;
 using rwl::logic::FormulaPtr;
@@ -105,8 +107,9 @@ void ReportTable() {
   FormulaPtr right = P("RightUsable", C("Eric"));
   FormulaPtr exactly_one = Formula::And(
       Formula::Or(left, right), Formula::Not(Formula::And(left, right)));
-  auto one = engine.DegreeAt(arm_vocab, kb_arm, exactly_one, 40, tol);
-  auto left_pr = engine.DegreeAt(arm_vocab, kb_arm, left, 40, tol);
+  QueryContext cache_free(arm_vocab, kb_arm, /*caching_enabled=*/false);
+  auto one = engine.DegreeAt(cache_free, exactly_one, 40, tol);
+  auto left_pr = engine.DegreeAt(cache_free, left, 40, tol);
   rwl::bench::PrintValueRow("E5.4-xor", "exactly one usable arm", "→ 1",
                             one.probability, "profile N=40");
   rwl::bench::PrintValueRow("E5.4-left", "but which one is open", "1/2",

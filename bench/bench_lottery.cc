@@ -9,6 +9,7 @@
 #include "bench/bench_util.h"
 #include "src/core/inference.h"
 #include "src/core/knowledge_base.h"
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
 
@@ -18,6 +19,7 @@ using rwl::Answer;
 using rwl::DegreeOfBelief;
 using rwl::InferenceOptions;
 using rwl::KnowledgeBase;
+using rwl::QueryContext;
 using rwl::logic::C;
 using rwl::logic::Formula;
 using rwl::logic::FormulaPtr;
@@ -47,7 +49,8 @@ void ReportTable() {
   for (int k : {2, 3, 4}) {
     FormulaPtr kb = Formula::And(
         LotteryKb(), rwl::logic::ExactlyN(k, "t", P("Ticket", V("t"))));
-    auto r = engine.DegreeAt(vocab, kb, P("Winner", C("Eric")), 8, tol);
+    QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+    auto r = engine.DegreeAt(ctx, P("Winner", C("Eric")), 8, tol);
     char id[32], paper[32];
     std::snprintf(id, sizeof(id), "lottery-K=%d", k);
     std::snprintf(paper, sizeof(paper), "%.4f", 1.0 / k);
@@ -57,12 +60,11 @@ void ReportTable() {
 
   std::printf("\n  Qualitative lottery: Pr(Winner(Eric)) vs N (→ 0), while "
               "Pr(∃ winner) = 1\n");
+  QueryContext ctx(vocab, LotteryKb(), /*caching_enabled=*/false);
   for (int n : {8, 16, 32, 64}) {
-    auto win = engine.DegreeAt(vocab, LotteryKb(), P("Winner", C("Eric")), n,
-                               tol);
-    auto someone = engine.DegreeAt(vocab, LotteryKb(),
-                                   Formula::Exists("x", P("Winner", V("x"))),
-                                   n, tol);
+    auto win = engine.DegreeAt(ctx, P("Winner", C("Eric")), n, tol);
+    auto someone = engine.DegreeAt(
+        ctx, Formula::Exists("x", P("Winner", V("x"))), n, tol);
     std::printf("    N=%-4d Pr(Winner(Eric))=%-9.5f Pr(exists winner)=%.3f\n",
                 n, win.probability, someone.probability);
   }
@@ -114,8 +116,9 @@ void BM_LotteryProfile(benchmark::State& state) {
   FormulaPtr kb = LotteryKb();
   FormulaPtr query = P("Winner", C("Eric"));
   const int n = static_cast<int>(state.range(0));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.DegreeAt(vocab, kb, query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, query, n, tol));
   }
 }
 BENCHMARK(BM_LotteryProfile)->Arg(16)->Arg(64);

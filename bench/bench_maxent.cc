@@ -12,6 +12,7 @@
 #include "bench/bench_util.h"
 #include "src/core/inference.h"
 #include "src/core/knowledge_base.h"
+#include "src/core/query_context.h"
 #include "src/engines/maxent_engine.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/parser.h"
@@ -24,6 +25,7 @@ using rwl::Answer;
 using rwl::DegreeOfBelief;
 using rwl::InferenceOptions;
 using rwl::KnowledgeBase;
+using rwl::QueryContext;
 
 void ReportTable() {
   rwl::bench::PrintHeader("Maximum entropy correspondence (Section 6)");
@@ -61,17 +63,17 @@ void ReportTable() {
     auto query = rwl::logic::ParseFormula("B(K)").formula;
     auto tol = rwl::semantics::ToleranceVector::Uniform(0.03);
     rwl::engines::MaxEntEngine maxent;
+    QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
+                     /*caching_enabled=*/false);
     // τ → 0 reference (= 0.6 by direct inference at the maxent point).
-    auto limit = maxent.InferLimit(kb.vocabulary(), kb.AsFormula(), query,
-                                   tol, {1.0, 0.3, 0.1, 0.03});
+    auto limit = maxent.InferLimit(ctx, query, tol, {1.0, 0.3, 0.1, 0.03});
     std::printf(
         "\n  Concentration on the maxent point (KB: ||B|A|| ≈ 0.6, A(K); "
         "tau->0 limit %.4f):\n    %-6s %-12s %-12s\n", limit.value, "N",
         "Pr_N(B(K))", "|gap|");
     rwl::engines::ProfileEngine profile;
     for (int n : {8, 16, 32, 64, 96}) {
-      auto r = profile.DegreeAt(kb.vocabulary(), kb.AsFormula(), query, n,
-                                tol);
+      auto r = profile.DegreeAt(ctx, query, n, tol);
       std::printf("    %-6d %-12.5f %-12.5f\n", n, r.probability,
                   std::fabs(r.probability - limit.value));
     }
@@ -122,9 +124,12 @@ void BM_MaxEntSolve(benchmark::State& state) {
       "#(Bird(x))[x] ~=_2 0.1\n");
   rwl::engines::MaxEntEngine engine;
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.02);
+  QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
+                   /*caching_enabled=*/false);
+  const auto query = rwl::logic::Formula::True();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.MaxEntPoint(kb.vocabulary(), kb.AsFormula(), tol));
+        engine.InferAt(ctx, query, tol).atom_probabilities);
   }
 }
 BENCHMARK(BM_MaxEntSolve);

@@ -7,11 +7,13 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
 
 namespace {
 
+using rwl::QueryContext;
 using rwl::logic::C;
 using rwl::logic::CondProp;
 using rwl::logic::Formula;
@@ -34,8 +36,9 @@ void Row(const char* id, const char* what, const char* paper,
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.05);
   auto uniform_engine = Uniform();
   auto prop_engine = Propensities();
-  auto rw = uniform_engine.DegreeAt(vocab, kb, query, n, tol);
-  auto rp = prop_engine.DegreeAt(vocab, kb, query, n, tol);
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  auto rw = uniform_engine.DegreeAt(ctx, query, n, tol);
+  auto rp = prop_engine.DegreeAt(ctx, query, n, tol);
   std::printf(
       "  [%-16s] %-42s rand-worlds=%-8.4f propensities=%-8.4f (%s)\n", id,
       what, rw.probability, rp.probability, paper);
@@ -111,8 +114,9 @@ void BM_PropensitiesEngine(benchmark::State& state) {
   auto engine = Propensities();
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.05);
   const int n = static_cast<int>(state.range(0));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.DegreeAt(vocab, kb, query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, query, n, tol));
   }
 }
 BENCHMARK(BM_PropensitiesEngine)->Arg(16)->Arg(48);

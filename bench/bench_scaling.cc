@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/core/knowledge_base.h"
+#include "src/core/query_context.h"
 #include "src/engines/exact_engine.h"
 #include "src/engines/maxent_engine.h"
 #include "src/engines/profile_engine.h"
@@ -17,6 +18,7 @@
 namespace {
 
 using rwl::KnowledgeBase;
+using rwl::QueryContext;
 using rwl::logic::FormulaPtr;
 
 struct Fixture {
@@ -44,8 +46,9 @@ void BM_ExactVsN(benchmark::State& state) {
   rwl::engines::ExactEngine engine;
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.1);
   const int n = static_cast<int>(state.range(0));
+  QueryContext ctx(f.vocab, f.kb, /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.DegreeAt(f.vocab, f.kb, f.query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, f.query, n, tol));
   }
 }
 BENCHMARK(BM_ExactVsN)->DenseRange(3, 8, 1);
@@ -55,8 +58,9 @@ void BM_ProfileVsN(benchmark::State& state) {
   rwl::engines::ProfileEngine engine;
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.05);
   const int n = static_cast<int>(state.range(0));
+  QueryContext ctx(f.vocab, f.kb, /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.DegreeAt(f.vocab, f.kb, f.query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, f.query, n, tol));
   }
   state.SetComplexityN(n);
 }
@@ -66,9 +70,9 @@ void BM_ProfileVsPredicates(benchmark::State& state) {
   Fixture f = MakeFixture(static_cast<int>(state.range(0)));
   rwl::engines::ProfileEngine engine;
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.05);
+  QueryContext ctx(f.vocab, f.kb, /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.DegreeAt(f.vocab, f.kb, f.query, 24, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, f.query, 24, tol));
   }
 }
 BENCHMARK(BM_ProfileVsPredicates)->DenseRange(2, 4, 1);
@@ -77,8 +81,9 @@ void BM_MaxEntVsPredicates(benchmark::State& state) {
   Fixture f = MakeFixture(static_cast<int>(state.range(0)));
   rwl::engines::MaxEntEngine engine;
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.02);
+  QueryContext ctx(f.vocab, f.kb, /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.InferAt(f.vocab, f.kb, f.query, tol));
+    benchmark::DoNotOptimize(engine.InferAt(ctx, f.query, tol));
   }
 }
 BENCHMARK(BM_MaxEntVsPredicates)->DenseRange(2, 6, 1);

@@ -4,6 +4,7 @@
 // example contrasts the two priors side by side.
 #include <cstdio>
 
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
 
@@ -40,9 +41,10 @@ int main() {
   std::printf("Pr(Fly(Tweety)) by prior and domain size:\n");
   std::printf("  %-6s %-16s %-18s\n", "N", "random worlds",
               "random propensities");
+  rwl::QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   for (int n : {12, 16, 24, 32}) {
-    auto rw = random_worlds.DegreeAt(vocab, kb, query, n, tol);
-    auto rp = propensities.DegreeAt(vocab, kb, query, n, tol);
+    auto rw = random_worlds.DegreeAt(ctx, query, n, tol);
+    auto rp = propensities.DegreeAt(ctx, query, n, tol);
     std::printf("  %-6d %-16.4f %-18.4f\n", n, rw.probability,
                 rp.probability);
   }

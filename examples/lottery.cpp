@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/core/knowledge_base.h"
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
 #include "src/logic/parser.h"
@@ -31,16 +32,18 @@ int main() {
   for (int k : {2, 3, 4, 5}) {
     FormulaPtr sized =
         Formula::And(kb, ExactlyN(k, "t", P("Ticket", V("t"))));
-    auto win = engine.DegreeAt(vocab, sized, P("Winner", C("Eric")), 8, tol);
+    rwl::QueryContext ctx(vocab, sized, /*caching_enabled=*/false);
+    auto win = engine.DegreeAt(ctx, P("Winner", C("Eric")), 8, tol);
     std::printf("  K=%d: Pr(Eric wins) = %.4f  (= 1/K)\n", k,
                 win.probability);
   }
 
   std::printf("\n\"Large\" lottery (no size information):\n");
+  rwl::QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   for (int n : {8, 16, 32, 64}) {
-    auto win = engine.DegreeAt(vocab, kb, P("Winner", C("Eric")), n, tol);
+    auto win = engine.DegreeAt(ctx, P("Winner", C("Eric")), n, tol);
     auto someone = engine.DegreeAt(
-        vocab, kb, Formula::Exists("x", P("Winner", V("x"))), n, tol);
+        ctx, Formula::Exists("x", P("Winner", V("x"))), n, tol);
     std::printf("  N=%-3d Pr(Eric wins) = %.4f   Pr(someone wins) = %.0f\n",
                 n, win.probability, someone.probability);
   }

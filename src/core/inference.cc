@@ -1079,11 +1079,6 @@ Answer EngineRegistry::Infer(QueryContext& ctx,
   return PlanAndExecute(*this, ctx, query, options);
 }
 
-Answer DegreeOfBelief(QueryContext& ctx, const logic::FormulaPtr& query,
-                      const InferenceOptions& options) {
-  return EngineRegistry::Default().Infer(ctx, query, options);
-}
-
 std::string OpenFormulaError(const logic::FormulaPtr& formula,
                              std::string_view what) {
   std::set<std::string> free_variables = logic::FreeVariables(formula);
@@ -1113,13 +1108,18 @@ bool AnswerIfOpen(const logic::FormulaPtr& formula, std::string_view what,
 
 }  // namespace
 
+// The one query check: every KB form below answers through here.
+Answer DegreeOfBelief(QueryContext& ctx, const logic::FormulaPtr& query,
+                      const InferenceOptions& options) {
+  Answer open;
+  if (AnswerIfOpen(query, "query", &open)) return open;
+  return EngineRegistry::Default().Infer(ctx, query, options);
+}
+
 Answer DegreeOfBelief(const KnowledgeBase& kb, const logic::FormulaPtr& query,
                       const InferenceOptions& options) {
   Answer open;
-  if (AnswerIfOpen(query, "query", &open) ||
-      AnswerIfOpen(kb.AsFormula(), "knowledge base", &open)) {
-    return open;
-  }
+  if (AnswerIfOpen(kb.AsFormula(), "knowledge base", &open)) return open;
   QueryContext ctx =
       MakeQueryContext(kb, std::span<const logic::FormulaPtr>(&query, 1),
                        options);
@@ -1175,7 +1175,6 @@ std::vector<Answer> DegreesOfBelief(const KnowledgeBase& kb,
       answers[i] = answers[it->second];
       continue;
     }
-    if (AnswerIfOpen(queries[i], "query", &answers[i])) continue;
     if (QueryCoveredByVocabulary(kb.vocabulary(), queries[i])) {
       answers[i] = DegreeOfBelief(shared, queries[i], options);
     } else {

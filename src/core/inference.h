@@ -144,11 +144,13 @@ struct Answer {
   std::shared_ptr<const PlanTrace> plan;
 };
 
-// The KB forms below (DegreeOfBelief, DegreesOfBelief,
-// ConditionalDegreeOfBelief) accept only closed sentences: an open query,
+// Every form below (DegreeOfBelief, DegreesOfBelief,
+// ConditionalDegreeOfBelief) accepts only closed sentences: an open query,
 // KB conjunct or evidence formula is answered kUnknown, with an
 // explanation naming its free variables (OpenFormulaError), instead of
-// reaching the engines.  The context form assumes its caller checked.
+// reaching the engines.  The query is checked in the context form, which
+// the KB forms answer through; the context form assumes its context's KB
+// is closed.
 Answer DegreeOfBelief(const KnowledgeBase& kb, const logic::FormulaPtr& query,
                       const InferenceOptions& options = {});
 
@@ -159,7 +161,7 @@ Answer DegreeOfBelief(const KnowledgeBase& kb, std::string_view query,
 
 // Context form: answers against an existing QueryContext (whose vocabulary
 // must already cover the query symbols — see MakeQueryContext — and whose
-// KB and query must be closed sentences).  All
+// KB must be a closed sentence).  All
 // engine-derived state accumulates in the context, so repeated calls share
 // work.
 Answer DegreeOfBelief(QueryContext& ctx, const logic::FormulaPtr& query,

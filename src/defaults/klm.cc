@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/core/query_context.h"
+
 namespace rwl::defaults {
 namespace {
 
@@ -16,8 +18,10 @@ struct Pr {
 
 Pr Probability(const KlmContext& ctx, const FormulaPtr& kb,
                const FormulaPtr& query) {
+  // Cache-free: the KB changes from call to call.
+  QueryContext kb_ctx(*ctx.vocabulary, kb, /*caching_enabled=*/false);
   engines::FiniteResult fr = ctx.engine->DegreeAt(
-      *ctx.vocabulary, kb, query, ctx.domain_size, ctx.tolerances);
+      kb_ctx, query, ctx.domain_size, ctx.tolerances);
   Pr out;
   out.defined = fr.well_defined;
   out.value = fr.probability;

@@ -12,10 +12,7 @@
 #include "src/util/thread_pool.h"
 
 namespace rwl::engines {
-namespace {
 
-// Shared sweep driver.  `ctx == nullptr` is the legacy, uncontexted form.
-//
 // The (scale, N) grid points are independent; when a worker pool is
 // requested they are all precomputed concurrently and the convergence
 // reduction below replays them in schedule order, which makes the result
@@ -23,12 +20,10 @@ namespace {
 // reading precomputed values).  In serial mode the points are computed
 // lazily inside the reduction, exactly like the seed implementation —
 // including not evaluating points after an engine-exhausted abort.
-LimitResult EstimateLimitImpl(const FiniteEngine& engine, QueryContext* ctx,
-                              const logic::Vocabulary& vocabulary,
-                              const logic::FormulaPtr& kb,
-                              const logic::FormulaPtr& query,
-                              const semantics::ToleranceVector& base_tolerances,
-                              const LimitOptions& options) {
+LimitResult EstimateLimit(const FiniteEngine& engine, QueryContext& ctx,
+                          const logic::FormulaPtr& query,
+                          const semantics::ToleranceVector& base_tolerances,
+                          const LimitOptions& options) {
   LimitResult result;
 
   const bool deadline_set = options.deadline.time_since_epoch().count() != 0;
@@ -49,17 +44,13 @@ LimitResult EstimateLimitImpl(const FiniteEngine& engine, QueryContext* ctx,
   std::vector<char> supported(num_sizes);
   for (int d = 0; d < num_sizes; ++d) {
     int n = options.domain_sizes[d];
-    supported[d] = ctx != nullptr ? engine.Supports(*ctx, query, n)
-                                  : engine.Supports(vocabulary, kb, query, n);
+    supported[d] = engine.Supports(ctx, query, n);
   }
 
   std::vector<std::optional<FiniteResult>> grid(
       static_cast<size_t>(num_scales) * num_sizes);
   auto compute = [&](int s, int d) {
-    int n = options.domain_sizes[d];
-    return ctx != nullptr ? engine.DegreeAt(*ctx, query, n, scaled[s])
-                          : engine.DegreeAt(vocabulary, kb, query, n,
-                                            scaled[s]);
+    return engine.DegreeAt(ctx, query, options.domain_sizes[d], scaled[s]);
   };
 
   int threads = util::EffectiveThreads(options.num_threads,
@@ -168,8 +159,6 @@ LimitResult EstimateLimitImpl(const FiniteEngine& engine, QueryContext* ctx,
   result.converged = tau_converged && !result.deadline_hit;
   return result;
 }
-
-}  // namespace
 
 std::string ToString(const FiniteResult& result) {
   if (result.exhausted) return "exhausted";
@@ -354,12 +343,6 @@ Capability DescribeInstance(const logic::Vocabulary& vocabulary,
   return cap;
 }
 
-bool FiniteEngine::Supports(const QueryContext& ctx,
-                            const logic::FormulaPtr& query,
-                            int domain_size) const {
-  return Supports(ctx.vocabulary(), ctx.kb(), query, domain_size);
-}
-
 Capability FiniteEngine::AssessCapability(const QueryContext& ctx,
                                           const logic::FormulaPtr& query,
                                           int domain_size) const {
@@ -387,15 +370,13 @@ CostEstimate FiniteEngine::EstimateCost(const QueryContext& ctx,
   return cost;
 }
 
-FiniteResult FiniteEngine::DegreeAtInContext(
-    QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
-    const semantics::ToleranceVector& tolerances) const {
-  return DegreeAt(ctx.vocabulary(), ctx.kb(), query, domain_size, tolerances);
-}
-
 FiniteResult FiniteEngine::DegreeAt(
     QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
     const semantics::ToleranceVector& tolerances) const {
+  // The reference path: no key to build, nothing to look up or store.
+  if (!ctx.caching_enabled()) {
+    return DegreeAtInContext(ctx, query, domain_size, tolerances);
+  }
   std::string key = name();
   key += '|';
   key += CacheSalt();
@@ -411,24 +392,6 @@ FiniteResult FiniteEngine::DegreeAt(
   FiniteResult result = DegreeAtInContext(ctx, query, domain_size, tolerances);
   ctx.StoreFinite(key, result);
   return result;
-}
-
-LimitResult EstimateLimit(const FiniteEngine& engine,
-                          const logic::Vocabulary& vocabulary,
-                          const logic::FormulaPtr& kb,
-                          const logic::FormulaPtr& query,
-                          const semantics::ToleranceVector& base_tolerances,
-                          const LimitOptions& options) {
-  return EstimateLimitImpl(engine, nullptr, vocabulary, kb, query,
-                           base_tolerances, options);
-}
-
-LimitResult EstimateLimit(const FiniteEngine& engine, QueryContext& ctx,
-                          const logic::FormulaPtr& query,
-                          const semantics::ToleranceVector& base_tolerances,
-                          const LimitOptions& options) {
-  return EstimateLimitImpl(engine, &ctx, ctx.vocabulary(), ctx.kb(), query,
-                           base_tolerances, options);
 }
 
 }  // namespace rwl::engines

@@ -6,6 +6,11 @@
 // schedule of growing N and shrinking τ (lim_{τ→0} lim_{N→∞}, in that
 // order: for each τ scale the N-limit is estimated first) and reports the
 // common limit when the series converges.
+//
+// Both take a QueryContext (core/query_context.h), the one way into an
+// engine: it pins the (vocabulary, KB) pair and holds the caches.  A context
+// with caching disabled is the reference computation the caching path is
+// compared against in tests and benches.
 #ifndef RWL_ENGINES_ENGINE_H_
 #define RWL_ENGINES_ENGINE_H_
 
@@ -128,32 +133,23 @@ class FiniteEngine {
 
   virtual std::string name() const = 0;
 
-  // True when this engine can evaluate this (KB, query) pair at domain size
-  // N within its structural limits (vocabulary fragment, cost caps).
-  virtual bool Supports(const logic::Vocabulary& vocabulary,
-                        const logic::FormulaPtr& kb,
-                        const logic::FormulaPtr& query, int domain_size) const = 0;
-
-  virtual FiniteResult DegreeAt(const logic::Vocabulary& vocabulary,
-                                const logic::FormulaPtr& kb,
-                                const logic::FormulaPtr& query,
-                                int domain_size,
-                                const semantics::ToleranceVector& tolerances)
-      const = 0;
-
-  // ---- Context-aware entry points (core/query_context.h) ----
-  //
-  // DegreeAt(ctx, ...) memoizes the result in the context under an exact
-  // (engine, options, query id, N, ⃗τ) key and lets engine subclasses share
-  // KB-level work across queries via DegreeAtInContext.  With caching
-  // disabled on the context, answers are bit-identical to the cached path
-  // (the caches only store what the uncached path computes, in the same
-  // order).
+  // The single way in: Pr_N^τ(query | ctx.kb()) at domain size N.  The
+  // context's vocabulary must cover the query.  With caching enabled the
+  // result is memoized under an exact (engine, options, query id, N, ⃗τ)
+  // key, and engine subclasses share KB-level work across queries through
+  // DegreeAtInContext.  A context built with caching_enabled = false is the
+  // reference path: nothing is looked up or stored, every call recomputes
+  // from scratch, and the cached path must match it bit for bit (the caches
+  // only store what the cache-free path computes, in the same order).
   FiniteResult DegreeAt(QueryContext& ctx, const logic::FormulaPtr& query,
                         int domain_size,
                         const semantics::ToleranceVector& tolerances) const;
-  bool Supports(const QueryContext& ctx, const logic::FormulaPtr& query,
-                int domain_size) const;
+
+  // True when this engine can evaluate (ctx.kb(), query) at domain size N
+  // within its structural limits (vocabulary fragment, cost caps).
+  virtual bool Supports(const QueryContext& ctx,
+                        const logic::FormulaPtr& query,
+                        int domain_size) const = 0;
 
   // Extra key material for engines whose options change results (priors,
   // sample counts, budgets, ...).
@@ -181,11 +177,11 @@ class FiniteEngine {
                                     int domain_size) const;
 
  protected:
-  // Engine-specific context-aware computation (no memo layer).  The default
-  // delegates to the vocabulary/kb form above.
+  // The engine's computation behind DegreeAt (no memo layer).  Must honor
+  // ctx.caching_enabled(): with caching off it records and replays nothing.
   virtual FiniteResult DegreeAtInContext(
       QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
-      const semantics::ToleranceVector& tolerances) const;
+      const semantics::ToleranceVector& tolerances) const = 0;
 };
 
 // One evaluated point of the limit sweep.
@@ -233,17 +229,10 @@ struct LimitResult {
   std::vector<SeriesPoint> series;
 };
 
-LimitResult EstimateLimit(const FiniteEngine& engine,
-                          const logic::Vocabulary& vocabulary,
-                          const logic::FormulaPtr& kb,
-                          const logic::FormulaPtr& query,
-                          const semantics::ToleranceVector& base_tolerances,
-                          const LimitOptions& options);
-
-// Context-aware sweep: shares the context's caches across points and
-// queries, and evaluates the grid on a worker pool when
-// options.num_threads != 1.  Point-for-point identical to the serial,
-// uncontexted overload above.
+// Sweeps the engine over the (τ scale, N) grid through `ctx`: caching
+// contexts share their caches across points and queries, and the grid is
+// evaluated on a worker pool when options.num_threads != 1 —
+// point-for-point identical to the serial sweep.
 LimitResult EstimateLimit(const FiniteEngine& engine, QueryContext& ctx,
                           const logic::FormulaPtr& query,
                           const semantics::ToleranceVector& base_tolerances,

@@ -586,33 +586,24 @@ std::shared_ptr<const void> PatchExactWorlds(
   return patched;
 }
 
-bool ExactEngine::Supports(const logic::Vocabulary& vocabulary,
-                           const logic::FormulaPtr& kb,
+bool ExactEngine::Supports(const QueryContext& ctx,
                            const logic::FormulaPtr& query,
                            int domain_size) const {
   if (domain_size <= 0) return false;
+  const logic::Vocabulary& vocabulary = ctx.vocabulary();
   if (Log2WorldCount(vocabulary, domain_size) <= max_log2_worlds_) {
     return true;
   }
   // Beyond the enumeration cap, aggregate-only instances still collapse to
   // the polynomial counting loop.
   semantics::CompiledFormula kb_compiled =
-      semantics::CompileFormula(kb, vocabulary);
+      semantics::CompileFormula(ctx.kb(), vocabulary);
   semantics::CompiledFormula query_compiled =
       semantics::CompileFormula(query, vocabulary);
   if (!kb_compiled.ok() || !query_compiled.ok()) return false;
   return PlanCounting(*kb_compiled.program, *query_compiled.program,
                       domain_size)
       .eligible;
-}
-
-FiniteResult ExactEngine::DegreeAt(
-    const logic::Vocabulary& vocabulary, const logic::FormulaPtr& kb,
-    const logic::FormulaPtr& query, int domain_size,
-    const semantics::ToleranceVector& tolerances) const {
-  return ComputeExact(vocabulary, semantics::CompileFormula(kb, vocabulary),
-                      semantics::CompileFormula(query, vocabulary),
-                      domain_size, tolerances, nullptr, num_threads_);
 }
 
 ExactEngine::CostInputs ExactEngine::AnalyzeCost(
@@ -703,6 +694,11 @@ FiniteResult ExactEngine::DegreeAtInContext(
     const semantics::ToleranceVector& tolerances) const {
   auto kb_compiled = ctx.Compiled(ctx.kb());
   auto query_compiled = ctx.Compiled(query);
+  if (!ctx.caching_enabled()) {
+    // The reference computation (the counting loop when eligible).
+    return ComputeExact(ctx.vocabulary(), *kb_compiled, *query_compiled,
+                        domain_size, tolerances, nullptr, num_threads_);
+  }
   // Counting-eligible queries bypass the record-and-replay protocol
   // entirely (checked BEFORE the blob lookup, so the recorded world list
   // stays query-independent): the counting loop is cheaper than a replay
@@ -715,10 +711,6 @@ FiniteResult ExactEngine::DegreeAtInContext(
                                *query_compiled->program, domain_size,
                                tolerances, plan);
     }
-  }
-  if (!ctx.caching_enabled()) {
-    return ComputeExact(ctx.vocabulary(), *kb_compiled, *query_compiled,
-                        domain_size, tolerances, nullptr, num_threads_);
   }
   std::string blob_key = "exact.worlds|" + std::to_string(domain_size) + "|" +
                          tolerances.CacheKey();

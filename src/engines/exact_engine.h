@@ -56,19 +56,12 @@ class ExactEngine : public FiniteEngine {
 
   std::string name() const override { return "exact"; }
 
-  // Un-hide the context-aware overloads.
-  using FiniteEngine::DegreeAt;
-  using FiniteEngine::Supports;
-
-  bool Supports(const logic::Vocabulary& vocabulary,
-                const logic::FormulaPtr& kb, const logic::FormulaPtr& query,
+  // Beyond the enumeration cap only aggregate-only instances qualify.
+  // Deciding that compiles the KB and query locally, like AnalyzeCost:
+  // filling the context's compiled cache during assessment would change
+  // ApproximateProgramLength, and with it the planner's predicted work.
+  bool Supports(const QueryContext& ctx, const logic::FormulaPtr& query,
                 int domain_size) const override;
-
-  FiniteResult DegreeAt(const logic::Vocabulary& vocabulary,
-                        const logic::FormulaPtr& kb,
-                        const logic::FormulaPtr& query, int domain_size,
-                        const semantics::ToleranceVector& tolerances)
-      const override;
 
   std::string CacheSalt() const override;
 
@@ -95,10 +88,10 @@ class ExactEngine : public FiniteEngine {
                             int domain_size) const;
 
  protected:
-  // Context path: the KB-satisfying worlds at one (N, ⃗τ) are
-  // query-independent, so the first query records them (within a memory
-  // cap) and later queries evaluate only against the recorded worlds
-  // instead of enumerating all of W_N.
+  // The KB-satisfying worlds at one (N, ⃗τ) are query-independent, so with
+  // caching on the first query records them (within a memory cap) and
+  // later queries evaluate only against the recorded worlds instead of
+  // enumerating all of W_N.  With caching off every call enumerates.
   FiniteResult DegreeAtInContext(QueryContext& ctx,
                                  const logic::FormulaPtr& query,
                                  int domain_size,

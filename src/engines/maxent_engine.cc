@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -93,7 +93,7 @@ std::optional<bool> EvaluateAtPoint(const ClassUniverse& universe,
 }  // namespace
 
 // The (KB, ⃗τ)-dependent half of InferAt: extraction + entropy solve.
-// Cached per context (see InferAt(QueryContext&, ...)).
+// Cached in caching contexts (see InferAt).
 struct SolvedKb {
   rwl::maxent::ExtractedKb extracted;
   rwl::maxent::Solution solution;
@@ -198,14 +198,6 @@ MaxEntEngine::Result InferAtSolved(const SolvedKb& solved,
 }  // namespace
 
 MaxEntEngine::Result MaxEntEngine::InferAt(
-    const logic::Vocabulary& vocabulary, const logic::FormulaPtr& kb,
-    const logic::FormulaPtr& query,
-    const semantics::ToleranceVector& tolerances) const {
-  return InferAtSolved(ExtractAndSolve(vocabulary, kb, tolerances), query,
-                       tolerances);
-}
-
-MaxEntEngine::Result MaxEntEngine::InferAt(
     QueryContext& ctx, const logic::FormulaPtr& query,
     const semantics::ToleranceVector& tolerances) const {
   std::string key = "maxent.solved|" + tolerances.CacheKey();
@@ -220,18 +212,13 @@ MaxEntEngine::Result MaxEntEngine::InferAt(
   return InferAtSolved(*solved, query, tolerances);
 }
 
-namespace {
-
-// Shared τ → 0 schedule: both InferLimit overloads must run the identical
-// loop for their answers to agree bit for bit.
-MaxEntEngine::LimitResultME InferLimitWith(
-    const std::function<
-        MaxEntEngine::Result(const semantics::ToleranceVector&)>& infer_at,
+MaxEntEngine::LimitResultME MaxEntEngine::InferLimit(
+    QueryContext& ctx, const logic::FormulaPtr& query,
     const semantics::ToleranceVector& base_tolerances,
-    const std::vector<double>& scales) {
-  MaxEntEngine::LimitResultME result;
+    const std::vector<double>& scales) const {
+  LimitResultME result;
   for (double scale : scales) {
-    MaxEntEngine::Result at = infer_at(base_tolerances.Scaled(scale));
+    Result at = InferAt(ctx, query, base_tolerances.Scaled(scale));
     if (!at.supported || !at.feasible) {
       result.note = at.note;
       return result;
@@ -247,41 +234,6 @@ MaxEntEngine::LimitResultME InferLimitWith(
     result.converged = std::fabs(result.value - prev) < 2e-2;
   }
   return result;
-}
-
-}  // namespace
-
-MaxEntEngine::LimitResultME MaxEntEngine::InferLimit(
-    QueryContext& ctx, const logic::FormulaPtr& query,
-    const semantics::ToleranceVector& base_tolerances,
-    const std::vector<double>& scales) const {
-  return InferLimitWith(
-      [&](const semantics::ToleranceVector& tolerances) {
-        return InferAt(ctx, query, tolerances);
-      },
-      base_tolerances, scales);
-}
-
-MaxEntEngine::LimitResultME MaxEntEngine::InferLimit(
-    const logic::Vocabulary& vocabulary, const logic::FormulaPtr& kb,
-    const logic::FormulaPtr& query,
-    const semantics::ToleranceVector& base_tolerances,
-    const std::vector<double>& scales) const {
-  return InferLimitWith(
-      [&](const semantics::ToleranceVector& tolerances) {
-        return InferAt(vocabulary, kb, query, tolerances);
-      },
-      base_tolerances, scales);
-}
-
-std::optional<std::vector<double>> MaxEntEngine::MaxEntPoint(
-    const logic::Vocabulary& vocabulary, const logic::FormulaPtr& kb,
-    const semantics::ToleranceVector& tolerances) const {
-  auto extracted = rwl::maxent::ExtractUnaryKb(vocabulary, kb, tolerances);
-  if (!extracted.ok) return std::nullopt;
-  auto solution = rwl::maxent::Solve(extracted.problem);
-  if (!solution.feasible) return std::nullopt;
-  return solution.p;
 }
 
 Capability MaxEntEngine::Assess(const QueryContext& ctx,

@@ -13,10 +13,12 @@
 // for constant-free proportion assertions θ according to whether θ holds at
 // ⃗p*.  The τ → 0 limit is taken by re-solving on a decreasing tolerance
 // schedule and checking stability.
+//
+// Like the finite engines (engines/engine.h), the engine is reached only
+// through a QueryContext; a cache-free context is the reference path.
 #ifndef RWL_ENGINES_MAXENT_ENGINE_H_
 #define RWL_ENGINES_MAXENT_ENGINE_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,36 +51,20 @@ class MaxEntEngine {
     std::string note;
   };
 
-  // Degree of belief with the tolerances fixed at ⃗τ.
-  Result InferAt(const logic::Vocabulary& vocabulary,
-                 const logic::FormulaPtr& kb, const logic::FormulaPtr& query,
+  // Degree of belief with the tolerances fixed at ⃗τ.  The KB extraction
+  // and the entropy solve depend only on (KB, ⃗τ): a caching context keeps
+  // them and shares them across every query of a batch, so only the cheap
+  // query-conditioning part runs per query.  A cache-free context solves
+  // per call (the reference path; the solver is deterministic, so the two
+  // agree bit for bit).  atom_probabilities carries the maxent point ⃗p*.
+  Result InferAt(QueryContext& ctx, const logic::FormulaPtr& query,
                  const semantics::ToleranceVector& tolerances) const;
 
   // lim_{τ→0}: solve on a schedule of scaled tolerance vectors.
-  LimitResultME InferLimit(const logic::Vocabulary& vocabulary,
-                           const logic::FormulaPtr& kb,
-                           const logic::FormulaPtr& query,
-                           const semantics::ToleranceVector& base_tolerances,
-                           const std::vector<double>& scales = {1.0, 0.3,
-                                                                0.1}) const;
-
-  // Context-aware forms (core/query_context.h): the KB extraction and the
-  // entropy solve depend only on (KB, ⃗τ), so they are cached in the
-  // context and shared across every query of a batch; only the cheap
-  // query-conditioning part runs per query.  Bit-identical to the forms
-  // above (the solver is deterministic).
-  Result InferAt(QueryContext& ctx, const logic::FormulaPtr& query,
-                 const semantics::ToleranceVector& tolerances) const;
   LimitResultME InferLimit(QueryContext& ctx, const logic::FormulaPtr& query,
                            const semantics::ToleranceVector& base_tolerances,
                            const std::vector<double>& scales = {1.0, 0.3,
                                                                 0.1}) const;
-
-  // The maximum-entropy point itself (for tests and the concentration
-  // bench); nullopt when the KB is unsupported or infeasible.
-  std::optional<std::vector<double>> MaxEntPoint(
-      const logic::Vocabulary& vocabulary, const logic::FormulaPtr& kb,
-      const semantics::ToleranceVector& tolerances) const;
 
   // Planner hooks.  Applicability is the unary fragment (the linear-
   // fragment check happens inside the solve); predicted work is the

@@ -94,12 +94,11 @@ void SampleShard(const logic::Vocabulary& vocabulary,
 
 }  // namespace
 
-bool MonteCarloEngine::Supports(const logic::Vocabulary& vocabulary,
-                                const logic::FormulaPtr& /*kb*/,
+bool MonteCarloEngine::Supports(const QueryContext& ctx,
                                 const logic::FormulaPtr& /*query*/,
                                 int domain_size) const {
   if (domain_size <= 0) return false;
-  semantics::World probe(&vocabulary, domain_size);
+  semantics::World probe(&ctx.vocabulary(), domain_size);
   return probe.TotalPredicateCells() + probe.TotalFunctionCells() <=
          options_.max_cells;
 }
@@ -108,7 +107,9 @@ FiniteResult MonteCarloEngine::Sample(
     const logic::Vocabulary& vocabulary,
     const semantics::CompiledFormula& kb,
     const semantics::CompiledFormula& query, int domain_size,
-    const semantics::ToleranceVector& tolerances) const {
+    const semantics::ToleranceVector& tolerances,
+    uint64_t* accepted_out) const {
+  *accepted_out = 0;
   if (!kb.ok() || !query.ok()) {
     // Compile failure (user-input error): the engine gives up instead of
     // the process aborting inside the evaluator.
@@ -139,12 +140,7 @@ FiniteResult MonteCarloEngine::Sample(
     accepted += c.accepted;
     satisfying += c.satisfying;
   }
-
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.sampled = options_.num_samples;
-    stats_.accepted = accepted;
-  }
+  *accepted_out = accepted;
 
   FiniteResult result;
   if (accepted < options_.min_accepted) return result;
@@ -157,29 +153,22 @@ FiniteResult MonteCarloEngine::Sample(
   return result;
 }
 
-FiniteResult MonteCarloEngine::DegreeAt(
-    const logic::Vocabulary& vocabulary, const logic::FormulaPtr& kb,
-    const logic::FormulaPtr& query, int domain_size,
-    const semantics::ToleranceVector& tolerances) const {
-  return Sample(vocabulary, semantics::CompileFormula(kb, vocabulary),
-                semantics::CompileFormula(query, vocabulary), domain_size,
-                tolerances);
-}
-
 FiniteResult MonteCarloEngine::DegreeAtInContext(
     QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
     const semantics::ToleranceVector& tolerances) const {
-  FiniteResult result = Sample(ctx.vocabulary(), *ctx.Compiled(ctx.kb()),
-                               *ctx.Compiled(query), domain_size, tolerances);
+  uint64_t accepted = 0;
+  FiniteResult result =
+      Sample(ctx.vocabulary(), *ctx.Compiled(ctx.kb()), *ctx.Compiled(query),
+             domain_size, tolerances, &accepted);
   // Feed the observed acceptance rate back to the planner's cost model
   // (advisory only: it sharpens later cost predictions in this context,
-  // never the results themselves).
-  Stats stats = last_stats();
-  if (stats.sampled > 0) {
+  // never the results themselves).  A cache-free context stores nothing.
+  if (ctx.caching_enabled() && !result.exhausted &&
+      options_.num_samples > 0) {
     ctx.StoreBlob("planner.mc.acceptance|" + CacheSalt(),
                   std::make_shared<const double>(
-                      static_cast<double>(stats.accepted) /
-                      static_cast<double>(stats.sampled)),
+                      static_cast<double>(accepted) /
+                      static_cast<double>(options_.num_samples)),
                   sizeof(double));
   }
   return result;

@@ -14,7 +14,6 @@
 #define RWL_ENGINES_MONTECARLO_ENGINE_H_
 
 #include <cstdint>
-#include <mutex>
 
 #include "src/engines/engine.h"
 
@@ -46,19 +45,8 @@ class MonteCarloEngine : public FiniteEngine {
 
   std::string name() const override { return "montecarlo"; }
 
-  // Un-hide the context-aware overloads.
-  using FiniteEngine::DegreeAt;
-  using FiniteEngine::Supports;
-
-  bool Supports(const logic::Vocabulary& vocabulary,
-                const logic::FormulaPtr& kb, const logic::FormulaPtr& query,
+  bool Supports(const QueryContext& ctx, const logic::FormulaPtr& query,
                 int domain_size) const override;
-
-  FiniteResult DegreeAt(const logic::Vocabulary& vocabulary,
-                        const logic::FormulaPtr& kb,
-                        const logic::FormulaPtr& query, int domain_size,
-                        const semantics::ToleranceVector& tolerances)
-      const override;
 
   // Sampling is deterministic in (options, N, ⃗τ, query), so results are
   // safe to memoize; the salt pins the options.
@@ -72,26 +60,16 @@ class MonteCarloEngine : public FiniteEngine {
 
   // Planner cost model: samples × world cells, with the predicted error
   // from the KB acceptance rate — observed from an earlier run in this
-  // context when available, otherwise a prior from the KB's statistical
-  // conjuncts (rejection sampling degrades as Pr(KB) shrinks).
+  // context when available (the "planner.mc.acceptance|<CacheSalt()>"
+  // blob every caching run stores), otherwise a prior from the KB's
+  // statistical conjuncts (rejection sampling degrades as Pr(KB) shrinks).
   CostEstimate EstimateCost(const QueryContext& ctx,
                             const logic::FormulaPtr& query,
                             int domain_size) const override;
 
-  // Diagnostics from the most recent DegreeAt call (thread-safe: DegreeAt
-  // may run on the limit-sweep worker pool).
-  struct Stats {
-    uint64_t sampled = 0;
-    uint64_t accepted = 0;
-  };
-  Stats last_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return stats_;
-  }
-
  protected:
-  // Context path: reuses the context's compiled programs for the KB and
-  // query instead of recompiling per (N, ⃗τ) point.
+  // Reuses the context's compiled programs for the KB and query instead of
+  // recompiling per (N, ⃗τ) point when caching is on.
   FiniteResult DegreeAtInContext(QueryContext& ctx,
                                  const logic::FormulaPtr& query,
                                  int domain_size,
@@ -99,15 +77,16 @@ class MonteCarloEngine : public FiniteEngine {
       const override;
 
  private:
+  // Draws options_.num_samples worlds; *accepted_out receives how many
+  // satisfied the KB (0 when a program failed to compile).
   FiniteResult Sample(const logic::Vocabulary& vocabulary,
                       const semantics::CompiledFormula& kb,
                       const semantics::CompiledFormula& query,
                       int domain_size,
-                      const semantics::ToleranceVector& tolerances) const;
+                      const semantics::ToleranceVector& tolerances,
+                      uint64_t* accepted_out) const;
 
   Options options_;
-  mutable std::mutex stats_mutex_;
-  mutable Stats stats_;
 };
 
 }  // namespace rwl::engines

@@ -1331,11 +1331,11 @@ std::shared_ptr<const void> PatchProfileWorlds(
   return patched;
 }
 
-bool ProfileEngine::Supports(const logic::Vocabulary& vocabulary,
-                             const logic::FormulaPtr& /*kb*/,
+bool ProfileEngine::Supports(const QueryContext& ctx,
                              const logic::FormulaPtr& /*query*/,
                              int domain_size) const {
   if (domain_size <= 0) return false;
+  const logic::Vocabulary& vocabulary = ctx.vocabulary();
   if (!vocabulary.IsUnaryRelational()) return false;
   int k = vocabulary.num_predicates();
   if (k > 30 || (1 << k) > options_.max_atoms) return false;
@@ -1351,20 +1351,6 @@ bool ProfileEngine::Supports(const logic::Vocabulary& vocabulary,
   double log_cap = std::log(static_cast<double>(options_.max_leaves)) +
                    std::log(1000.0);
   return log_raw <= log_cap;
-}
-
-FiniteResult ProfileEngine::DegreeAt(
-    const logic::Vocabulary& vocabulary, const logic::FormulaPtr& kb,
-    const logic::FormulaPtr& query, int domain_size,
-    const semantics::ToleranceVector& tolerances) const {
-  // Constant-free conjuncts evaluate once per profile, the rest once per
-  // placement; the same SplitByConstants feeds QueryContext::kb_split.
-  logic::ConstantSplit split = logic::SplitByConstants(kb);
-  auto program = CompileProfileKb(vocabulary, split.constant_free,
-                                  split.constant_dependent);
-  LeafProgram query_program = program->Compile(query);
-  return ComputeSweepPoint(options_, *program, query_program, domain_size,
-                           tolerances, nullptr);
 }
 
 CostEstimate ProfileEngine::EstimateCost(const QueryContext& ctx,
@@ -1413,8 +1399,15 @@ FiniteResult ProfileEngine::DegreeAtInContext(
     QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
     const semantics::ToleranceVector& tolerances) const {
   if (!ctx.caching_enabled()) {
-    return DegreeAt(ctx.vocabulary(), ctx.kb(), query, domain_size,
-                    tolerances);
+    // Compile per call.  Constant-free conjuncts evaluate once per
+    // profile, the rest once per placement; the same SplitByConstants
+    // feeds QueryContext::kb_split.
+    logic::ConstantSplit split = logic::SplitByConstants(ctx.kb());
+    auto program = CompileProfileKb(ctx.vocabulary(), split.constant_free,
+                                    split.constant_dependent);
+    LeafProgram query_program = program->Compile(query);
+    return ComputeSweepPoint(options_, *program, query_program, domain_size,
+                             tolerances, nullptr);
   }
   std::shared_ptr<const ProfileKbProgram> program = ctx.profile_kb_program();
   LeafProgram query_program = program->Compile(query);

@@ -147,19 +147,8 @@ class ProfileEngine : public FiniteEngine {
 
   std::string name() const override { return "profile"; }
 
-  // Un-hide the context-aware overloads.
-  using FiniteEngine::DegreeAt;
-  using FiniteEngine::Supports;
-
-  bool Supports(const logic::Vocabulary& vocabulary,
-                const logic::FormulaPtr& kb, const logic::FormulaPtr& query,
+  bool Supports(const QueryContext& ctx, const logic::FormulaPtr& query,
                 int domain_size) const override;
-
-  FiniteResult DegreeAt(const logic::Vocabulary& vocabulary,
-                        const logic::FormulaPtr& kb,
-                        const logic::FormulaPtr& query, int domain_size,
-                        const semantics::ToleranceVector& tolerances)
-      const override;
 
   std::string CacheSalt() const override;
 
@@ -171,12 +160,13 @@ class ProfileEngine : public FiniteEngine {
                             int domain_size) const override;
 
  protected:
-  // Context path: the DFS over profiles is query-independent up to the leaf
-  // evaluation, so the first query at each (N, ⃗τ) records the satisfying
-  // (profile, placement) world list into the context and every later query
-  // replays it — an evaluation per surviving world instead of a DFS over
-  // all of them.  Replay accumulates the same log-weights in the same
-  // order, so answers are bit-identical to the uncached computation.
+  // The DFS over profiles is query-independent up to the leaf evaluation,
+  // so with caching on the first query at each (N, ⃗τ) records the
+  // satisfying (profile, placement) world list into the context and every
+  // later query replays it — an evaluation per surviving world instead of a
+  // DFS over all of them.  Replay accumulates the same log-weights in the
+  // same order, so answers are bit-identical to the cache-free path, which
+  // compiles the KB per call and runs the DFS.
   FiniteResult DegreeAtInContext(QueryContext& ctx,
                                  const logic::FormulaPtr& query,
                                  int domain_size,

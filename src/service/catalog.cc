@@ -13,11 +13,9 @@
 
 namespace rwl::service {
 
-KbCatalog::KbCatalog(const CatalogOptions& options) : options_(options) {
-  if (options_.background_maintenance) {
-    maintenance_thread_ = std::thread(&KbCatalog::MaintenanceLoop, this);
-  }
-}
+KbCatalog::KbCatalog(const CatalogOptions& options)
+    : options_(options),
+      maintenance_thread_(&KbCatalog::MaintenanceLoop, this) {}
 
 KbCatalog::~KbCatalog() {
   {
@@ -144,10 +142,10 @@ MutationTicket KbCatalog::Mutate(
     write_mutex = it->second.write_mutex;
   }
   std::lock_guard<std::mutex> write_lock(*write_mutex);
-  // Edit against the STAGED tail, not the published head: in background
-  // mode the head may lag acked mutations, and a later mutation must see
-  // every earlier ack (WAL order).  The copy is O(delta) — the conjunct
-  // list is a persistent vector.
+  // Edit against the STAGED tail, not the published head: the head may
+  // lag acked mutations, and a later mutation must see every earlier ack
+  // (WAL order).  The copy is O(delta) — the conjunct list is a persistent
+  // vector.
   KnowledgeBase next;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -160,38 +158,10 @@ MutationTicket KbCatalog::Mutate(
   std::string edit_error;
   if (!edit(&next, &edit_error)) return fail(edit_error);
 
-  if (!options_.background_maintenance) {
-    // Synchronous: build and publish the successor before acking.
-    std::shared_ptr<const KbSnapshot> head;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = chains_.find(name);
-      if (it == chains_.end() || it->second.write_mutex != write_mutex) {
-        return fail("knowledge base '" + name + "' was dropped or reloaded");
-      }
-      head = it->second.versions.rbegin()->second;
-    }
-    std::shared_ptr<KbSnapshot> snapshot =
-        MintSuccessor(name, std::move(next), *head);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chains_.find(name);
-    if (it == chains_.end() || it->second.write_mutex != write_mutex) {
-      return fail("knowledge base '" + name + "' was dropped or reloaded");
-    }
-    snapshot->version = next_version_++;
-    it->second.staged_kb = snapshot->kb;
-    it->second.staged_version = snapshot->version;
-    ticket.ok = true;
-    ticket.version = snapshot->version;
-    if (on_version) on_version(snapshot->version);
-    InstallLocked(&it->second, std::move(snapshot));
-    return ticket;
-  }
-
-  // Background: fix the WAL order now (assign the version, advance the
-  // staged tail, journal/ship via the hook), hand the expensive successor
-  // build to the maintenance worker, and return.  Readers keep serving
-  // the published head until the warm successor is installed.
+  // Fix the WAL order now (assign the version, advance the staged tail,
+  // journal/ship via the hook), hand the expensive successor build to the
+  // maintenance worker, and return.  Readers keep serving the published
+  // head until the warm successor is installed.
   uint64_t version = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -23,17 +23,15 @@
 // on (formula, vocabulary), survive every mutation that leaves the
 // signature unchanged.
 //
-// Maintenance modes.  In the default synchronous mode a mutation builds
-// and publishes its successor before returning.  With
-// CatalogOptions::background_maintenance the expensive part — context
-// construction, cache adoption and delta patching — moves off the request
-// path: Mutate applies the edit to the chain's STAGED tail (the
-// authoritative post-ack state), assigns the version number (fixing the
-// WAL order), enqueues the build for the maintenance worker, and returns.
-// Readers keep serving the published head until the warm successor is
-// installed atomically; a query that must observe an acked version waits
-// with WaitForVersion.  Answers stay bit-identical to fresh
-// single-threaded queries against whichever snapshot a reader pinned.
+// Maintenance.  A mutation's expensive part — context construction, cache
+// adoption and delta patching — runs off the request path: Mutate applies
+// the edit to the chain's STAGED tail (the authoritative post-ack state),
+// assigns the version number (fixing the WAL order), enqueues the build for
+// the maintenance worker, and returns.  Readers keep serving the published
+// head until the warm successor is installed atomically; a caller that must
+// observe an acked version waits with WaitForVersion.  Answers stay
+// bit-identical to fresh single-threaded queries against whichever
+// snapshot a reader pinned.
 #ifndef RWL_SERVICE_CATALOG_H_
 #define RWL_SERVICE_CATALOG_H_
 
@@ -89,18 +87,6 @@ struct CatalogOptions {
   // their snapshots alive regardless; this only bounds the catalog's own
   // history index).
   size_t retained_versions = 4;
-  // Build mutation successors on a background maintenance worker instead
-  // of on the mutating caller's thread (see the header comment).  The
-  // default is synchronous: embedders that never mutate under load — and
-  // the differential check, whose value is comparing the PUBLISHED state
-  // right after an ack — keep the simple model.  KbService turns this on.
-  //
-  // Ack never waits on the worker: a run of queued mutations on one chain
-  // COALESCES into a single successor mint from the newest staged state
-  // (the queue holds at most one task per chain), so the queue depth is
-  // bounded by the tenant count and acking is O(edit) regardless of write
-  // pressure.  Durability is the WAL's job (wal.h), not the queue's.
-  bool background_maintenance = false;
 };
 
 // The ack of a mutation: `version` is fixed (WAL order) even when the
@@ -151,12 +137,16 @@ class KbCatalog {
   // `edit`, and on success acks the next version.  When `edit` returns
   // false nothing changes and the error rides back in the ticket.
   //
-  // Synchronous mode publishes the successor before returning: on ok the
-  // ticket's version IS the head.  Background mode returns once the edit
-  // is applied and the version assigned; the successor is published by the
-  // maintenance worker (WaitForVersion to observe it).  Either way later
-  // mutations see this one: edits run against the staged tail, serialized
-  // per tenant.
+  // Returns once the edit is applied and the version assigned; the
+  // successor is published by the maintenance worker (WaitForVersion to
+  // observe it).  Later mutations see this one: edits run against the
+  // staged tail, serialized per tenant.
+  //
+  // Ack never waits on the worker: a run of queued mutations on one chain
+  // COALESCES into a single successor mint from the newest staged state
+  // (the queue holds at most one task per chain), so the queue depth is
+  // bounded by the tenant count and acking is O(edit) regardless of write
+  // pressure.  Durability is the WAL's job (wal.h), not the queue's.
   MutationTicket Mutate(
       const std::string& name,
       const std::function<bool(KnowledgeBase*, std::string*)>& edit,
@@ -238,9 +228,8 @@ class KbCatalog {
     // Written only at chain creation and under write_mutex.
     KnowledgeBase staged_kb;
     uint64_t staged_version = 0;
-    // Serializes writers per tenant so the copy-on-write edit (and, in
-    // synchronous mode, the whole successor build) runs OUTSIDE the
-    // catalog-wide mutex_ — one tenant's mutation must not stall other
+    // Serializes writers per tenant so the copy-on-write edit runs OUTSIDE
+    // the catalog-wide mutex_ — one tenant's mutation must not stall other
     // tenants' snapshot pins.  The pointer identity doubles as the chain
     // token: a concurrent re-Load mints a new chain (and mutex), which an
     // in-flight mutation or queued maintenance task detects and discards.
@@ -260,8 +249,8 @@ class KbCatalog {
       const std::string& name, KnowledgeBase kb, const QueryContext* prior,
       bool caching_enabled);
 
-  // BuildSnapshot + delta patching against the predecessor (the successor
-  // minting both modes share).
+  // BuildSnapshot + delta patching against the predecessor, then the
+  // publish-when-warm replay of its memoized answers.
   std::shared_ptr<KbSnapshot> MintSuccessor(const std::string& name,
                                             KnowledgeBase kb,
                                             const KbSnapshot& prior);

@@ -59,15 +59,9 @@ class ReplicationHub;  // replica.h
 
 struct ServiceOptions {
   SchedulerOptions scheduler;
-  // The service defaults to background maintenance: mutations ack after
-  // the WAL-order edit and the successor snapshot is minted off the
-  // request path (flip catalog.background_maintenance off to get the
-  // synchronous build back).
-  CatalogOptions catalog = [] {
-    CatalogOptions defaults;
-    defaults.background_maintenance = true;
-    return defaults;
-  }();
+  // Mutations ack after the WAL-order edit; the catalog's maintenance
+  // worker mints the successor snapshot off the request path.
+  CatalogOptions catalog;
   // Defaults for every query; per-request options override deadline,
   // budget and plan mode.
   InferenceOptions inference;
@@ -167,7 +161,7 @@ class KbService {
     return catalog_.Get(name);
   }
 
-  // Background-maintenance surface (see KbCatalog): observing an acked
+  // Maintenance surface (see KbCatalog): observing an acked
   // version, draining the mint queue, and holding the publication window
   // open deterministically in tests.
   bool WaitForVersion(const std::string& name, uint64_t version,

@@ -699,7 +699,6 @@ bool KbWal::WriteSnapshot(const std::string& kb, uint64_t version,
     return false;
   }
   FsyncDir(writer->dir);
-  snapshots_.fetch_add(1, std::memory_order_relaxed);
 
   // Truncate: closed segments (index <= current_index, no longer open)
   // and older snapshots are now redundant.
@@ -724,6 +723,9 @@ bool KbWal::WriteSnapshot(const std::string& kb, uint64_t version,
     }
     FsyncDir(writer->dir);
   }
+  // Counted after the truncation, with release: a stats() reader that sees
+  // this snapshot also sees the segments it deleted.
+  snapshots_.fetch_add(1, std::memory_order_release);
   return true;
 }
 
@@ -771,7 +773,7 @@ WalStats KbWal::stats() const {
   WalStats stats;
   stats.appends = appends_.load(std::memory_order_relaxed);
   stats.fsyncs = fsyncs_.load(std::memory_order_relaxed);
-  stats.snapshots = snapshots_.load(std::memory_order_relaxed);
+  stats.snapshots = snapshots_.load(std::memory_order_acquire);
   stats.segments_deleted = segments_deleted_.load(std::memory_order_relaxed);
   std::vector<double> samples;
   {

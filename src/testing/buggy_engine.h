@@ -28,27 +28,9 @@ class SkewOnOrEngine : public engines::FiniteEngine {
 
   std::string name() const override { return inner_->name() + "+skew"; }
 
-  using engines::FiniteEngine::DegreeAt;
-  using engines::FiniteEngine::Supports;
-
-  bool Supports(const logic::Vocabulary& vocabulary,
-                const logic::FormulaPtr& kb, const logic::FormulaPtr& query,
+  bool Supports(const QueryContext& ctx, const logic::FormulaPtr& query,
                 int domain_size) const override {
-    return inner_->Supports(vocabulary, kb, query, domain_size);
-  }
-
-  engines::FiniteResult DegreeAt(
-      const logic::Vocabulary& vocabulary, const logic::FormulaPtr& kb,
-      const logic::FormulaPtr& query, int domain_size,
-      const semantics::ToleranceVector& tolerances) const override {
-    engines::FiniteResult result =
-        inner_->DegreeAt(vocabulary, kb, query, domain_size, tolerances);
-    if (result.well_defined && !result.exhausted && ContainsOr(query)) {
-      result.probability = result.probability <= 0.9
-                               ? result.probability + 0.05
-                               : result.probability - 0.05;
-    }
-    return result;
+    return inner_->Supports(ctx, query, domain_size);
   }
 
   std::string CacheSalt() const override {
@@ -57,6 +39,20 @@ class SkewOnOrEngine : public engines::FiniteEngine {
 
   engines::ResultClass result_class() const override {
     return inner_->result_class();
+  }
+
+ protected:
+  engines::FiniteResult DegreeAtInContext(
+      QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
+      const semantics::ToleranceVector& tolerances) const override {
+    engines::FiniteResult result =
+        inner_->DegreeAt(ctx, query, domain_size, tolerances);
+    if (result.well_defined && !result.exhausted && ContainsOr(query)) {
+      result.probability = result.probability <= 0.9
+                               ? result.probability + 0.05
+                               : result.probability - 0.05;
+    }
+    return result;
   }
 
  private:

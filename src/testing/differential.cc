@@ -29,8 +29,8 @@ namespace {
 using engines::FiniteEngine;
 using engines::FiniteResult;
 
-// Bit-level equality: the context path (memo / record-replay) is required
-// to reproduce the direct computation exactly, not just approximately.
+// Bit-level equality: the caching path (memo / record-replay) is required
+// to reproduce the cache-free computation exactly, not just approximately.
 bool BitIdentical(const FiniteResult& a, const FiniteResult& b) {
   return a.well_defined == b.well_defined && a.exhausted == b.exhausted &&
          a.probability == b.probability &&
@@ -288,6 +288,13 @@ void RunServiceCheck(const Scenario& scenario,
   std::string text = Describe(scenario);
   std::mt19937_64 rng(std::hash<std::string>{}(text));
 
+  // Each acked version is published before the head is read again, so
+  // the sequence does not depend on the maintenance worker's timing.
+  auto mutate =
+      [&](const std::function<bool(KnowledgeBase*, std::string*)>& edit) {
+        service::MutationTicket ticket = catalog.Mutate("diff", edit);
+        if (ticket.ok) catalog.WaitForVersion("diff", ticket.version);
+      };
   std::vector<logic::FormulaPtr> retracted;
   std::shared_ptr<const service::KbSnapshot> pinned;
   bool asserted_fresh = false;
@@ -304,26 +311,24 @@ void RunServiceCheck(const Scenario& scenario,
     if (op == 0 && num_conjuncts > 0) {
       const size_t victim = rng() % num_conjuncts;
       logic::FormulaPtr formula = head->kb.conjuncts()[victim];
-      catalog.Mutate(
-          "diff", [&](KnowledgeBase* kb, std::string*) {
-            // The service's RETRACT semantics (vocabulary preserved),
-            // through the same shared helper KbService::Retract uses.
-            service::RetractConjuncts(
-                kb, [&](size_t i, const logic::FormulaPtr&) {
-                  return i == victim;
-                });
-            return true;
-          });
+      mutate([&](KnowledgeBase* kb, std::string*) {
+        // The service's RETRACT semantics (vocabulary preserved), through
+        // the same shared helper KbService::Retract uses.
+        service::RetractConjuncts(kb,
+                                  [&](size_t i, const logic::FormulaPtr&) {
+                                    return i == victim;
+                                  });
+        return true;
+      });
       retracted.push_back(formula);
     } else if (op == 1 && !retracted.empty()) {
       const size_t index = rng() % retracted.size();
       logic::FormulaPtr formula = retracted[index];
       retracted.erase(retracted.begin() + static_cast<long>(index));
-      catalog.Mutate(
-          "diff", [&](KnowledgeBase* kb, std::string*) {
-            kb->Add(formula);
-            return true;
-          });
+      mutate([&](KnowledgeBase* kb, std::string*) {
+        kb->Add(formula);
+        return true;
+      });
     } else if (op == 2 && !asserted_fresh) {
       // A fact about a fresh CONSTANT over an existing unary predicate:
       // the successor vocabulary fingerprint changes, so compiled
@@ -340,10 +345,9 @@ void RunServiceCheck(const Scenario& scenario,
         }
       }
       if (!unary.empty()) {
-        catalog.Mutate(
-            "diff", [&](KnowledgeBase* kb, std::string* edit_error) {
-              return kb->AddParsed(unary + "(ZzSvcC)", edit_error);
-            });
+        mutate([&](KnowledgeBase* kb, std::string* edit_error) {
+          return kb->AddParsed(unary + "(ZzSvcC)", edit_error);
+        });
       }
     }
     if (step == 0) pinned = catalog.Get("diff");
@@ -383,16 +387,14 @@ void RunServiceCheck(const Scenario& scenario,
                                   std::to_string(pinned->version));
   }
 
-  // Async publication window: with background maintenance on and the
-  // worker paused, an acked signature-preserving append must leave
-  // readers on the OLD published head — still bit-identical to that KB's
-  // from-scratch rebuild — and the successor, once published, must be
-  // bit-identical to the new KB's rebuild (its caches were adopted AND
-  // delta-patched off the request path).
+  // Async publication window: with the maintenance worker paused, an
+  // acked signature-preserving append must leave readers on the OLD
+  // published head — still bit-identical to that KB's from-scratch
+  // rebuild — and the successor, once published, must be bit-identical to
+  // the new KB's rebuild (its caches were adopted AND delta-patched off
+  // the request path).
   if (!base.conjuncts().empty()) {
-    service::CatalogOptions async_options;
-    async_options.background_maintenance = true;
-    service::KbCatalog async_catalog(async_options);
+    service::KbCatalog async_catalog;
     async_catalog.Load("diff", base);
     async_catalog.PauseMaintenance();
     std::shared_ptr<const service::KbSnapshot> loaded =
@@ -523,6 +525,9 @@ void RunReplicaCheck(const Scenario& scenario,
                                 "} failed: " + apply_error);
       return;
     }
+    // Both catalogs publish on their maintenance workers: wait for each
+    // applied version before the next step reads a head.
+    primary.WaitForVersion("diff", primary_version);
     record.version = primary_version;
     hub.Publish(service::EncodeWalRecord(record));
 
@@ -536,20 +541,21 @@ void RunReplicaCheck(const Scenario& scenario,
                                 "} rejected: " + apply_error);
       return;
     }
+    // Version-vector handoff: a client that acked `primary_version` pins
+    // the replica's mapped local version.
+    uint64_t local_version = 0;
+    if (!applier.WaitForPrimaryVersion("diff", primary_version,
+                                       /*timeout_ms=*/1000.0,
+                                       &local_version)) {
+      fail("handoff", "WaitForPrimaryVersion timed out for an already "
+                      "applied version");
+      return;
+    }
+    replica_kbs.WaitForVersion("diff", local_version);
 
     if (step == 0) {
-      // Version-vector handoff for the mid-sequence pin: a client that
-      // acked `primary_version` pins the replica's mapped local version.
       pinned_primary_version = primary_version;
       pinned_primary = primary.Get("diff");
-      uint64_t local_version = 0;
-      if (!applier.WaitForPrimaryVersion("diff", primary_version,
-                                         /*timeout_ms=*/1000.0,
-                                         &local_version)) {
-        fail("handoff", "WaitForPrimaryVersion timed out for an already "
-                        "applied version");
-        return;
-      }
       pinned_replica = replica_kbs.GetVersion("diff", local_version);
     }
   }
@@ -900,41 +906,42 @@ DifferentialReport RunDifferential(
   if (options.check_vm) RunVmCheck(scenario, options, &report);
 
   // ---- finite + context checks ----
+  // Every engine runs twice: through the cache-free reference context and
+  // through the caching context the whole scenario shares.
+  QueryContext reference(scenario.vocabulary, scenario.kb,
+                         /*caching_enabled=*/false);
   QueryContext ctx(scenario.vocabulary, scenario.kb,
                    /*caching_enabled=*/true);
   for (const auto& query : scenario.queries) {
     for (int n : options.domain_sizes) {
       struct Run {
         const FiniteEngine* engine;
-        FiniteResult direct;
+        FiniteResult cache_free;
       };
       std::vector<Run> runs;
       for (const FiniteEngine* engine : engines) {
-        if (!engine->Supports(scenario.vocabulary, scenario.kb, query, n)) {
-          continue;
-        }
-        FiniteResult direct = engine->DegreeAt(scenario.vocabulary,
-                                               scenario.kb, query, n,
-                                               options.tolerances);
+        if (!engine->Supports(reference, query, n)) continue;
+        FiniteResult cache_free =
+            engine->DegreeAt(reference, query, n, options.tolerances);
         FiniteResult via_context =
             engine->DegreeAt(ctx, query, n, options.tolerances);
         ++report.comparisons;
-        if (!BitIdentical(direct, via_context)) {
+        if (!BitIdentical(cache_free, via_context)) {
           report.disagreements.push_back(Disagreement{
               "context", engine->name(), engine->name() + "+ctx", query, n,
-              "context path diverged from direct computation  [" +
-                  engines::ToString(direct) + " vs " +
+              "caching context diverged from the cache-free one  [" +
+                  engines::ToString(cache_free) + " vs " +
                   engines::ToString(via_context) + "]"});
         }
-        runs.push_back(Run{engine, direct});
+        runs.push_back(Run{engine, cache_free});
       }
       for (size_t i = 0; i < runs.size(); ++i) {
         for (size_t j = i + 1; j < runs.size(); ++j) {
           ++report.comparisons;
           std::string why;
           if (!engines::ResultsEquivalent(
-                  runs[i].direct, runs[i].engine->result_class(),
-                  runs[j].direct, runs[j].engine->result_class(),
+                  runs[i].cache_free, runs[i].engine->result_class(),
+                  runs[j].cache_free, runs[j].engine->result_class(),
                   options.finite_tolerance, &why)) {
             report.disagreements.push_back(
                 Disagreement{"finite", runs[i].engine->name(),
@@ -1008,7 +1015,7 @@ DifferentialReport RunDifferential(
       // Through the shared context: the entropy solve depends only on
       // (KB, ⃗τ) and the profile world lists only on (N, ⃗τ), so the whole
       // check is amortized across the query batch (and stays bit-identical
-      // to the uncontexted forms).
+      // to a cache-free context).
       engines::MaxEntEngine::LimitResultME limit =
           maxent.InferLimit(ctx, query, options.tolerances);
       if (!limit.supported || !limit.converged) continue;

@@ -11,7 +11,7 @@
 //               sampling allowance);
 //   context   — each engine's answer through a shared caching QueryContext
 //               (mark → record → replay / memo) is bit-identical to its
-//               direct computation;
+//               answer through a cache-free context;
 //   pipeline  — the full DegreeOfBelief pipeline with the symbolic theorem
 //               engine enabled agrees with the numeric-only pipeline
 //               whenever both converge (intervals must contain the numeric

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/engines/symbolic_engine.h"
 #include "src/logic/printer.h"
@@ -59,7 +60,8 @@ TEST(ChainNumeric, ProfileEstimateInsideTheInterval) {
     logic::Vocabulary vocab;
     logic::RegisterSymbols(chain.kb, &vocab);
     logic::RegisterSymbols(chain.query, &vocab);
-    auto r = profile.DegreeAt(vocab, chain.kb, chain.query, 20, tol);
+    QueryContext ctx(vocab, chain.kb, /*caching_enabled=*/false);
+    auto r = profile.DegreeAt(ctx, chain.query, 20, tol);
     if (!r.well_defined) continue;
     ++checked;
     EXPECT_GE(r.probability, chain.tightest_lo - 0.08)

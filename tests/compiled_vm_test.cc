@@ -8,6 +8,7 @@
 #include <random>
 #include <vector>
 
+#include "src/core/query_context.h"
 #include "src/engines/exact_engine.h"
 #include "src/engines/montecarlo_engine.h"
 #include "src/logic/builder.h"
@@ -240,15 +241,15 @@ TEST(CompiledVm, EnginesGiveUpInsteadOfAbortingOnIllFormedInput) {
   FormulaPtr open_query = P("P", V("x"));  // free variable
 
   engines::ExactEngine exact;
-  engines::FiniteResult r =
-      exact.DegreeAt(vocabulary, Formula::True(), open_query, 2, Tol(0.1));
+  QueryContext ctx(vocabulary, Formula::True(), /*caching_enabled=*/false);
+  engines::FiniteResult r = exact.DegreeAt(ctx, open_query, 2, Tol(0.1));
   EXPECT_TRUE(r.exhausted);
   EXPECT_FALSE(r.well_defined);
 
   engines::MonteCarloEngine::Options options;
   options.num_samples = 100;
   engines::MonteCarloEngine mc(options);
-  r = mc.DegreeAt(vocabulary, Formula::True(), open_query, 2, Tol(0.1));
+  r = mc.DegreeAt(ctx, open_query, 2, Tol(0.1));
   EXPECT_TRUE(r.exhausted);
   EXPECT_FALSE(r.well_defined);
 }
@@ -267,11 +268,10 @@ TEST(CompiledVm, ExactEngineBitIdenticalAcrossThreadCounts) {
   engines::ExactEngine serial(26.0, 1);
   for (int threads : {2, 3, 8}) {
     engines::ExactEngine sharded(26.0, threads);
+    QueryContext ctx(vocabulary, kb, /*caching_enabled=*/false);
     for (int n : {2, 3}) {
-      engines::FiniteResult a =
-          serial.DegreeAt(vocabulary, kb, query, n, Tol(0.1));
-      engines::FiniteResult b =
-          sharded.DegreeAt(vocabulary, kb, query, n, Tol(0.1));
+      engines::FiniteResult a = serial.DegreeAt(ctx, query, n, Tol(0.1));
+      engines::FiniteResult b = sharded.DegreeAt(ctx, query, n, Tol(0.1));
       EXPECT_EQ(a.well_defined, b.well_defined) << "N=" << n;
       EXPECT_EQ(a.probability, b.probability) << "N=" << n;
       EXPECT_EQ(a.log_numerator, b.log_numerator) << "N=" << n;
@@ -295,11 +295,10 @@ TEST(CompiledVm, MonteCarloBitIdenticalAcrossThreadCounts) {
 
   engines::MonteCarloEngine serial(serial_options);
   engines::MonteCarloEngine pooled(pooled_options);
+  QueryContext ctx(vocabulary, kb, /*caching_enabled=*/false);
   for (int n : {3, 5}) {
-    engines::FiniteResult a =
-        serial.DegreeAt(vocabulary, kb, query, n, Tol(0.1));
-    engines::FiniteResult b =
-        pooled.DegreeAt(vocabulary, kb, query, n, Tol(0.1));
+    engines::FiniteResult a = serial.DegreeAt(ctx, query, n, Tol(0.1));
+    engines::FiniteResult b = pooled.DegreeAt(ctx, query, n, Tol(0.1));
     EXPECT_EQ(a.well_defined, b.well_defined) << "N=" << n;
     EXPECT_EQ(a.probability, b.probability) << "N=" << n;
     EXPECT_EQ(a.log_numerator, b.log_numerator) << "N=" << n;

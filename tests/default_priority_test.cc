@@ -5,6 +5,7 @@
 // three regimes: τ1 ≪ τ2 → 1, τ1 ≫ τ2 → 0, τ1 = τ2 → 1/2.
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
 
@@ -46,7 +47,8 @@ class NixonPriorityTest : public ::testing::Test {
     tol.Set(1, tau1);
     tol.Set(2, tau2);
     engines::ProfileEngine engine;
-    auto r = engine.DegreeAt(vocab_, kb_, P("Pacifist", C("Nixon")), n, tol);
+    QueryContext ctx(vocab_, kb_, /*caching_enabled=*/false);
+    auto r = engine.DegreeAt(ctx, P("Pacifist", C("Nixon")), n, tol);
     EXPECT_TRUE(r.well_defined);
     return r.probability;
   }

@@ -27,11 +27,11 @@ TEST(ExactEngine, TrivialKbGivesPriorProbabilities) {
   vocab.AddPredicate("White", 1);
   vocab.AddConstant("B");
   ExactEngine engine;
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
   // Pr(White(B) | true) = 1/2 at every N: by symmetry exactly half the
   // (world, denotation) pairs satisfy it.
   for (int n = 1; n <= 4; ++n) {
-    FiniteResult r = engine.DegreeAt(vocab, Formula::True(),
-                                     P("White", C("B")), n, Tol(0.1));
+    FiniteResult r = engine.DegreeAt(ctx, P("White", C("B")), n, Tol(0.1));
     ASSERT_TRUE(r.well_defined);
     EXPECT_NEAR(r.probability, 0.5, 1e-12) << "N=" << n;
   }
@@ -53,9 +53,9 @@ TEST(ExactEngine, RefinedVocabularyShiftsPrior) {
                        Formula::Or(P("Red", V("x")), P("Blue", V("x")))),
           Formula::Not(Formula::And(P("Red", V("x")), P("Blue", V("x"))))));
   ExactEngine engine;
+  QueryContext ctx(vocab, partition, /*caching_enabled=*/false);
   for (int n = 1; n <= 3; ++n) {
-    FiniteResult r = engine.DegreeAt(vocab, partition, P("White", C("B")), n,
-                                     Tol(0.1));
+    FiniteResult r = engine.DegreeAt(ctx, P("White", C("B")), n, Tol(0.1));
     ASSERT_TRUE(r.well_defined);
     EXPECT_NEAR(r.probability, 1.0 / 3.0, 1e-12) << "N=" << n;
   }
@@ -65,10 +65,11 @@ TEST(ExactEngine, UnsatisfiableKbIsUndefined) {
   logic::Vocabulary vocab;
   vocab.AddPredicate("A", 1);
   ExactEngine engine;
-  FiniteResult r = engine.DegreeAt(
-      vocab, Formula::And(Formula::Exists("x", P("A", V("x"))),
-                          Formula::ForAll("x", Formula::Not(P("A", V("x"))))),
-      P("A", V("y")), 3, Tol(0.1));
+  FormulaPtr kb =
+      Formula::And(Formula::Exists("x", P("A", V("x"))),
+                   Formula::ForAll("x", Formula::Not(P("A", V("x")))));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, P("A", V("y")), 3, Tol(0.1));
   EXPECT_FALSE(r.well_defined);
 }
 
@@ -78,9 +79,10 @@ TEST(ExactEngine, UniqueNamesBias) {
   vocab.AddConstant("C1");
   vocab.AddConstant("C2");
   ExactEngine engine;
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
   for (int n = 2; n <= 5; ++n) {
-    FiniteResult r = engine.DegreeAt(vocab, Formula::True(),
-                                     logic::Eq(C("C1"), C("C2")), n, Tol(0.1));
+    FiniteResult r = engine.DegreeAt(ctx, logic::Eq(C("C1"), C("C2")), n,
+                                     Tol(0.1));
     ASSERT_TRUE(r.well_defined);
     EXPECT_NEAR(r.probability, 1.0 / n, 1e-12);
   }
@@ -97,8 +99,9 @@ TEST(ExactEngine, LifschitzC1UniqueNames) {
                                logic::Eq(C("Drew"), C("McDermott")));
   FormulaPtr query = Formula::Not(logic::Eq(C("Ray"), C("Drew")));
   double last = 0.0;
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   for (int n = 2; n <= 5; ++n) {
-    FiniteResult r = engine.DegreeAt(vocab, kb, query, n, Tol(0.1));
+    FiniteResult r = engine.DegreeAt(ctx, query, n, Tol(0.1));
     ASSERT_TRUE(r.well_defined);
     last = r.probability;
     EXPECT_NEAR(last, 1.0 - 1.0 / n, 1e-12);
@@ -117,11 +120,12 @@ TEST(ExactEngine, ThreeWayEqualityDisjunction) {
   FormulaPtr e23 = logic::Eq(C("C2"), C("C3"));
   FormulaPtr e13 = logic::Eq(C("C1"), C("C3"));
   FormulaPtr kb = Formula::Or(Formula::Or(e12, e23), e13);
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   // At finite N: Pr = (#worlds with c1=c2) / (#worlds with some pair equal).
   // #(c1=c2) = N^2 (choose the shared value and c3); #some-pair-equal =
   // 3N^2 - 2N (inclusion-exclusion).  The ratio tends to 1/3.
   for (int n = 2; n <= 6; ++n) {
-    FiniteResult r = engine.DegreeAt(vocab, kb, e12, n, Tol(0.1));
+    FiniteResult r = engine.DegreeAt(ctx, e12, n, Tol(0.1));
     ASSERT_TRUE(r.well_defined);
     double expected = static_cast<double>(n) * n /
                       (3.0 * n * n - 2.0 * n);
@@ -135,8 +139,8 @@ TEST(ExactEngine, BinaryPredicateWorldCounts) {
   vocab.AddPredicate("R", 2);
   vocab.AddConstant("A");
   ExactEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(),
-                                   P("R", C("A"), C("A")), 2, Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, P("R", C("A"), C("A")), 2, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 0.5, 1e-12);
   EXPECT_NEAR(std::exp(r.log_denominator), 32.0, 1e-6);  // 16 worlds × 2 denotations
@@ -149,8 +153,9 @@ TEST(ExactEngine, SupportsRefusesHugeInstances) {
   // A query that actually observes the binary relation keeps the engine on
   // the world odometer, so the enumeration cap applies.
   FormulaPtr query = Formula::Exists("x", P("R", V("x"), V("x")));
-  EXPECT_TRUE(engine.Supports(vocab, Formula::True(), query, 4));
-  EXPECT_FALSE(engine.Supports(vocab, Formula::True(), query, 8));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  EXPECT_TRUE(engine.Supports(ctx, query, 4));
+  EXPECT_FALSE(engine.Supports(ctx, query, 8));
 }
 
 TEST(ExactEngine, CostModelReportsCountingPlansAsNearFree) {
@@ -190,8 +195,9 @@ TEST(ExactEngine, CountingCollapseSupportsHugeAggregateInstances) {
   FormulaPtr kb = logic::ApproxLeq(logic::Prop(P("A", V("x")), {"x"}), 0.7, 1);
   FormulaPtr query =
       logic::ApproxLeq(logic::Prop(P("A", V("x")), {"x"}), 0.4, 1);
-  ASSERT_TRUE(engine.Supports(vocab, kb, query, 500));
-  FiniteResult r = engine.DegreeAt(vocab, kb, query, 500, Tol(0.1));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  ASSERT_TRUE(engine.Supports(ctx, query, 500));
+  FiniteResult r = engine.DegreeAt(ctx, query, 500, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   // Pr(#A/N <= 0.5 | #A/N <= 0.8) at N=500: binomial mass ratio.
   EXPECT_GT(r.probability, 0.5);
@@ -205,7 +211,8 @@ TEST(ExactEngine, StatisticalConjunctRestrictsWorlds) {
   vocab.AddPredicate("A", 1);
   ExactEngine engine;
   FormulaPtr kb = logic::ApproxEq(logic::Prop(P("A", V("x")), {"x"}), 0.5, 1);
-  FiniteResult r = engine.DegreeAt(vocab, kb, Formula::True(), 4, Tol(0.1));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, Formula::True(), 4, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(std::exp(r.log_denominator), 6.0, 1e-6);
 }

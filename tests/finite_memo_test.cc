@@ -34,17 +34,17 @@ class BudgetedStubEngine : public engines::FiniteEngine {
  public:
   std::string name() const override { return "budgeted-stub"; }
 
-  using engines::FiniteEngine::DegreeAt;
-  using engines::FiniteEngine::Supports;
-
-  bool Supports(const logic::Vocabulary&, const logic::FormulaPtr&,
-                const logic::FormulaPtr&, int) const override {
+  bool Supports(const QueryContext&, const logic::FormulaPtr&,
+                int) const override {
     return true;
   }
 
-  engines::FiniteResult DegreeAt(
-      const logic::Vocabulary&, const logic::FormulaPtr&,
-      const logic::FormulaPtr&, int,
+  mutable int calls = 0;
+  int budget = 1;
+
+ protected:
+  engines::FiniteResult DegreeAtInContext(
+      QueryContext&, const logic::FormulaPtr&, int,
       const semantics::ToleranceVector&) const override {
     ++calls;
     engines::FiniteResult result;
@@ -58,9 +58,6 @@ class BudgetedStubEngine : public engines::FiniteEngine {
     result.log_denominator = 0.0;
     return result;
   }
-
-  mutable int calls = 0;
-  int budget = 1;
 };
 
 struct Fixture {
@@ -135,28 +132,26 @@ class KbDependentStubEngine : public engines::FiniteEngine {
  public:
   std::string name() const override { return "kb-stub"; }
 
-  using engines::FiniteEngine::DegreeAt;
-  using engines::FiniteEngine::Supports;
-
-  bool Supports(const logic::Vocabulary&, const logic::FormulaPtr&,
-                const logic::FormulaPtr&, int) const override {
+  bool Supports(const QueryContext&, const logic::FormulaPtr&,
+                int) const override {
     return true;
   }
 
-  engines::FiniteResult DegreeAt(
-      const logic::Vocabulary&, const logic::FormulaPtr& kb,
-      const logic::FormulaPtr&, int,
+  mutable int calls = 0;
+
+ protected:
+  engines::FiniteResult DegreeAtInContext(
+      QueryContext& ctx, const logic::FormulaPtr&, int,
       const semantics::ToleranceVector&) const override {
     ++calls;
     engines::FiniteResult result;
     result.well_defined = true;
+    const logic::FormulaPtr& kb = ctx.kb();
     result.probability =
         kb != nullptr && kb->kind() == logic::Formula::Kind::kAtom ? 0.25
                                                                    : 0.75;
     return result;
   }
-
-  mutable int calls = 0;
 };
 
 TEST(FiniteMemoTest, StaleHitImpossibleAfterMutationWithAdoptedCaches) {

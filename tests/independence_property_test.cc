@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/defaults/epsilon_semantics.h"
 #include "src/defaults/gmp90.h"
 #include "src/engines/profile_engine.h"
@@ -129,17 +130,15 @@ TEST(IndependenceProperty, ExactFactorizationAtFiniteN) {
       logic::RegisterSymbols(f, &joint);
     }
     const int n = 5;
-    auto pr_joint = engine.DegreeAt(
-        joint, logic::Formula::And(kb1, kb2),
-        logic::Formula::And(q1, q2), n, tol);
+    QueryContext ctx(joint, logic::Formula::And(kb1, kb2),
+                     /*caching_enabled=*/false);
+    auto pr_joint = engine.DegreeAt(ctx, logic::Formula::And(q1, q2), n, tol);
     if (!pr_joint.well_defined) continue;
 
     // Marginals computed over the SAME joint vocabulary (the degree of
     // belief is unaffected by vocabulary expansion — footnote 8).
-    auto pr1 = engine.DegreeAt(joint, logic::Formula::And(kb1, kb2), q1, n,
-                               tol);
-    auto pr2 = engine.DegreeAt(joint, logic::Formula::And(kb1, kb2), q2, n,
-                               tol);
+    auto pr1 = engine.DegreeAt(ctx, q1, n, tol);
+    auto pr2 = engine.DegreeAt(ctx, q2, n, tol);
     ASSERT_TRUE(pr1.well_defined && pr2.well_defined);
     ++compared;
     EXPECT_NEAR(pr_joint.probability, pr1.probability * pr2.probability,
@@ -174,8 +173,9 @@ TEST(AdamsSoundness, PEntailedRulesGetDegreeOne) {
           defaults::TranslateQuery(system, rule, names);
       logic::Vocabulary vocab = embedding.kb.vocabulary();
       logic::RegisterSymbols(embedding.query, &vocab);
-      auto r = engine.DegreeAt(vocab, embedding.kb.AsFormula(),
-                               embedding.query, 16,
+      QueryContext ctx(vocab, embedding.kb.AsFormula(),
+                       /*caching_enabled=*/false);
+      auto r = engine.DegreeAt(ctx, embedding.query, 16,
                                semantics::ToleranceVector::Uniform(0.04));
       if (!r.well_defined) continue;
       ++checked;

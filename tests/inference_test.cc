@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/knowledge_base.h"
+#include "src/core/query_context.h"
 #include "src/logic/builder.h"
 #include "src/logic/parser.h"
 #include "src/logic/printer.h"
@@ -204,6 +205,14 @@ TEST(InferenceTest, OpenFormulasAnswerUnknownNamingFreeVariables) {
   EXPECT_NE(single.explanation.find("query has free variables: y"),
             std::string::npos)
       << single.explanation;
+
+  QueryContext ctx =
+      MakeQueryContext(kb, std::span<const logic::FormulaPtr>());
+  Answer via_context = DegreeOfBelief(ctx, open_query);
+  EXPECT_EQ(via_context.status, Answer::Status::kUnknown);
+  EXPECT_NE(via_context.explanation.find("query has free variables: y"),
+            std::string::npos)
+      << via_context.explanation;
 
   const std::vector<logic::FormulaPtr> batch = {open_query, closed_query};
   std::vector<Answer> answers = DegreesOfBelief(kb, batch);

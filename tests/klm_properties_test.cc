@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/defaults/klm.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
@@ -107,7 +108,8 @@ TEST(KlmFixture, BrokenArmExample) {
   const int n = 40;
 
   auto pr = [&](const FormulaPtr& q) {
-    auto r = engine.DegreeAt(vocab, kb_arm, q, n, tol);
+    QueryContext ctx(vocab, kb_arm, /*caching_enabled=*/false);
+    auto r = engine.DegreeAt(ctx, q, n, tol);
     EXPECT_TRUE(r.well_defined);
     return r.probability;
   };

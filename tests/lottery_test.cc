@@ -3,6 +3,7 @@
 
 #include "src/core/inference.h"
 #include "src/core/knowledge_base.h"
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
 
@@ -36,7 +37,8 @@ TEST(Lottery, KnownPoolSizeGivesOneOverK) {
   for (int k : {2, 3, 4}) {
     FormulaPtr kb = Formula::And(
         LotteryKb(), logic::ExactlyN(k, "t", P("Ticket", V("t"))));
-    auto r = engine.DegreeAt(vocab, kb, P("Winner", C("Eric")), 8, tol);
+    QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+    auto r = engine.DegreeAt(ctx, P("Winner", C("Eric")), 8, tol);
     ASSERT_TRUE(r.well_defined) << "K=" << k;
     EXPECT_NEAR(r.probability, 1.0 / k, 1e-9) << "K=" << k;
   }
@@ -49,8 +51,8 @@ TEST(Lottery, SomeoneWinsWithCertainty) {
   vocab.AddConstant("Eric");
   engines::ProfileEngine engine;
   semantics::ToleranceVector tol = semantics::ToleranceVector::Uniform(0.05);
-  auto r = engine.DegreeAt(vocab, LotteryKb(),
-                           Formula::Exists("x", P("Winner", V("x"))), 12,
+  QueryContext ctx(vocab, LotteryKb(), /*caching_enabled=*/false);
+  auto r = engine.DegreeAt(ctx, Formula::Exists("x", P("Winner", V("x"))), 12,
                            tol);
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 1.0, 1e-12);
@@ -66,9 +68,9 @@ TEST(Lottery, QualitativeLotteryWinnerProbabilityVanishes) {
   engines::ProfileEngine engine;
   semantics::ToleranceVector tol = semantics::ToleranceVector::Uniform(0.05);
   double prev = 1.0;
+  QueryContext ctx(vocab, LotteryKb(), /*caching_enabled=*/false);
   for (int n : {8, 16, 32, 64}) {
-    auto r = engine.DegreeAt(vocab, LotteryKb(), P("Winner", C("Eric")), n,
-                             tol);
+    auto r = engine.DegreeAt(ctx, P("Winner", C("Eric")), n, tol);
     ASSERT_TRUE(r.well_defined);
     EXPECT_LT(r.probability, prev);
     prev = r.probability;

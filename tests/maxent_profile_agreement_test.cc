@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/engines/maxent_engine.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
@@ -54,9 +55,10 @@ TEST_P(MaxEntProfileSweep, LimitsAgree) {
     logic::RegisterSymbols(kb, &vocab);
     logic::RegisterSymbols(query, &vocab);
 
-    auto limit = maxent.InferAt(vocab, kb, query, tol);
+    QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+    auto limit = maxent.InferAt(ctx, query, tol);
     if (!limit.supported || !limit.feasible) continue;
-    auto finite = profile.DegreeAt(vocab, kb, query, param.domain_size, tol);
+    auto finite = profile.DegreeAt(ctx, query, param.domain_size, tol);
     if (!finite.well_defined || finite.exhausted) continue;
     ++compared;
     EXPECT_NEAR(finite.probability, limit.value, 0.12)
@@ -92,14 +94,15 @@ TEST(MaxEntProfile, SameConstantConjunctionIntersects) {
   logic::FormulaPtr contradiction = logic::Formula::And(
       logic::P("Hep", logic::C("Eric")),
       logic::Formula::Not(logic::P("Hep", logic::C("Eric"))));
-  auto result = maxent.InferAt(vocab, kb, contradiction, tol);
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  auto result = maxent.InferAt(ctx, contradiction, tol);
   ASSERT_TRUE(result.supported) << result.note;
   EXPECT_NEAR(result.value, 0.0, 1e-9);
 
   // And a redundant conjunction is idempotent, not squared.
   logic::FormulaPtr doubled = logic::Formula::And(
       logic::P("Hep", logic::C("Eric")), logic::P("Hep", logic::C("Eric")));
-  auto result2 = maxent.InferAt(vocab, kb, doubled, tol);
+  auto result2 = maxent.InferAt(ctx, doubled, tol);
   ASSERT_TRUE(result2.supported);
   // The value sits at the entropy-preferred edge of the τ-slack, so it is
   // 0.8 only up to O(τ).

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/engines/maxent_engine.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
@@ -192,7 +193,8 @@ TEST(MaxEntEngine, Section6WorkedExample) {
                             {"x"}),
                        0.3, 1));
   engines::MaxEntEngine engine;
-  auto result = engine.InferLimit(vocab, kb, P("P2", C("C0")),
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  auto result = engine.InferLimit(ctx, P("P2", C("C0")),
                                   semantics::ToleranceVector::Uniform(0.02));
   ASSERT_TRUE(result.supported) << result.note;
   EXPECT_NEAR(result.value, 0.3, 0.02);
@@ -210,7 +212,8 @@ TEST(MaxEntEngine, Example5_29_NoIndependenceFromMaxent) {
                       0.2, 1),
       logic::ApproxEq(Prop(P("Bird", V("x")), {"x"}), 0.1, 2));
   engines::MaxEntEngine engine;
-  auto result = engine.InferLimit(vocab, kb, P("Black", C("Clyde")),
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  auto result = engine.InferLimit(ctx, P("Black", C("Clyde")),
                                   semantics::ToleranceVector::Uniform(0.01));
   ASSERT_TRUE(result.supported) << result.note;
   // Closed form: among non-birds the maxent point splits the remaining 0.9
@@ -229,7 +232,8 @@ TEST(MaxEntEngine, ConditioningOnConstantFacts) {
       logic::ApproxEq(CondProp(P("Hep", V("x")), P("Jaun", V("x")), {"x"}),
                       0.8, 1));
   engines::MaxEntEngine engine;
-  auto result = engine.InferLimit(vocab, kb, P("Hep", C("Eric")),
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  auto result = engine.InferLimit(ctx, P("Hep", C("Eric")),
                                   semantics::ToleranceVector::Uniform(0.01));
   ASSERT_TRUE(result.supported) << result.note;
   EXPECT_NEAR(result.value, 0.8, 0.02);
@@ -250,13 +254,14 @@ TEST(MaxEntEngine, ConcentrationMatchesProfileEngine) {
   semantics::ToleranceVector tol = semantics::ToleranceVector::Uniform(0.03);
 
   engines::MaxEntEngine maxent_engine;
-  auto limit = maxent_engine.InferAt(vocab, kb, query, tol);
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  auto limit = maxent_engine.InferAt(ctx, query, tol);
   ASSERT_TRUE(limit.supported) << limit.note;
 
   engines::ProfileEngine profile;
   double prev_gap = 1.0;
   for (int n : {16, 48, 96}) {
-    auto finite = profile.DegreeAt(vocab, kb, query, n, tol);
+    auto finite = profile.DegreeAt(ctx, query, n, tol);
     ASSERT_TRUE(finite.well_defined);
     double gap = std::fabs(finite.probability - limit.value);
     EXPECT_LT(gap, prev_gap + 0.05) << "N=" << n;

@@ -1,7 +1,10 @@
 #include "src/engines/montecarlo_engine.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/engines/exact_engine.h"
 #include "src/logic/builder.h"
 #include "src/logic/printer.h"
@@ -25,6 +28,14 @@ MonteCarloEngine::Options FastOptions() {
   return options;
 }
 
+// The acceptance rate a caching context stored for the planner's cost
+// model after the engine's last run in it (-1 when none was stored).
+double Acceptance(const QueryContext& ctx, const MonteCarloEngine& mc) {
+  auto stored = std::static_pointer_cast<const double>(
+      ctx.LookupBlob("planner.mc.acceptance|" + mc.CacheSalt()));
+  return stored == nullptr ? -1.0 : *stored;
+}
+
 TEST(MonteCarloEngine, MatchesExactOnBinaryPredicateKb) {
   // A genuinely non-unary KB: a binary relation with a reflexivity fact.
   logic::Vocabulary vocab;
@@ -37,8 +48,9 @@ TEST(MonteCarloEngine, MatchesExactOnBinaryPredicateKb) {
   ExactEngine exact;
   MonteCarloEngine mc(FastOptions());
   const int n = 3;
-  FiniteResult truth = exact.DegreeAt(vocab, kb, query, n, Tol(0.1));
-  FiniteResult sampled = mc.DegreeAt(vocab, kb, query, n, Tol(0.1));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  FiniteResult truth = exact.DegreeAt(ctx, query, n, Tol(0.1));
+  FiniteResult sampled = mc.DegreeAt(ctx, query, n, Tol(0.1));
   ASSERT_TRUE(truth.well_defined);
   ASSERT_TRUE(sampled.well_defined);
   EXPECT_NEAR(sampled.probability, truth.probability, 0.03);
@@ -50,8 +62,8 @@ TEST(MonteCarloEngine, SymmetryGivesHalf) {
   vocab.AddConstant("A");
   vocab.AddConstant("B");
   MonteCarloEngine mc(FastOptions());
-  FiniteResult r = mc.DegreeAt(vocab, Formula::True(),
-                               P("Likes", C("A"), C("B")), 6, Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult r = mc.DegreeAt(ctx, P("Likes", C("A"), C("B")), 6, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 0.5, 0.02);
 }
@@ -77,9 +89,9 @@ TEST(MonteCarloEngine, TransitivityRaisesConditional) {
   options.num_samples = 300'000;
   options.min_accepted = 20;
   MonteCarloEngine mc(options);
-  FiniteResult r = mc.DegreeAt(vocab, kb, P("R", C("A"), C("Cc")), 3,
-                               Tol(0.1));
-  ASSERT_TRUE(r.well_defined) << "accepted " << mc.last_stats().accepted;
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/true);
+  FiniteResult r = mc.DegreeAt(ctx, P("R", C("A"), C("Cc")), 3, Tol(0.1));
+  ASSERT_TRUE(r.well_defined) << "acceptance " << Acceptance(ctx, mc);
   EXPECT_NEAR(r.probability, 1.0, 1e-12);
 }
 
@@ -90,9 +102,10 @@ TEST(MonteCarloEngine, ReportsUndefinedForImprobableKb) {
       Formula::Exists("x", P("A", V("x"))),
       Formula::ForAll("x", Formula::Not(P("A", V("x")))));
   MonteCarloEngine mc(FastOptions());
-  FiniteResult r = mc.DegreeAt(vocab, kb, Formula::True(), 6, Tol(0.1));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/true);
+  FiniteResult r = mc.DegreeAt(ctx, Formula::True(), 6, Tol(0.1));
   EXPECT_FALSE(r.well_defined);
-  EXPECT_EQ(mc.last_stats().accepted, 0u);
+  EXPECT_EQ(Acceptance(ctx, mc), 0.0);
 }
 
 TEST(MonteCarloEngine, DeterministicUnderSeed) {
@@ -100,10 +113,9 @@ TEST(MonteCarloEngine, DeterministicUnderSeed) {
   vocab.AddPredicate("R", 2);
   vocab.AddConstant("A");
   MonteCarloEngine mc(FastOptions());
-  FiniteResult a = mc.DegreeAt(vocab, Formula::True(),
-                               P("R", C("A"), C("A")), 4, Tol(0.1));
-  FiniteResult b = mc.DegreeAt(vocab, Formula::True(),
-                               P("R", C("A"), C("A")), 4, Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult a = mc.DegreeAt(ctx, P("R", C("A"), C("A")), 4, Tol(0.1));
+  FiniteResult b = mc.DegreeAt(ctx, P("R", C("A"), C("A")), 4, Tol(0.1));
   EXPECT_EQ(a.probability, b.probability);
 }
 
@@ -123,9 +135,10 @@ TEST(MonteCarloEngine, BitIdenticalAcrossRunsAndThreadCounts) {
 
   MonteCarloEngine first(FastOptions());
   MonteCarloEngine second(FastOptions());
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   for (int n : {3, 4, 6}) {
-    FiniteResult a = first.DegreeAt(vocab, kb, query, n, Tol(0.1));
-    FiniteResult b = second.DegreeAt(vocab, kb, query, n, Tol(0.1));
+    FiniteResult a = first.DegreeAt(ctx, query, n, Tol(0.1));
+    FiniteResult b = second.DegreeAt(ctx, query, n, Tol(0.1));
     EXPECT_EQ(a.well_defined, b.well_defined) << "N=" << n;
     EXPECT_EQ(a.probability, b.probability) << "N=" << n;
     EXPECT_EQ(a.log_numerator, b.log_numerator) << "N=" << n;
@@ -137,8 +150,8 @@ TEST(MonteCarloEngine, BitIdenticalAcrossRunsAndThreadCounts) {
   serial.num_threads = 1;
   LimitOptions pooled = serial;
   pooled.num_threads = 4;
-  LimitResult a = EstimateLimit(first, vocab, kb, query, Tol(0.1), serial);
-  LimitResult b = EstimateLimit(second, vocab, kb, query, Tol(0.1), pooled);
+  LimitResult a = EstimateLimit(first, ctx, query, Tol(0.1), serial);
+  LimitResult b = EstimateLimit(second, ctx, query, Tol(0.1), pooled);
   EXPECT_EQ(a.value.has_value(), b.value.has_value());
   if (a.value.has_value()) EXPECT_EQ(*a.value, *b.value);
   EXPECT_EQ(a.converged, b.converged);
@@ -156,8 +169,9 @@ TEST(MonteCarloEngine, SupportsRefusesHugeWorlds) {
   MonteCarloEngine::Options options;
   options.max_cells = 1000;
   MonteCarloEngine mc(options);
-  EXPECT_TRUE(mc.Supports(vocab, Formula::True(), Formula::True(), 10));
-  EXPECT_FALSE(mc.Supports(vocab, Formula::True(), Formula::True(), 11));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  EXPECT_TRUE(mc.Supports(ctx, Formula::True(), 10));
+  EXPECT_FALSE(mc.Supports(ctx, Formula::True(), 11));
 }
 
 }  // namespace

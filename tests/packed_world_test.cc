@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/engines/exact_engine.h"
 #include "src/logic/builder.h"
 #include "src/logic/formula.h"
@@ -266,12 +267,14 @@ TEST(PackedVm, CountingLoopBitIdenticalToEnumeration) {
       Formula::True(),
   };
   engines::ExactEngine engine;
+  QueryContext counting(vocab, kb, /*caching_enabled=*/false);
+  QueryContext enumerating(vocab, kb_enum, /*caching_enabled=*/false);
   for (const FormulaPtr& query : queries) {
     for (int n : {5, 10}) {
       engines::FiniteResult counted =
-          engine.DegreeAt(vocab, kb, query, n, Tol(0.1));
+          engine.DegreeAt(counting, query, n, Tol(0.1));
       engines::FiniteResult enumerated =
-          engine.DegreeAt(vocab, kb_enum, query, n, Tol(0.1));
+          engine.DegreeAt(enumerating, query, n, Tol(0.1));
       ASSERT_EQ(counted.well_defined, enumerated.well_defined);
       EXPECT_EQ(counted.probability, enumerated.probability) << "n=" << n;
       EXPECT_EQ(counted.log_numerator, enumerated.log_numerator) << "n=" << n;

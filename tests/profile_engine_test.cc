@@ -38,17 +38,20 @@ TEST(ProfileEngine, SupportsOnlyUnaryRelational) {
   logic::Vocabulary unary;
   unary.AddPredicate("A", 1);
   unary.AddConstant("K");
-  EXPECT_TRUE(engine.Supports(unary, Formula::True(), Formula::True(), 16));
+  QueryContext unary_ctx(unary, Formula::True(), /*caching_enabled=*/false);
+  EXPECT_TRUE(engine.Supports(unary_ctx, Formula::True(), 16));
 
   logic::Vocabulary binary;
   binary.AddPredicate("R", 2);
-  EXPECT_FALSE(engine.Supports(binary, Formula::True(), Formula::True(), 16));
+  QueryContext binary_ctx(binary, Formula::True(), /*caching_enabled=*/false);
+  EXPECT_FALSE(engine.Supports(binary_ctx, Formula::True(), 16));
 
   logic::Vocabulary functional;
   functional.AddPredicate("A", 1);
   functional.AddFunction("F", 1);
-  EXPECT_FALSE(
-      engine.Supports(functional, Formula::True(), Formula::True(), 16));
+  QueryContext functional_ctx(functional, Formula::True(),
+                              /*caching_enabled=*/false);
+  EXPECT_FALSE(engine.Supports(functional_ctx, Formula::True(), 16));
 }
 
 TEST(ProfileEngine, TrivialPriorIsHalf) {
@@ -56,9 +59,9 @@ TEST(ProfileEngine, TrivialPriorIsHalf) {
   vocab.AddPredicate("White", 1);
   vocab.AddConstant("B");
   ProfileEngine engine;
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
   for (int n : {1, 4, 16, 64}) {
-    FiniteResult r = engine.DegreeAt(vocab, Formula::True(),
-                                     P("White", C("B")), n, Tol(0.1));
+    FiniteResult r = engine.DegreeAt(ctx, P("White", C("B")), n, Tol(0.1));
     ASSERT_TRUE(r.well_defined);
     EXPECT_NEAR(r.probability, 0.5, 1e-9) << "N=" << n;
   }
@@ -75,8 +78,8 @@ TEST(ProfileEngine, DirectInferenceAtLargeN) {
       logic::ApproxEq(CondProp(P("Hep", V("x")), P("Jaun", V("x")), {"x"}),
                       0.8, 1));
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, kb, P("Hep", C("Eric")), 60,
-                                   Tol(0.05));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, P("Hep", C("Eric")), 60, Tol(0.05));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 0.8, 0.03);
 }
@@ -86,8 +89,8 @@ TEST(ProfileEngine, WorldCountMatchesClosedForm) {
   logic::Vocabulary vocab;
   vocab.AddPredicate("A", 1);
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(), Formula::True(),
-                                   10, Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, Formula::True(), 10, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.log_denominator, 10 * std::log(2.0), 1e-9);
 }
@@ -98,8 +101,8 @@ TEST(ProfileEngine, WorldCountWithConstant) {
   vocab.AddPredicate("A", 1);
   vocab.AddConstant("K");
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(), Formula::True(),
-                                   8, Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, Formula::True(), 8, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.log_denominator, 8 * std::log(2.0) + std::log(8.0), 1e-9);
 }
@@ -112,7 +115,8 @@ TEST(ProfileEngine, TaxonomyPruningMatchesSemantics) {
   FormulaPtr kb = Formula::ForAll(
       "x", Formula::Implies(P("Penguin", V("x")), P("Bird", V("x"))));
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, kb, Formula::True(), 6, Tol(0.1));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, Formula::True(), 6, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   // Each element independently: 3 allowed atoms of 4 → 3^6 worlds.
   EXPECT_NEAR(r.log_denominator, 6 * std::log(3.0), 1e-9);
@@ -124,7 +128,8 @@ TEST(ProfileEngine, UnsatisfiableIsUndefined) {
   FormulaPtr kb = Formula::And(Formula::Exists("x", P("A", V("x"))),
                                Formula::ForAll("x", Formula::Not(P("A", V("x")))));
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, kb, Formula::True(), 8, Tol(0.1));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, Formula::True(), 8, Tol(0.1));
   EXPECT_FALSE(r.well_defined);
 }
 
@@ -135,9 +140,9 @@ TEST(ProfileEngine, EqualityBetweenConstants) {
   // With an empty predicate set there is a single atom; placements encode
   // only coincidence.  Pr(C1 = C2) = 1/N.
   ProfileEngine engine;
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
   for (int n : {2, 5, 10}) {
-    FiniteResult r = engine.DegreeAt(vocab, Formula::True(),
-                                     logic::Eq(C("C1"), C("C2")), n,
+    FiniteResult r = engine.DegreeAt(ctx, logic::Eq(C("C1"), C("C2")), n,
                                      Tol(0.1));
     ASSERT_TRUE(r.well_defined);
     EXPECT_NEAR(r.probability, 1.0 / n, 1e-9) << "N=" << n;
@@ -154,8 +159,8 @@ TEST(ProfileEngine, DefaultsConcentrate) {
       P("Bird", C("Tweety")),
       logic::Default(P("Bird", V("x")), P("Fly", V("x")), {"x"}));
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, kb, P("Fly", C("Tweety")), 80,
-                                   Tol(0.02));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, P("Fly", C("Tweety")), 80, Tol(0.02));
   ASSERT_TRUE(r.well_defined);
   EXPECT_GT(r.probability, 0.95);
 }
@@ -165,8 +170,8 @@ TEST(ProfileEngine, ExistentialQuantifierOverProfiles) {
   logic::Vocabulary vocab;
   vocab.AddPredicate("A", 1);
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(),
-                                   Formula::Exists("x", P("A", V("x"))), 6,
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, Formula::Exists("x", P("A", V("x"))), 6,
                                    Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 1.0 - std::pow(2.0, -6), 1e-9);
@@ -180,8 +185,8 @@ TEST(ProfileEngine, TwoVariableProportionQuery) {
   FormulaPtr query = Formula::Compare(
       Prop(Formula::And(P("A", V("x")), P("A", V("y"))), {"x", "y"}),
       logic::CompareOp::kLeq, logic::Num(1.0));
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(), query, 6,
-                                   Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, query, 6, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 1.0, 1e-12);
 }
@@ -193,8 +198,8 @@ TEST(ProfileEngine, BudgetExhaustionReported) {
   logic::Vocabulary vocab;
   vocab.AddPredicate("A", 1);
   vocab.AddPredicate("B", 1);
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(), Formula::True(),
-                                   32, Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, Formula::True(), 32, Tol(0.1));
   EXPECT_TRUE(r.exhausted);
   EXPECT_FALSE(r.well_defined);
 }
@@ -524,9 +529,11 @@ TEST(ProfileEngineGolden, UncachedDegreeAt) {
   for (const auto& c : GoldenCases()) {
     for (bool appended : {false, true}) {
       GoldenInstance in = MakeInstance(c, appended);
+      QueryContext ctx(in.kb.vocabulary(), in.kb.AsFormula(),
+                       /*caching_enabled=*/false);
       for (const auto& point : PointsOf(c, appended)) {
-        ExpectGolden(in.engine.DegreeAt(in.kb.vocabulary(), in.kb.AsFormula(),
-                                        in.query, point.n, TolAt(c, point)),
+        ExpectGolden(in.engine.DegreeAt(ctx, in.query, point.n,
+                                        TolAt(c, point)),
                      point, "uncached");
       }
     }
@@ -574,9 +581,10 @@ TEST(ProfileEngineGolden, PatchedAfterAppend) {
     EXPECT_EQ(v2.cache_stats().world_lists_patched, 9u) << c.id;
     for (const auto& point : PointsOf(c, true)) {
       semantics::ToleranceVector tol = TolAt(c, point);
+      QueryContext ctx(grown.kb.vocabulary(), grown.kb.AsFormula(),
+                       /*caching_enabled=*/false);
       FiniteResult fresh =
-          grown.engine.DegreeAt(grown.kb.vocabulary(), grown.kb.AsFormula(),
-                                grown.query, point.n, tol);
+          grown.engine.DegreeAt(ctx, grown.query, point.n, tol);
       ExpectGolden(fresh, point, "fresh sweep of the appended KB");
       ExpectGolden(grown.engine.DegreeAt(v2, grown.query, point.n, tol),
                    point, "patched");
@@ -800,8 +808,9 @@ TEST(ProfileCertificate, FeasibleKbsAreNeverCertified) {
   for (int n : {1, 2, 3, 5, 24}) {
     for (double scale : {1.0, 0.5, 0.25, 0.125}) {
       semantics::ToleranceVector tol = Tol(0.04).Scaled(scale);
-      if (!e524.engine.DegreeAt(e524.kb.vocabulary(), e524.kb.AsFormula(),
-                                e524.query, n, tol)
+      QueryContext ctx(e524.kb.vocabulary(), e524.kb.AsFormula(),
+                       /*caching_enabled=*/false);
+      if (!e524.engine.DegreeAt(ctx, e524.query, n, tol)
                .well_defined) {
         continue;
       }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
 
@@ -34,8 +35,8 @@ TEST(Propensities, PriorProbabilityOfPredicateIsHalfBySymmetry) {
   vocab.AddPredicate("A", 1);
   vocab.AddConstant("K");
   ProfileEngine engine = Propensities();
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(), P("A", C("K")),
-                                   12, Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, P("A", C("K")), 12, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 0.5, 1e-9);
 }
@@ -51,10 +52,9 @@ TEST(Propensities, WorldCountBecomesUniformOverFrequencies) {
   ProfileEngine uniform;
   FormulaPtr none = Formula::Not(Formula::Exists("x", P("A", V("x"))));
   const int n = 10;
-  FiniteResult rp = propensities.DegreeAt(vocab, Formula::True(), none, n,
-                                          Tol(0.1));
-  FiniteResult ru = uniform.DegreeAt(vocab, Formula::True(), none, n,
-                                     Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult rp = propensities.DegreeAt(ctx, none, n, Tol(0.1));
+  FiniteResult ru = uniform.DegreeAt(ctx, none, n, Tol(0.1));
   ASSERT_TRUE(rp.well_defined);
   EXPECT_NEAR(rp.probability, 1.0 / (n + 1), 1e-9);
   EXPECT_NEAR(ru.probability, std::pow(2.0, -n), 1e-12);
@@ -85,13 +85,14 @@ TEST(Propensities, LearnsFromSamples) {
   const int n = 24;
 
   ProfileEngine uniform;
-  FiniteResult rw = uniform.DegreeAt(vocab, kb, query, n, Tol(0.05));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  FiniteResult rw = uniform.DegreeAt(ctx, query, n, Tol(0.05));
   ASSERT_TRUE(rw.well_defined);
   // Random worlds: the unsampled birds are an unrelated population.
   EXPECT_NEAR(rw.probability, 0.5, 0.1);
 
   ProfileEngine propensities = Propensities();
-  FiniteResult pr = propensities.DegreeAt(vocab, kb, query, n, Tol(0.05));
+  FiniteResult pr = propensities.DegreeAt(ctx, query, n, Tol(0.05));
   ASSERT_TRUE(pr.well_defined);
   // Random propensities: the Fly propensity itself was learned.
   EXPECT_GT(pr.probability, 0.75);
@@ -115,12 +116,13 @@ TEST(Propensities, OverlearnsFromUniversals) {
   const int n = 20;
 
   ProfileEngine uniform;
-  FiniteResult rw = uniform.DegreeAt(vocab, kb, query, n, Tol(0.05));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  FiniteResult rw = uniform.DegreeAt(ctx, query, n, Tol(0.05));
   ASSERT_TRUE(rw.well_defined);
   EXPECT_NEAR(rw.probability, 0.5, 0.08);  // random worlds: unaffected
 
   ProfileEngine propensities = Propensities();
-  FiniteResult pr = propensities.DegreeAt(vocab, kb, query, n, Tol(0.05));
+  FiniteResult pr = propensities.DegreeAt(ctx, query, n, Tol(0.05));
   ASSERT_TRUE(pr.well_defined);
   EXPECT_GT(pr.probability, 0.6);  // propensities: contaminated
 }
@@ -136,7 +138,8 @@ TEST(Propensities, DirectInferenceStillHolds) {
       logic::ApproxEq(CondProp(P("Hep", V("x")), P("Jaun", V("x")), {"x"}),
                       0.8, 1));
   ProfileEngine propensities = Propensities();
-  FiniteResult r = propensities.DegreeAt(vocab, kb, P("Hep", C("Eric")), 48,
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
+  FiniteResult r = propensities.DegreeAt(ctx, P("Hep", C("Eric")), 48,
                                          Tol(0.04));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 0.8, 0.05);

@@ -1,6 +1,6 @@
 // QueryContext invariants: every engine answers identically through a
-// caching context, an uncached context, and the legacy entry points — bit
-// for bit — and the parallel limit sweep reproduces the serial one.
+// caching context and a cache-free one — bit for bit — and the parallel
+// limit sweep reproduces the serial one.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -115,14 +115,14 @@ void ExpectBitIdentical(const FiniteResult& a, const FiniteResult& b) {
   EXPECT_EQ(a.log_denominator, b.log_denominator);
 }
 
-TEST(QueryContextCaching, ProfileRecordReplayMatchesLegacy) {
+TEST(QueryContextCaching, ProfileRecordReplayMatchesCacheFree) {
   Fixture f = MakeFixture();
   engines::ProfileEngine profile;
   semantics::ToleranceVector tol = semantics::ToleranceVector::Uniform(0.05);
+  QueryContext uncached(f.vocabulary, f.kb.AsFormula(), false);
 
   for (int n : {8, 16, 24}) {
-    FiniteResult legacy =
-        profile.DegreeAt(f.vocabulary, f.kb.AsFormula(), f.query, n, tol);
+    FiniteResult reference = profile.DegreeAt(uncached, f.query, n, tol);
 
     QueryContext cached(f.vocabulary, f.kb.AsFormula(), true);
     // First call marks the point, the second records the world list...
@@ -130,36 +130,30 @@ TEST(QueryContextCaching, ProfileRecordReplayMatchesLegacy) {
     profile.DegreeAt(cached, f.third_query, n, tol);
     // ...and the third call replays it for yet another query.
     FiniteResult replayed = profile.DegreeAt(cached, f.query, n, tol);
-    ExpectBitIdentical(replayed, legacy);
+    ExpectBitIdentical(replayed, reference);
     // Memo: asking again returns the stored result.
     FiniteResult memoized = profile.DegreeAt(cached, f.query, n, tol);
-    ExpectBitIdentical(memoized, legacy);
-
-    QueryContext uncached(f.vocabulary, f.kb.AsFormula(), false);
-    ExpectBitIdentical(profile.DegreeAt(uncached, f.query, n, tol), legacy);
+    ExpectBitIdentical(memoized, reference);
   }
 }
 
-TEST(QueryContextCaching, ExactRecordReplayMatchesLegacy) {
+TEST(QueryContextCaching, ExactRecordReplayMatchesCacheFree) {
   Fixture f = MakeFixture();
   engines::ExactEngine exact;
   semantics::ToleranceVector tol = semantics::ToleranceVector::Uniform(0.2);
 
   const int n = 3;
-  ASSERT_TRUE(exact.Supports(f.vocabulary, f.kb.AsFormula(), f.query, n));
-  FiniteResult legacy =
-      exact.DegreeAt(f.vocabulary, f.kb.AsFormula(), f.query, n, tol);
+  QueryContext uncached(f.vocabulary, f.kb.AsFormula(), false);
+  ASSERT_TRUE(exact.Supports(uncached, f.query, n));
+  FiniteResult reference = exact.DegreeAt(uncached, f.query, n, tol);
 
   QueryContext cached(f.vocabulary, f.kb.AsFormula(), true);
   exact.DegreeAt(cached, f.other_query, n, tol);  // mark
   exact.DegreeAt(cached, f.third_query, n, tol);  // record
-  ExpectBitIdentical(exact.DegreeAt(cached, f.query, n, tol), legacy);
-
-  QueryContext uncached(f.vocabulary, f.kb.AsFormula(), false);
-  ExpectBitIdentical(exact.DegreeAt(uncached, f.query, n, tol), legacy);
+  ExpectBitIdentical(exact.DegreeAt(cached, f.query, n, tol), reference);
 }
 
-TEST(QueryContextCaching, MonteCarloMemoMatchesLegacy) {
+TEST(QueryContextCaching, MonteCarloMemoMatchesCacheFree) {
   Fixture f = MakeFixture();
   engines::MonteCarloEngine::Options options;
   options.num_samples = 20'000;
@@ -167,26 +161,26 @@ TEST(QueryContextCaching, MonteCarloMemoMatchesLegacy) {
   semantics::ToleranceVector tol = semantics::ToleranceVector::Uniform(0.2);
 
   const int n = 8;
-  FiniteResult legacy =
-      montecarlo.DegreeAt(f.vocabulary, f.kb.AsFormula(), f.query, n, tol);
+  QueryContext uncached(f.vocabulary, f.kb.AsFormula(), false);
+  FiniteResult reference = montecarlo.DegreeAt(uncached, f.query, n, tol);
   QueryContext cached(f.vocabulary, f.kb.AsFormula(), true);
-  ExpectBitIdentical(montecarlo.DegreeAt(cached, f.query, n, tol), legacy);
-  ExpectBitIdentical(montecarlo.DegreeAt(cached, f.query, n, tol), legacy);
+  ExpectBitIdentical(montecarlo.DegreeAt(cached, f.query, n, tol), reference);
+  ExpectBitIdentical(montecarlo.DegreeAt(cached, f.query, n, tol), reference);
 }
 
-TEST(QueryContextCaching, MaxEntContextMatchesLegacy) {
+TEST(QueryContextCaching, MaxEntContextMatchesCacheFree) {
   Fixture f = MakeFixture();
   engines::MaxEntEngine maxent;
   semantics::ToleranceVector tol = semantics::ToleranceVector::Uniform(0.05);
 
-  auto legacy =
-      maxent.InferLimit(f.vocabulary, f.kb.AsFormula(), f.query, tol);
+  QueryContext uncached(f.vocabulary, f.kb.AsFormula(), false);
+  auto reference = maxent.InferLimit(uncached, f.query, tol);
   QueryContext cached(f.vocabulary, f.kb.AsFormula(), true);
   auto through_ctx = maxent.InferLimit(cached, f.query, tol);
-  EXPECT_EQ(legacy.supported, through_ctx.supported);
-  EXPECT_EQ(legacy.converged, through_ctx.converged);
-  EXPECT_EQ(legacy.value, through_ctx.value);
-  EXPECT_EQ(legacy.per_scale_values, through_ctx.per_scale_values);
+  EXPECT_EQ(reference.supported, through_ctx.supported);
+  EXPECT_EQ(reference.converged, through_ctx.converged);
+  EXPECT_EQ(reference.value, through_ctx.value);
+  EXPECT_EQ(reference.per_scale_values, through_ctx.per_scale_values);
 }
 
 TEST(QueryContextCaching, SymbolicContextMatchesLegacy) {
@@ -251,9 +245,9 @@ TEST(QueryContextIncremental, FirstQueryAfterPatchedAssertReplaysWorldLists) {
   EXPECT_GE(patched_stats.analyses_prewarmed, 1u);
 
   // First post-mutation query: a blob hit on the patched list, and the
-  // answer is bit-identical to an uncontexted computation on the new KB.
-  FiniteResult fresh =
-      profile.DegreeAt(f.vocabulary, mutated.AsFormula(), f.query, n, tol);
+  // answer is bit-identical to a cache-free computation on the new KB.
+  QueryContext v2_uncached(f.vocabulary, mutated.AsFormula(), false);
+  FiniteResult fresh = profile.DegreeAt(v2_uncached, f.query, n, tol);
   FiniteResult replayed = profile.DegreeAt(v2, f.query, n, tol);
   ExpectBitIdentical(replayed, fresh);
   QueryContext::CacheStats queried_stats = v2.cache_stats();
@@ -295,8 +289,8 @@ TEST(QueryContextIncremental, VocabularyExtendingAssertForcesRebuild) {
       << "the rebuild path still pays the KB analyses off the request path";
 
   // Correctness is unaffected: the rebuilt context recomputes from scratch.
-  FiniteResult fresh = profile.DegreeAt(mutated.vocabulary(),
-                                        mutated.AsFormula(), f.query, n, tol);
+  QueryContext v2_uncached(mutated.vocabulary(), mutated.AsFormula(), false);
+  FiniteResult fresh = profile.DegreeAt(v2_uncached, f.query, n, tol);
   ExpectBitIdentical(profile.DegreeAt(v2, f.query, n, tol), fresh);
 }
 
@@ -315,7 +309,7 @@ TEST(QueryContextBudget, EngineDegradesGracefullyWhenBudgetIsFull) {
   // Saturate the 256 MiB blob budget with one (hint-only) entry standing
   // in for an oversized satisfying-world record, then run the engines:
   // their world-list stores must be dropped — no cache — while every
-  // answer stays bit-identical to the uncontexted computation.
+  // answer stays bit-identical to the cache-free computation.
   Fixture f = MakeFixture();
   engines::ProfileEngine profile;
   engines::ExactEngine exact;
@@ -325,22 +319,21 @@ TEST(QueryContextBudget, EngineDegradesGracefullyWhenBudgetIsFull) {
   ctx.StoreBlob("pin", std::make_shared<int>(0),
                 QueryContext::kBlobBudgetBytes);
   ASSERT_EQ(ctx.cache_stats().blob_bytes, QueryContext::kBlobBudgetBytes);
+  QueryContext uncached(f.vocabulary, f.kb.AsFormula(), false);
 
   for (int n : {8, 16}) {
-    FiniteResult legacy =
-        profile.DegreeAt(f.vocabulary, f.kb.AsFormula(), f.query, n, tol);
+    FiniteResult reference = profile.DegreeAt(uncached, f.query, n, tol);
     // Three distinct queries drive the record-replay protocol through
     // mark → (dropped) record → recompute.
     profile.DegreeAt(ctx, f.other_query, n, tol);
     profile.DegreeAt(ctx, f.third_query, n, tol);
-    ExpectBitIdentical(profile.DegreeAt(ctx, f.query, n, tol), legacy);
+    ExpectBitIdentical(profile.DegreeAt(ctx, f.query, n, tol), reference);
   }
   const int exact_n = 3;
-  FiniteResult legacy =
-      exact.DegreeAt(f.vocabulary, f.kb.AsFormula(), f.query, exact_n, tol);
+  FiniteResult reference = exact.DegreeAt(uncached, f.query, exact_n, tol);
   exact.DegreeAt(ctx, f.other_query, exact_n, tol);
   exact.DegreeAt(ctx, f.third_query, exact_n, tol);
-  ExpectBitIdentical(exact.DegreeAt(ctx, f.query, exact_n, tol), legacy);
+  ExpectBitIdentical(exact.DegreeAt(ctx, f.query, exact_n, tol), reference);
 
   QueryContext::CacheStats stats = ctx.cache_stats();
   EXPECT_GE(stats.blob_stores_dropped, 3u)
@@ -413,12 +406,6 @@ TEST(EstimateLimitParallel, MatchesSerialSweepBitwise) {
     EXPECT_EQ(a.series[i].probability, b.series[i].probability);
     EXPECT_EQ(a.series[i].well_defined, b.series[i].well_defined);
   }
-
-  // The legacy (vocabulary, kb) overload agrees too.
-  engines::LimitResult legacy = engines::EstimateLimit(
-      profile, f.vocabulary, f.kb.AsFormula(), f.query, tol, serial);
-  EXPECT_EQ(a.value.has_value(), legacy.value.has_value());
-  if (a.value.has_value()) EXPECT_EQ(*a.value, *legacy.value);
 }
 
 }  // namespace

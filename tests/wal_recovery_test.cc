@@ -365,9 +365,7 @@ TEST(WalRecoveryTest, SnapshotTruncationPreservesRecoveredState) {
 // ---- 5. the 775 ms stall regression: acks never wait on maintenance ----
 
 TEST(WalRecoveryTest, AcksNeverBlockOnThePausedMaintenanceQueue) {
-  service::CatalogOptions catalog_options;
-  catalog_options.background_maintenance = true;
-  KbCatalog catalog(catalog_options);
+  KbCatalog catalog;
   KnowledgeBase base;
   std::string parse_error;
   ASSERT_TRUE(base.AddParsed("#(P(x))[x] ~= 0.5", &parse_error));
@@ -404,9 +402,7 @@ TEST(WalRecoveryTest, AcksNeverBlockOnThePausedMaintenanceQueue) {
 }
 
 TEST(WalRecoveryTest, WaitForVersionTimesOutAndFailsOnDroppedKb) {
-  service::CatalogOptions catalog_options;
-  catalog_options.background_maintenance = true;
-  KbCatalog catalog(catalog_options);
+  KbCatalog catalog;
   KnowledgeBase base;
   std::string parse_error;
   ASSERT_TRUE(base.AddParsed("P(C0)", &parse_error));
@@ -465,6 +461,8 @@ TEST(WalRecoveryTest, ReplicaAnswersBitIdenticallyViaVersionHandoff) {
   ASSERT_TRUE(applier.WaitForPrimaryVersion("kb", acked,
                                             /*timeout_ms=*/1000.0,
                                             &local_version));
+  ASSERT_TRUE(replica_kbs.WaitForVersion("kb", local_version,
+                                         /*timeout_ms=*/1000.0));
   std::shared_ptr<const service::KbSnapshot> pinned =
       replica_kbs.GetVersion("kb", local_version);
   ASSERT_NE(pinned, nullptr);
