@@ -1,41 +1,22 @@
-// Shared reporting helpers for the experiment benches.
+// Shared reporting helpers for the timing and gate benches.
 //
-// Every bench binary regenerates one experiment family from the paper's
-// evaluation (see DESIGN.md §3) and prints rows of the form
+// Each bench prints a human-readable table and one machine-readable line
+// per measured row,
 //
-//   [experiment id]  description  paper=<value>  measured=<value>  method
+//   BENCH_JSON {"bench": "...", ...}
 //
-// so that bench output can be diffed against EXPERIMENTS.md.
+// which CI greps into BENCH_<name>.json; tools/bench_gate.py compares
+// those files against the baselines in bench/baselines/.
 #ifndef RWL_BENCH_BENCH_UTIL_H_
 #define RWL_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/core/inference.h"
-
 namespace rwl::bench {
-
-// ---------------------------------------------------------------------------
-// Machine-readable output.
-//
-// Every bench emits one JSON object per benchmark row on stdout (prefixed
-// "BENCH_JSON ") so that the perf trajectory can be tracked across PRs by
-// grepping bench logs into BENCH_*.json files:
-//
-//   bench_batch | grep '^BENCH_JSON ' | sed 's/^BENCH_JSON //' > BENCH_batch.json
-//
-// The human-readable rows are unchanged.  Set RWL_BENCH_JSON=0 to silence
-// the JSON lines.
-// ---------------------------------------------------------------------------
-
-inline bool JsonEnabled() {
-  const char* env = std::getenv("RWL_BENCH_JSON");
-  return env == nullptr || std::string(env) != "0";
-}
 
 inline std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -86,9 +67,8 @@ class JsonLine {
     return *this;
   }
 
-  // Prints "BENCH_JSON {...}\n" (unless RWL_BENCH_JSON=0).
+  // Prints "BENCH_JSON {...}\n".
   void Emit() const {
-    if (!JsonEnabled()) return;
     std::string line = "BENCH_JSON {";
     for (size_t i = 0; i < fields_.size(); ++i) {
       if (i > 0) line += ", ";
@@ -106,72 +86,8 @@ class JsonLine {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-inline void EmitAnswerJson(const std::string& bench, const std::string& id,
-                           const Answer& answer) {
-  JsonLine line(bench);
-  line.Field("id", id)
-      .Field("status", StatusToString(answer.status))
-      .Field("value", answer.value)
-      .Field("lo", answer.lo)
-      .Field("hi", answer.hi)
-      .Field("method", answer.method)
-      .Field("converged", answer.converged);
-  line.Emit();
-}
-
 inline void PrintHeader(const char* title) {
   std::printf("\n==== %s ====\n", title);
-}
-
-inline std::string AnswerToString(const Answer& answer) {
-  char buf[128];
-  switch (answer.status) {
-    case Answer::Status::kPoint:
-      std::snprintf(buf, sizeof(buf), "%.4f", answer.value);
-      return buf;
-    case Answer::Status::kInterval:
-      std::snprintf(buf, sizeof(buf), "[%.4f, %.4f]", answer.lo, answer.hi);
-      return buf;
-    case Answer::Status::kNonexistent:
-      return "nonexistent";
-    case Answer::Status::kUndefined:
-      return "undefined (no worlds)";
-    case Answer::Status::kUnknown:
-      return "unknown";
-  }
-  return "?";
-}
-
-inline void PrintRow(const std::string& id, const std::string& what,
-                     const std::string& paper, const Answer& answer) {
-  std::printf("  [%-18s] %-46s paper=%-14s measured=%-18s via %s\n",
-              id.c_str(), what.c_str(), paper.c_str(),
-              AnswerToString(answer).c_str(),
-              answer.method.empty() ? "-" : answer.method.c_str());
-  JsonLine line(id);
-  line.Field("what", what)
-      .Field("paper", paper)
-      .Field("status", StatusToString(answer.status))
-      .Field("value", answer.value)
-      .Field("lo", answer.lo)
-      .Field("hi", answer.hi)
-      .Field("method", answer.method)
-      .Field("converged", answer.converged);
-  line.Emit();
-}
-
-inline void PrintValueRow(const std::string& id, const std::string& what,
-                          const std::string& paper, double measured,
-                          const std::string& method) {
-  std::printf("  [%-18s] %-46s paper=%-14s measured=%-18.4f via %s\n",
-              id.c_str(), what.c_str(), paper.c_str(), measured,
-              method.c_str());
-  JsonLine line(id);
-  line.Field("what", what)
-      .Field("paper", paper)
-      .Field("value", measured)
-      .Field("method", method);
-  line.Emit();
 }
 
 }  // namespace rwl::bench

@@ -125,7 +125,7 @@ enum class Prior {
   // independently with probability p_i, predicates independent.  Worlds
   // then weigh as Π_i c_i!(N-c_i)!/(N+1)! where c_i = |P_i|.  Unlike
   // random worlds, this prior *learns from samples* (and, as the paper
-  // notes, sometimes overlearns); see bench_propensities.
+  // notes, sometimes overlearns); see tests/propensities_test.cc.
   kRandomPropensities,
 };
 

@@ -935,11 +935,6 @@ SymbolicAnswer SymbolicEngine::InferAnalyzed(const KbAnalysis& analysis,
   return combined;
 }
 
-SymbolicAnswer SymbolicEngine::Infer(const FormulaPtr& kb,
-                                     const FormulaPtr& query) const {
-  return InferAtDepth(kb, query, 0);
-}
-
 SymbolicAnswer SymbolicEngine::Infer(QueryContext& ctx,
                                      const FormulaPtr& query) const {
   std::string key = "symbolic.answer|nonempty=";

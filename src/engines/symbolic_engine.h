@@ -98,12 +98,9 @@ class SymbolicEngine {
   SymbolicEngine() = default;
   explicit SymbolicEngine(const Options& options) : options_(options) {}
 
-  SymbolicAnswer Infer(const logic::FormulaPtr& kb,
-                       const logic::FormulaPtr& query) const;
-
-  // Context-aware form (core/query_context.h): reuses the context's cached
-  // KbAnalysis (the flattening is per-KB, not per-query) and memoizes the
-  // answer under the query's node id.  Same answers as Infer above.
+  // Answers through a context (core/query_context.h): reuses the context's
+  // cached KbAnalysis (the flattening is per-KB, not per-query) and, when
+  // caching is enabled, memoizes the answer under the query's node id.
   SymbolicAnswer Infer(QueryContext& ctx,
                        const logic::FormulaPtr& query) const;
 

@@ -1,20 +1,22 @@
-// The paper's worked examples as a data corpus.
+// The paper's worked examples and claims as a data table.
 //
-// Each entry carries the KB in textual L≈ syntax, the query, and the
-// paper's reported answer, so downstream users (and the data-driven test
-// in tests/fixtures_test.cc plus bench_corpus) can regression-check an
-// engine against the whole evaluation at once.
+// Each row carries the KB in textual L≈ syntax, the query, the options it
+// is answered with, and the paper's reported answer.  The table is the
+// checked record of the paper's claims: tests/fixtures_test.cc replays
+// every row through the public inference facade and asserts it.
 #ifndef RWL_FIXTURES_PAPER_KBS_H_
 #define RWL_FIXTURES_PAPER_KBS_H_
 
 #include <string>
 #include <vector>
 
+#include "src/core/inference.h"
+
 namespace rwl::fixtures {
 
 struct PaperExample {
   enum class Expect {
-    kPoint,        // Pr_∞ = value (± tolerance)
+    kPoint,        // Pr_∞ = value (± tolerance), answered as a point
     kInterval,     // Pr_∞ ∈ [lo, hi] (numeric estimates inside; symbolic
                    // answers equal to the interval)
     kNonexistent,  // the limit does not exist
@@ -33,15 +35,27 @@ struct PaperExample {
   // Constants the query mentions but the KB does not (they must exist in
   // the vocabulary as fresh individuals).
   std::vector<std::string> extra_constants;
-  // True when the example is only decidable by the numeric engines (no
-  // theorem applies); the runner then disables the symbolic engine.
-  bool numeric_only = false;
+  // How the row is answered.  The default is the corpus schedule: base
+  // τ 0.04, N ∈ {16, 32, 48}, τ-scales {1, 0.5}, every default strategy.
+  InferenceOptions options = [] {
+    InferenceOptions options;
+    options.tolerances = semantics::ToleranceVector::Uniform(0.04);
+    options.limit.domain_sizes = {16, 32, 48};
+    options.limit.tolerance_scales = {1.0, 0.5};
+    return options;
+  }();
 };
 
-// The full corpus, in paper order.
+// The worked-example corpus, in paper order: the KBs the load generator,
+// the benchmark catalog and the parser fuzz seeds are built from.
 const std::vector<PaperExample>& AllPaperExamples();
 
-// Lookup by id; aborts if absent (programming error in the caller).
+// Every checked claim: AllPaperExamples() followed by the rows that only
+// the claims table needs (variants, sweeps and numeric confirmations).
+const std::vector<PaperExample>& AllPaperClaims();
+
+// Lookup by id among AllPaperClaims(); aborts if absent (programming error
+// in the caller).
 const PaperExample& ExampleById(const std::string& id);
 
 }  // namespace rwl::fixtures

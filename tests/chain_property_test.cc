@@ -24,7 +24,12 @@ TEST_P(ChainSweep, SymbolicReturnsTightestInterval) {
   engines::SymbolicEngine engine;
   for (int trial = 0; trial < 25; ++trial) {
     workload::ChainKb chain = workload::RandomChainKb(GetParam(), &rng);
-    engines::SymbolicAnswer answer = engine.Infer(chain.kb, chain.query);
+    logic::Vocabulary vocabulary;
+    logic::RegisterSymbols(chain.kb, &vocabulary);
+    logic::RegisterSymbols(chain.query, &vocabulary);
+    QueryContext ctx(std::move(vocabulary), chain.kb,
+                     /*caching_enabled=*/false);
+    engines::SymbolicAnswer answer = engine.Infer(ctx, chain.query);
     ASSERT_EQ(answer.status, engines::SymbolicAnswer::Status::kInterval)
         << logic::ToString(chain.kb);
     EXPECT_NEAR(answer.lo, chain.tightest_lo, 1e-12)

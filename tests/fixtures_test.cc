@@ -1,7 +1,6 @@
-// Data-driven run of the whole paper corpus (src/fixtures) through the
-// public inference facade.  One TEST_P instance per example, named by the
-// example id, so a failing paper claim is visible directly in the ctest
-// output.
+// Data-driven run of every paper claim (src/fixtures) through the public
+// inference facade.  One TEST_P instance per row, named by the row id, so
+// a failing paper claim is visible directly in the ctest output.
 #include <gtest/gtest.h>
 
 #include "src/core/inference.h"
@@ -24,25 +23,13 @@ TEST_P(PaperCorpus, ReproducesPaperValue) {
     kb.mutable_vocabulary().AddConstant(constant);
   }
 
-  InferenceOptions options;
-  options.tolerances = semantics::ToleranceVector::Uniform(0.04);
-  options.limit.domain_sizes = {16, 32, 48};
-  options.limit.tolerance_scales = {1.0, 0.5};
-  if (example.numeric_only) {
-    options.strategies.Remove("symbolic").Remove("maxent").Remove("exact");
-    options.limit.domain_sizes = {32, 64, 128};
-    options.limit.tolerance_scales = {1.0};
-  }
-  Answer answer = DegreeOfBelief(kb, example.query, options);
+  Answer answer = DegreeOfBelief(kb, example.query, example.options);
 
   switch (example.expect) {
     case PaperExample::Expect::kPoint:
-      ASSERT_TRUE(answer.status == Answer::Status::kPoint ||
-                  answer.status == Answer::Status::kInterval)
+      ASSERT_EQ(answer.status, Answer::Status::kPoint)
           << StatusToString(answer.status) << ": " << answer.explanation;
-      EXPECT_NEAR(answer.lo, example.value, example.tolerance)
-          << answer.method;
-      EXPECT_NEAR(answer.hi, example.value, example.tolerance)
+      EXPECT_NEAR(answer.value, example.value, example.tolerance)
           << answer.method;
       break;
     case PaperExample::Expect::kInterval: {
@@ -75,7 +62,7 @@ std::string ExampleName(const ::testing::TestParamInfo<PaperExample>& info) {
 }
 
 INSTANTIATE_TEST_SUITE_P(All, PaperCorpus,
-                         ::testing::ValuesIn(fixtures::AllPaperExamples()),
+                         ::testing::ValuesIn(fixtures::AllPaperClaims()),
                          ExampleName);
 
 TEST(FixturesApi, LookupById) {
@@ -84,8 +71,14 @@ TEST(FixturesApi, LookupById) {
   EXPECT_EQ(e.expect, PaperExample::Expect::kPoint);
 }
 
-TEST(FixturesApi, CorpusIsNonTrivial) {
-  EXPECT_GE(fixtures::AllPaperExamples().size(), 18u);
+TEST(FixturesApi, ClaimsExtendTheCorpus) {
+  const auto& corpus = fixtures::AllPaperExamples();
+  const auto& claims = fixtures::AllPaperClaims();
+  EXPECT_EQ(corpus.size(), 22u);
+  ASSERT_GT(claims.size(), corpus.size());
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    EXPECT_EQ(claims[i].id, corpus[i].id);
+  }
 }
 
 }  // namespace

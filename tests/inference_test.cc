@@ -69,6 +69,28 @@ TEST(InferenceTest, NumericFallbackWhenSymbolicInapplicable) {
   EXPECT_NE(answer.method.find("profile"), std::string::npos);
 }
 
+TEST(InferenceTest, SymbolicOnlyAnswersTheStrengthRuleInterval) {
+  // Example 5.24: with the numeric engines left out, the facade reports
+  // the strength rule's interval itself, not a point inside it.
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.AddParsed(
+      "(0.7 <~_1 #(Chirps(x) ; Bird(x))[x]) & "
+      "(#(Chirps(x) ; Bird(x))[x] <~_2 0.8)\n"
+      "(0 <~_3 #(Chirps(x) ; Magpie(x))[x]) & "
+      "(#(Chirps(x) ; Magpie(x))[x] <~_4 0.99)\n"
+      "forall x. (Magpie(x) => Bird(x))\n"
+      "Magpie(Tweety)\n"));
+  InferenceOptions options;
+  options.tolerances = semantics::ToleranceVector::Uniform(0.04);
+  options.limit.domain_sizes = {16, 32, 48};
+  options.limit.tolerance_scales = {1.0, 0.5};
+  options.strategies.Remove("profile").Remove("maxent").Remove("exact");
+  Answer answer = DegreeOfBelief(kb, "Chirps(Tweety)", options);
+  ASSERT_EQ(answer.status, Answer::Status::kInterval) << answer.explanation;
+  EXPECT_NEAR(answer.lo, 0.7, 1e-9);
+  EXPECT_NEAR(answer.hi, 0.8, 1e-9);
+}
+
 TEST(InferenceTest, SeriesRecordedForSweeps) {
   KnowledgeBase kb;
   ASSERT_TRUE(kb.AddParsed("Bird(Tweety)\n"));

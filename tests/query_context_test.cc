@@ -183,21 +183,22 @@ TEST(QueryContextCaching, MaxEntContextMatchesCacheFree) {
   EXPECT_EQ(reference.per_scale_values, through_ctx.per_scale_values);
 }
 
-TEST(QueryContextCaching, SymbolicContextMatchesLegacy) {
+TEST(QueryContextCaching, SymbolicContextMatchesCacheFree) {
   Fixture f = MakeFixture();
   engines::SymbolicEngine symbolic;
-  auto legacy = symbolic.Infer(f.kb.AsFormula(), f.query);
+  QueryContext uncached(f.vocabulary, f.kb.AsFormula(), false);
+  auto reference = symbolic.Infer(uncached, f.query);
   QueryContext cached(f.vocabulary, f.kb.AsFormula(), true);
   auto through_ctx = symbolic.Infer(cached, f.query);
-  EXPECT_EQ(static_cast<int>(legacy.status),
+  EXPECT_EQ(static_cast<int>(reference.status),
             static_cast<int>(through_ctx.status));
-  EXPECT_EQ(legacy.lo, through_ctx.lo);
-  EXPECT_EQ(legacy.hi, through_ctx.hi);
-  EXPECT_EQ(legacy.rule, through_ctx.rule);
+  EXPECT_EQ(reference.lo, through_ctx.lo);
+  EXPECT_EQ(reference.hi, through_ctx.hi);
+  EXPECT_EQ(reference.rule, through_ctx.rule);
   // Memoized second call.
   auto again = symbolic.Infer(cached, f.query);
-  EXPECT_EQ(legacy.lo, again.lo);
-  EXPECT_EQ(legacy.hi, again.hi);
+  EXPECT_EQ(reference.lo, again.lo);
+  EXPECT_EQ(reference.hi, again.hi);
 }
 
 TEST(QueryContextCaching, CacheStatsRecordHits) {
