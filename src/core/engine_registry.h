@@ -20,13 +20,16 @@
 // the QueryContext for repeated traffic.
 //
 // Registration priority doubles as the fidelity rank: lower priority =
-// preferred at equal applicability.  The default registry holds eleven
+// preferred at equal applicability.  The default registry holds ten
 // strategies in the paper's preference order: the preemptive fixed-n
 // (footnote 9) and calibrated interval modes, symbolic theorems, profile
 // sweep, the defaults family (epsilon_semantics, klm, gmp90), Dempster
-// evidence combination, maximum entropy, exact-enumeration fallback, and
-// the Monte-Carlo sweep (outside the default StrategySet).  Callers may
-// register additional strategies; registration is thread-safe.
+// evidence combination, maximum entropy and the exact-enumeration
+// fallback.  All of them are deterministic: the paper derives Pr_∞ from
+// theorems, maximum entropy and counting, never from sampling (the
+// Monte-Carlo engine is a test oracle, src/testing/montecarlo_engine.h).
+// Callers may register additional strategies; registration is
+// thread-safe.
 #ifndef RWL_CORE_ENGINE_REGISTRY_H_
 #define RWL_CORE_ENGINE_REGISTRY_H_
 
@@ -66,24 +69,17 @@ class InferenceStrategy {
   // Cheap applicability pre-check: may this strategy produce an answer for
   // this (KB, query) under these options?  Must be a superset of Run's own
   // skip conditions (a strategy assessed applicable may still return kSkip
-  // at runtime; the planner falls through).  The default claims
-  // applicability with no structural facts.
+  // at runtime; the planner falls through).
   virtual engines::Capability Assess(QueryContext& ctx,
                                      const logic::FormulaPtr& query,
-                                     const InferenceOptions& options) const;
+                                     const InferenceOptions& options) const = 0;
 
   // Predicted work/accuracy of running this strategy to completion (sweep
   // strategies aggregate their engine's per-point estimates over the
-  // (N, ⃗τ) schedule).  The default is an uninformative high cost.
+  // (N, ⃗τ) schedule).  Called only on strategies assessed applicable.
   virtual engines::CostEstimate EstimateCost(
       QueryContext& ctx, const logic::FormulaPtr& query,
-      const InferenceOptions& options) const;
-
-  // How a differential comparator must treat this strategy's answers
-  // (statistical estimators carry sampling error).
-  virtual engines::ResultClass result_class() const {
-    return engines::ResultClass::kDeterministic;
-  }
+      const InferenceOptions& options) const = 0;
 
   // Preemptive strategies run before every other candidate regardless of
   // cost ordering (fixed-N: a known domain size replaces limit taking).

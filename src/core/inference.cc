@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -15,7 +14,6 @@
 #include "src/defaults/gmp90.h"
 #include "src/engines/exact_engine.h"
 #include "src/engines/maxent_engine.h"
-#include "src/engines/montecarlo_engine.h"
 #include "src/engines/profile_engine.h"
 #include "src/engines/symbolic_engine.h"
 #include "src/evidence/combination.h"
@@ -79,16 +77,32 @@ void StrategySet::AppendKey(std::string* key) const {
 namespace {
 
 // Shared by the sweep strategies: is the engine capable at any N of the
-// schedule?  Goes through the engine's AssessCapability hook so engine
-// subclasses can refine applicability beyond Supports.
-template <typename Engine>
-bool AnySupported(const Engine& engine, const QueryContext& ctx,
+// schedule?
+bool AnySupported(const engines::FiniteEngine& engine, const QueryContext& ctx,
                   const logic::FormulaPtr& query,
                   const std::vector<int>& domain_sizes) {
   for (int n : domain_sizes) {
-    if (engine.AssessCapability(ctx, query, n).applicable) return true;
+    if (engine.Supports(ctx, query, n)) return true;
   }
   return false;
+}
+
+// Finalizes a point answer.  A partial strategy that ran earlier (a
+// symbolic interval) leaves its method behind, and `label` is appended to
+// it — or `appended_label` when one is given — so the method names every
+// strategy that contributed.
+void SetPoint(Answer* answer, double value, bool converged,
+              const std::string& label,
+              const std::string& appended_label = {}) {
+  answer->status = Answer::Status::kPoint;
+  answer->value = value;
+  answer->lo = answer->hi = value;
+  answer->method =
+      answer->method.empty()
+          ? label
+          : answer->method + " + " +
+                (appended_label.empty() ? label : appended_label);
+  answer->converged = converged;
 }
 
 // The engine's cost at one N of a sweep.  Exact's N-independent analysis
@@ -144,11 +158,10 @@ class FixedDomainStrategy : public InferenceStrategy {
 
   bool preemptive() const override { return true; }
 
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
+  engines::Capability Assess(QueryContext& /*ctx*/,
+                             const logic::FormulaPtr& /*query*/,
                              const InferenceOptions& options) const override {
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
+    engines::Capability cap;
     cap.applicable = options.fixed_domain_size > 0;
     cap.reason = cap.applicable
                      ? "fixed domain size N=" +
@@ -223,11 +236,14 @@ class SymbolicStrategy : public InferenceStrategy {
  public:
   std::string name() const override { return "symbolic"; }
 
+  // Whether a theorem matches is only decidable by running the matchers,
+  // so the capability is "always worth trying".
   engines::Capability Assess(
-      QueryContext& ctx, const logic::FormulaPtr& query,
+      QueryContext& /*ctx*/, const logic::FormulaPtr& /*query*/,
       const InferenceOptions& /*options*/) const override {
-    engines::SymbolicEngine symbolic;
-    return symbolic.Assess(ctx, query);
+    return {true,
+            "theorem matchers cover the full language; a theorem may still "
+            "fail to match this (KB, query) pair"};
   }
 
   engines::CostEstimate EstimateCost(
@@ -276,8 +292,7 @@ class ProfileSweepStrategy : public InferenceStrategy {
                              const logic::FormulaPtr& query,
                              const InferenceOptions& options) const override {
     engines::ProfileEngine profile;
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
+    engines::Capability cap;
     cap.applicable =
         AnySupported(profile, ctx, query, options.limit.domain_sizes);
     cap.reason = cap.applicable
@@ -299,11 +314,9 @@ class ProfileSweepStrategy : public InferenceStrategy {
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
               const InferenceOptions& options, Answer* answer) const override {
     engines::ProfileEngine profile;
-    bool any_supported = false;
-    for (int n : options.limit.domain_sizes) {
-      any_supported = any_supported || profile.Supports(ctx, query, n);
+    if (!AnySupported(profile, ctx, query, options.limit.domain_sizes)) {
+      return Outcome::kSkip;
     }
-    if (!any_supported) return Outcome::kSkip;
     engines::LimitResult lr = engines::EstimateLimit(
         profile, ctx, query, options.tolerances, options.limit);
     answer->series = lr.series;
@@ -327,13 +340,7 @@ class ProfileSweepStrategy : public InferenceStrategy {
       return Outcome::kFinal;
     }
     if (lr.value.has_value()) {
-      answer->status = Answer::Status::kPoint;
-      answer->value = *lr.value;
-      answer->lo = answer->hi = *lr.value;
-      answer->method = answer->method.empty()
-                           ? "profile sweep"
-                           : answer->method + " + profile sweep";
-      answer->converged = lr.converged;
+      SetPoint(answer, *lr.value, lr.converged, "profile sweep");
       return Outcome::kFinal;
     }
     return Outcome::kPartial;
@@ -345,11 +352,19 @@ class MaxEntStrategy : public InferenceStrategy {
  public:
   std::string name() const override { return "maxent"; }
 
+  // The unary fragment over at most 30 predicates; the linear-fragment
+  // check happens inside the solve.
   engines::Capability Assess(
-      QueryContext& ctx, const logic::FormulaPtr& query,
+      QueryContext& ctx, const logic::FormulaPtr& /*query*/,
       const InferenceOptions& /*options*/) const override {
-    engines::MaxEntEngine maxent;
-    return maxent.Assess(ctx, query);
+    engines::Capability cap;
+    cap.applicable = ctx.vocabulary().IsUnaryRelational() &&
+                     ctx.vocabulary().num_predicates() <= 30;
+    cap.reason = cap.applicable
+                     ? "unary fragment (linear-fragment check happens in the "
+                       "solve)"
+                     : "outside the unary fragment";
+    return cap;
   }
 
   engines::CostEstimate EstimateCost(
@@ -365,13 +380,7 @@ class MaxEntStrategy : public InferenceStrategy {
     engines::MaxEntEngine::LimitResultME mr =
         maxent.InferLimit(ctx, query, options.tolerances);
     if (!mr.supported) return Outcome::kSkip;
-    answer->status = Answer::Status::kPoint;
-    answer->value = mr.value;
-    answer->lo = answer->hi = mr.value;
-    answer->method = answer->method.empty()
-                         ? "maximum entropy"
-                         : answer->method + " + maximum entropy";
-    answer->converged = mr.converged;
+    SetPoint(answer, mr.value, mr.converged, "maximum entropy");
     return Outcome::kFinal;
   }
 };
@@ -389,8 +398,7 @@ class ExactFallbackStrategy : public InferenceStrategy {
       QueryContext& ctx, const logic::FormulaPtr& query,
       const InferenceOptions& /*options*/) const override {
     engines::ExactEngine exact;
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
+    engines::Capability cap;
     cap.applicable = AnySupported(exact, ctx, query, SmallSizes());
     cap.reason = cap.applicable
                      ? "world odometer fits at small N"
@@ -420,11 +428,9 @@ class ExactFallbackStrategy : public InferenceStrategy {
     small.tolerance_scales = options.limit.tolerance_scales;
     small.num_threads = options.limit.num_threads;
     small.deadline = options.limit.deadline;
-    bool any = false;
-    for (int n : small.domain_sizes) {
-      any = any || exact.Supports(ctx, query, n);
+    if (!AnySupported(exact, ctx, query, small.domain_sizes)) {
+      return Outcome::kSkip;
     }
-    if (!any) return Outcome::kSkip;
     engines::LimitResult lr =
         engines::EstimateLimit(exact, ctx, query, options.tolerances, small);
     answer->series = lr.series;
@@ -432,93 +438,10 @@ class ExactFallbackStrategy : public InferenceStrategy {
       answer->explanation = "exact sweep cut short by the deadline";
     }
     if (lr.value.has_value()) {
-      answer->status = Answer::Status::kPoint;
-      answer->value = *lr.value;
-      answer->lo = answer->hi = *lr.value;
-      answer->method = answer->method.empty()
-                           ? "exact enumeration (small N)"
-                           : answer->method + " + exact enumeration";
-      answer->converged = lr.converged;
+      SetPoint(answer, *lr.value, lr.converged, "exact enumeration (small N)",
+               "exact enumeration");
       return Outcome::kFinal;
     }
-    return Outcome::kPartial;
-  }
-};
-
-// 5. Monte-Carlo sweep (opt-in): rejection sampling covers vocabularies no
-// other numeric engine reaches (binary predicates at medium N), at the
-// price of sampling error — so it must be requested explicitly.
-class MonteCarloStrategy : public InferenceStrategy {
- public:
-  std::string name() const override { return "montecarlo"; }
-
-  // The sampling-error budget of InferenceOptions maps onto the engine's
-  // sample count; everything else stays at the engine defaults (and is
-  // pinned into the memo key by the engine's CacheSalt).
-  static engines::MonteCarloEngine MakeEngine(
-      const InferenceOptions& options) {
-    engines::MonteCarloEngine::Options mc;
-    if (options.montecarlo_samples > 0) {
-      mc.num_samples = options.montecarlo_samples;
-    }
-    return engines::MonteCarloEngine(mc);
-  }
-
-  engines::ResultClass result_class() const override {
-    return engines::ResultClass::kStatistical;
-  }
-
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
-    engines::MonteCarloEngine montecarlo = MakeEngine(options);
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
-    cap.applicable =
-        AnySupported(montecarlo, ctx, query, options.limit.domain_sizes);
-    cap.reason = cap.applicable
-                     ? "world representation within the cell cap"
-                     : "world representation exceeds the cell cap at "
-                       "every schedule N";
-    return cap;
-  }
-
-  engines::CostEstimate EstimateCost(
-      QueryContext& ctx, const logic::FormulaPtr& query,
-      const InferenceOptions& options) const override {
-    engines::MonteCarloEngine montecarlo = MakeEngine(options);
-    return SweepCost(montecarlo, ctx, query, options.limit.domain_sizes,
-                     options.limit.tolerance_scales.size(),
-                     options.limit.convergence_epsilon);
-  }
-
-  Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
-              const InferenceOptions& options, Answer* answer) const override {
-    engines::MonteCarloEngine montecarlo = MakeEngine(options);
-    bool any = false;
-    for (int n : options.limit.domain_sizes) {
-      any = any || montecarlo.Supports(ctx, query, n);
-    }
-    if (!any) return Outcome::kSkip;
-    engines::LimitResult lr = engines::EstimateLimit(
-        montecarlo, ctx, query, options.tolerances, options.limit);
-    if (lr.deadline_hit && answer->explanation.empty()) {
-      answer->explanation = "montecarlo sweep cut short by the deadline";
-    }
-    if (lr.value.has_value()) {
-      // This sweep produced the answer, so its series replaces any earlier
-      // engine's diagnostics.
-      answer->series = lr.series;
-      answer->status = Answer::Status::kPoint;
-      answer->value = *lr.value;
-      answer->lo = answer->hi = *lr.value;
-      answer->method = answer->method.empty()
-                           ? "montecarlo sweep"
-                           : answer->method + " + montecarlo sweep";
-      answer->converged = lr.converged;
-      return Outcome::kFinal;
-    }
-    if (answer->series.empty()) answer->series = lr.series;
     return Outcome::kPartial;
   }
 };
@@ -533,61 +456,110 @@ class MonteCarloStrategy : public InferenceStrategy {
 // relation by two independent algorithms (greedy peel vs subset
 // enumeration) — the differential `defaults` check leans on that.
 
-// A p-entailment decider differing only in caps and the underlying
-// algorithm.
-class PEntailmentStrategy : public InferenceStrategy {
+// The family's widest caps (epsilon_semantics').
+constexpr defaults::FragmentLimits kWidestDefaultsLimits{10, 16};
+
+// The fragment analysis of (KB, query) at the widest caps, shared by the
+// family: a caching context memoizes it, so one plan analyzes once
+// however many of the three strategies assess, cost and run it.
+std::shared_ptr<const defaults::DefaultsInstance> WidestDefaultsAnalysis(
+    QueryContext& ctx, const logic::FormulaPtr& query) {
+  std::string key = "defaults.instance|";
+  const uint64_t query_id = query->id();
+  key.append(reinterpret_cast<const char*>(&query_id), sizeof(query_id));
+  if (auto cached = std::static_pointer_cast<const defaults::DefaultsInstance>(
+          ctx.LookupBlob(key))) {
+    return cached;
+  }
+  auto instance = std::make_shared<const defaults::DefaultsInstance>(
+      defaults::AnalyzeDefaultsInstance(ctx.kb_conjuncts(), query,
+                                        kWidestDefaultsLimits));
+  ctx.StoreBlob(key, instance,
+                sizeof(defaults::DefaultsInstance) +
+                    instance->rules.size() * sizeof(defaults::Rule));
+  return instance;
+}
+
+// A defaults-family strategy: its own caps on the shared analysis.
+class DefaultsStrategy : public InferenceStrategy {
  public:
   engines::Capability Assess(
       QueryContext& ctx, const logic::FormulaPtr& query,
       const InferenceOptions& /*options*/) const override {
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, limits());
-    cap.applicable = instance.ok;
-    cap.reason = instance.ok
+    std::shared_ptr<const defaults::DefaultsInstance> instance =
+        Analysis(ctx, query);
+    engines::Capability cap;
+    cap.applicable = instance->ok;
+    cap.reason = instance->ok
                      ? "propositional-defaults fragment: " +
-                           std::to_string(instance.rules.size()) +
+                           std::to_string(instance->rules.size()) +
                            " rules over " +
-                           std::to_string(instance.num_vars) + " classes"
-                     : instance.reason;
+                           std::to_string(instance->num_vars) + " classes"
+                     : instance->reason;
     return cap;
   }
 
+ protected:
+  virtual defaults::FragmentLimits limits() const = 0;
+
+  // Exactly AnalyzeDefaultsInstance(ctx.kb_conjuncts(), query, limits()).
+  // The capped analysis walks the KB like the widest one and differs only
+  // by failing once a cap is passed, so a widest analysis that stayed
+  // within these caps is the capped one — same verdict, same reason.  Only
+  // a pair past them is analyzed again, at these caps.
+  std::shared_ptr<const defaults::DefaultsInstance> Analysis(
+      QueryContext& ctx, const logic::FormulaPtr& query) const {
+    std::shared_ptr<const defaults::DefaultsInstance> widest =
+        WidestDefaultsAnalysis(ctx, query);
+    const defaults::FragmentLimits caps = limits();
+    if (static_cast<int>(widest->names.size()) <= caps.max_vars &&
+        static_cast<int>(widest->rules.size()) <= caps.max_rules) {
+      return widest;
+    }
+    return std::make_shared<const defaults::DefaultsInstance>(
+        defaults::AnalyzeDefaultsInstance(ctx.kb_conjuncts(), query, caps));
+  }
+
+  // 2^classes worlds and rules + 1, the cost models' two factors.
+  static std::pair<double, double> WorldsAndRules(
+      const defaults::DefaultsInstance& instance) {
+    return {static_cast<double>(uint64_t{1}
+                                << std::max(instance.num_vars, 1)),
+            static_cast<double>(instance.rules.size()) + 1.0};
+  }
+};
+
+// A p-entailment decider differing only in caps and the underlying
+// algorithm.
+class PEntailmentStrategy : public DefaultsStrategy {
+ public:
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
               const InferenceOptions& /*options*/,
               Answer* answer) const override {
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, limits());
-    if (!instance.ok) return Outcome::kSkip;
+    std::shared_ptr<const defaults::DefaultsInstance> instance =
+        Analysis(ctx, query);
+    if (!instance->ok) return Outcome::kSkip;
     const defaults::Rule negated{
-        instance.query.antecedent,
-        defaults::Prop::Not(instance.query.consequent)};
+        instance->query.antecedent,
+        defaults::Prop::Not(instance->query.consequent)};
     const bool entails_query =
-        Entails(instance.rules, instance.query, instance.num_vars);
+        Entails(instance->rules, instance->query, instance->num_vars);
     const bool entails_negation =
-        Entails(instance.rules, negated, instance.num_vars);
+        Entails(instance->rules, negated, instance->num_vars);
     if (entails_query == entails_negation) {
       // Neither: p-entailment is silent (it is incomplete for random
       // worlds).  Both: the evidence is negligible under the rules and
       // conditioning degenerates — the numeric sweeps decide.
       return Outcome::kSkip;
     }
-    answer->status = Answer::Status::kPoint;
-    answer->value = entails_query ? 1.0 : 0.0;
-    answer->lo = answer->hi = answer->value;
-    answer->method = answer->method.empty()
-                         ? method_label()
-                         : answer->method + " + " + method_label();
+    SetPoint(answer, entails_query ? 1.0 : 0.0, true, method_label());
     answer->explanation = entails_query
                               ? "the rules p-entail evidence → query"
                               : "the rules p-entail evidence → ¬query";
-    answer->converged = true;
     return Outcome::kFinal;
   }
 
  protected:
-  virtual defaults::FragmentLimits limits() const = 0;
   virtual std::string method_label() const = 0;
   virtual bool Entails(const std::vector<defaults::Rule>& rules,
                        const defaults::Rule& query, int num_vars) const = 0;
@@ -601,12 +573,8 @@ class EpsilonSemanticsStrategy : public PEntailmentStrategy {
   engines::CostEstimate EstimateCost(
       QueryContext& ctx, const logic::FormulaPtr& query,
       const InferenceOptions& /*options*/) const override {
+    const auto [worlds, rules] = WorldsAndRules(*Analysis(ctx, query));
     engines::CostEstimate cost;
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, limits());
-    const double rules = static_cast<double>(instance.rules.size()) + 1.0;
-    const double worlds =
-        static_cast<double>(uint64_t{1} << std::max(instance.num_vars, 1));
     // Two greedy peels (query and negation): peel rounds × toleration
     // probes × worlds × material checks.
     cost.work = 2.0 * rules * rules * rules * worlds;
@@ -618,10 +586,7 @@ class EpsilonSemanticsStrategy : public PEntailmentStrategy {
 
  protected:
   defaults::FragmentLimits limits() const override {
-    defaults::FragmentLimits limits;
-    limits.max_vars = 10;
-    limits.max_rules = 16;
-    return limits;
+    return kWidestDefaultsLimits;
   }
   std::string method_label() const override {
     return "epsilon-semantics p-entailment";
@@ -643,12 +608,8 @@ class KlmStrategy : public PEntailmentStrategy {
   engines::CostEstimate EstimateCost(
       QueryContext& ctx, const logic::FormulaPtr& query,
       const InferenceOptions& /*options*/) const override {
+    const auto [worlds, rules] = WorldsAndRules(*Analysis(ctx, query));
     engines::CostEstimate cost;
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, limits());
-    const double rules = static_cast<double>(instance.rules.size()) + 1.0;
-    const double worlds =
-        static_cast<double>(uint64_t{1} << std::max(instance.num_vars, 1));
     cost.work = 2.0 * std::pow(2.0, rules) * rules * worlds;
     cost.error = 0.0;
     cost.basis = "tolerated-rule test over all 2^rules subsets, both query "
@@ -657,12 +618,7 @@ class KlmStrategy : public PEntailmentStrategy {
   }
 
  protected:
-  defaults::FragmentLimits limits() const override {
-    defaults::FragmentLimits limits;
-    limits.max_vars = 8;
-    limits.max_rules = 11;
-    return limits;
-  }
+  defaults::FragmentLimits limits() const override { return {8, 11}; }
   std::string method_label() const override { return "klm p-entailment"; }
   bool Entails(const std::vector<defaults::Rule>& rules,
                const defaults::Rule& query, int num_vars) const override {
@@ -673,43 +629,15 @@ class KlmStrategy : public PEntailmentStrategy {
 // 8. GMP90 maximum-entropy defaults: the κ-strength comparison decides
 // specificity beyond p-entailment; exponent-level ties fall through to the
 // numeric µ*_ε series.  Exact for the fragment by Theorem 6.1.
-class Gmp90Strategy : public InferenceStrategy {
+class Gmp90Strategy : public DefaultsStrategy {
  public:
   std::string name() const override { return "gmp90"; }
-
-  static defaults::FragmentLimits Limits() {
-    defaults::FragmentLimits limits;
-    limits.max_vars = 8;
-    limits.max_rules = 12;
-    return limits;
-  }
-
-  engines::Capability Assess(
-      QueryContext& ctx, const logic::FormulaPtr& query,
-      const InferenceOptions& /*options*/) const override {
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, Limits());
-    cap.applicable = instance.ok;
-    cap.reason = instance.ok
-                     ? "propositional-defaults fragment: " +
-                           std::to_string(instance.rules.size()) +
-                           " rules over " +
-                           std::to_string(instance.num_vars) + " classes"
-                     : instance.reason;
-    return cap;
-  }
 
   engines::CostEstimate EstimateCost(
       QueryContext& ctx, const logic::FormulaPtr& query,
       const InferenceOptions& /*options*/) const override {
+    const auto [worlds, rules] = WorldsAndRules(*Analysis(ctx, query));
     engines::CostEstimate cost;
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, Limits());
-    const double rules = static_cast<double>(instance.rules.size()) + 1.0;
-    const double worlds =
-        static_cast<double>(uint64_t{1} << std::max(instance.num_vars, 1));
     // Strength fixed point (rounds × rules × worlds × rules) plus up to
     // six entropy solves on ties (~200 iterations each).
     cost.work = rules * rules * rules * worlds + 1200.0 * worlds;
@@ -722,9 +650,10 @@ class Gmp90Strategy : public InferenceStrategy {
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
               const InferenceOptions& /*options*/,
               Answer* answer) const override {
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, Limits());
-    if (!instance.ok) return Outcome::kSkip;
+    std::shared_ptr<const defaults::DefaultsInstance> analysis =
+        Analysis(ctx, query);
+    if (!analysis->ok) return Outcome::kSkip;
+    const defaults::DefaultsInstance& instance = *analysis;
     // The evidence must be propositionally satisfiable: facts are hard, so
     // contradictory evidence means no worlds at all — the sweeps' call
     // (kUndefined), not a defaults verdict.
@@ -771,17 +700,13 @@ class Gmp90Strategy : public InferenceStrategy {
       }
     }
     if (value < 0.0) return Outcome::kSkip;
-    answer->status = Answer::Status::kPoint;
-    answer->value = value;
-    answer->lo = answer->hi = value;
-    answer->method = answer->method.empty()
-                         ? "gmp90 maximum-entropy defaults"
-                         : answer->method + " + gmp90 maximum-entropy "
-                                            "defaults";
+    SetPoint(answer, value, true, "gmp90 maximum-entropy defaults");
     answer->explanation = how;
-    answer->converged = true;
     return Outcome::kFinal;
   }
+
+ protected:
+  defaults::FragmentLimits limits() const override { return {8, 12}; }
 };
 
 // 9. Dempster evidence combination (Theorem 5.26): exact limit for
@@ -793,8 +718,7 @@ class EvidenceStrategy : public InferenceStrategy {
   engines::Capability Assess(
       QueryContext& ctx, const logic::FormulaPtr& query,
       const InferenceOptions& /*options*/) const override {
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
+    engines::Capability cap;
     evidence::EvidenceInstance instance =
         evidence::AnalyzeEvidenceInstance(ctx.kb_conjuncts(), query);
     cap.applicable = instance.ok;
@@ -837,16 +761,9 @@ class EvidenceStrategy : public InferenceStrategy {
       // classes — resolves to 1/2; otherwise the limit does not exist.
       if (instance.alphas.size() == 2 &&
           instance.tolerance_indices[0] == instance.tolerance_indices[1]) {
-        answer->status = Answer::Status::kPoint;
-        answer->value = 0.5;
-        answer->lo = answer->hi = 0.5;
-        answer->method = answer->method.empty()
-                             ? "dempster evidence combination"
-                             : answer->method +
-                                   " + dempster evidence combination";
+        SetPoint(answer, 0.5, true, "dempster evidence combination");
         answer->explanation =
             "equal-strength conflicting hard defaults resolve to 1/2";
-        answer->converged = true;
         return Outcome::kFinal;
       }
       answer->status = Answer::Status::kNonexistent;
@@ -856,18 +773,11 @@ class EvidenceStrategy : public InferenceStrategy {
                             "(Section 5.3)";
       return Outcome::kFinal;
     }
-    const double combined = evidence::DempsterCombine(instance.alphas);
-    answer->status = Answer::Status::kPoint;
-    answer->value = combined;
-    answer->lo = answer->hi = combined;
-    answer->method = answer->method.empty()
-                         ? "dempster evidence combination"
-                         : answer->method + " + dempster evidence "
-                                            "combination";
+    SetPoint(answer, evidence::DempsterCombine(instance.alphas), true,
+             "dempster evidence combination");
     answer->explanation =
         "Theorem 5.26 over " + std::to_string(instance.alphas.size()) +
         " essentially-disjoint reference classes";
-    answer->converged = true;
     return Outcome::kFinal;
   }
 };
@@ -893,8 +803,7 @@ class CalibratedStrategy : public InferenceStrategy {
   engines::Capability Assess(QueryContext& ctx,
                              const logic::FormulaPtr& query,
                              const InferenceOptions& options) const override {
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
+    engines::Capability cap;
     if (!Requested(options)) {
       cap.applicable = false;
       cap.reason = options.interval_confidence == 0.0
@@ -1005,24 +914,6 @@ class CalibratedStrategy : public InferenceStrategy {
 
 }  // namespace
 
-engines::Capability InferenceStrategy::Assess(
-    QueryContext& ctx, const logic::FormulaPtr& query,
-    const InferenceOptions& /*options*/) const {
-  engines::Capability cap = engines::DescribeInstance(ctx.vocabulary(), query);
-  cap.applicable = true;
-  cap.reason = "no capability model; assumed applicable";
-  return cap;
-}
-
-engines::CostEstimate InferenceStrategy::EstimateCost(
-    QueryContext& /*ctx*/, const logic::FormulaPtr& /*query*/,
-    const InferenceOptions& /*options*/) const {
-  engines::CostEstimate cost;
-  cost.work = 1e9;
-  cost.basis = "no cost model";
-  return cost;
-}
-
 EngineRegistry& EngineRegistry::Default() {
   static EngineRegistry* registry = [] {
     auto* r = new EngineRegistry();
@@ -1041,7 +932,6 @@ EngineRegistry& EngineRegistry::Default() {
     r->Register(26, std::make_shared<EvidenceStrategy>());
     r->Register(30, std::make_shared<MaxEntStrategy>());
     r->Register(40, std::make_shared<ExactFallbackStrategy>());
-    r->Register(50, std::make_shared<MonteCarloStrategy>());
     return r;
   }();
   return *registry;
@@ -1093,17 +983,29 @@ std::string OpenFormulaError(const logic::FormulaPtr& formula,
 
 namespace {
 
-// The engines treat an unbound variable as a programming error and abort;
-// an open formula must be answered before it reaches them.  Returns true
-// (and fills *answer) when `formula` is open.
-bool AnswerIfOpen(const logic::FormulaPtr& formula, std::string_view what,
-                  Answer* answer) {
-  std::string error = OpenFormulaError(formula, what);
+// Answers kUnknown, with `error` as the explanation, when `error` is
+// non-empty; returns whether it did.
+bool AnswerIfRefused(std::string error, Answer* answer) {
   if (error.empty()) return false;
   *answer = Answer{};
   answer->status = Answer::Status::kUnknown;
   answer->explanation = std::move(error);
   return true;
+}
+
+// The engines treat an unbound variable as a programming error and abort;
+// an open formula must be answered before it reaches them.  Returns true
+// (and fills *answer) when `formula` is open.
+bool AnswerIfOpen(const logic::FormulaPtr& formula, std::string_view what,
+                  Answer* answer) {
+  return AnswerIfRefused(OpenFormulaError(formula, what), answer);
+}
+
+// Registering a symbol at a second arity or kind aborts; a formula that
+// would do so against the KB's vocabulary is answered first.
+bool AnswerIfConflict(const logic::FormulaPtr& formula,
+                      const logic::Vocabulary& vocabulary, Answer* answer) {
+  return AnswerIfRefused(logic::SymbolConflict(formula, vocabulary), answer);
 }
 
 }  // namespace
@@ -1118,8 +1020,11 @@ Answer DegreeOfBelief(QueryContext& ctx, const logic::FormulaPtr& query,
 
 Answer DegreeOfBelief(const KnowledgeBase& kb, const logic::FormulaPtr& query,
                       const InferenceOptions& options) {
-  Answer open;
-  if (AnswerIfOpen(kb.AsFormula(), "knowledge base", &open)) return open;
+  Answer refused;
+  if (AnswerIfOpen(kb.AsFormula(), "knowledge base", &refused) ||
+      AnswerIfConflict(query, kb.vocabulary(), &refused)) {
+    return refused;
+  }
   QueryContext ctx =
       MakeQueryContext(kb, std::span<const logic::FormulaPtr>(&query, 1),
                        options);
@@ -1175,6 +1080,7 @@ std::vector<Answer> DegreesOfBelief(const KnowledgeBase& kb,
       answers[i] = answers[it->second];
       continue;
     }
+    if (AnswerIfConflict(queries[i], kb.vocabulary(), &answers[i])) continue;
     if (QueryCoveredByVocabulary(kb.vocabulary(), queries[i])) {
       answers[i] = DegreeOfBelief(shared, queries[i], options);
     } else {
@@ -1213,8 +1119,11 @@ Answer ConditionalDegreeOfBelief(const KnowledgeBase& kb,
                                  const logic::FormulaPtr& query,
                                  const logic::FormulaPtr& evidence,
                                  const InferenceOptions& options) {
-  Answer open;
-  if (AnswerIfOpen(evidence, "evidence", &open)) return open;
+  Answer refused;
+  if (AnswerIfOpen(evidence, "evidence", &refused) ||
+      AnswerIfConflict(evidence, kb.vocabulary(), &refused)) {
+    return refused;
+  }
   KnowledgeBase conditioned = kb;
   conditioned.Add(evidence);
   return DegreeOfBelief(conditioned, query, options);
@@ -1222,13 +1131,11 @@ Answer ConditionalDegreeOfBelief(const KnowledgeBase& kb,
 
 Answer DegreeOfBelief(const KnowledgeBase& kb, std::string_view query,
                       const InferenceOptions& options) {
-  logic::ParseResult parsed = logic::ParseFormula(query);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "rwl: query parse error: %s\n",
-                 parsed.error.c_str());
-    std::abort();
-  }
-  return DegreeOfBelief(kb, parsed.formula, options);
+  // A batch of one: the batch form answers a parse error, and each query
+  // exactly like the sequential call.
+  const std::string text(query);
+  return DegreesOfBelief(kb, std::span<const std::string>(&text, 1),
+                         options)[0];
 }
 
 }  // namespace rwl

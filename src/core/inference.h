@@ -2,8 +2,8 @@
 //
 // Routes a (KB, query) pair through the registered strategies
 // (core/engine_registry.h) under the cost-based planner (core/planner.h):
-// the symbolic theorems, the profile / exact / Monte-Carlo sweeps over
-// growing N and shrinking τ, the maximum-entropy limit, the defaults family
+// the symbolic theorems, the profile and exact sweeps over growing N and
+// shrinking τ, the maximum-entropy limit, the defaults family
 // (epsilon_semantics, klm, gmp90), Dempster evidence combination, and the
 // preemptive fixed-N and calibrated-interval modes.  Every strategy
 // estimates the same Pr_∞(φ | KB), so which ones may run is one choice:
@@ -44,10 +44,9 @@ enum class PlanMode {
 };
 
 // The strategies the planner may run, by registered name.  The default
-// admits every registered strategy except the opt-in `montecarlo` sweep,
-// which turns some kUnknown answers into sampled estimates that callers
-// must ask for.  Only("gmp90") admits exactly one strategy: forcing a
-// strategy (rwlq --engine, the protocol's "engine" field) is a set of one.
+// admits every registered strategy.  Only("gmp90") admits exactly one
+// strategy: forcing a strategy (rwlq --engine, the protocol's "engine"
+// field) is a set of one.
 class StrategySet {
  public:
   static StrategySet Only(std::string name);
@@ -75,7 +74,7 @@ class StrategySet {
 
   bool only_ = false;
   // Sorted; the members when only_, else the strategies left out.
-  std::vector<std::string> names_ = {"montecarlo"};
+  std::vector<std::string> names_;
 };
 
 struct InferenceOptions {
@@ -84,10 +83,6 @@ struct InferenceOptions {
   engines::LimitOptions limit;
   // Which strategies may run (see StrategySet).
   StrategySet strategies;
-  // Sampling-error budget for the Monte-Carlo sweep: number of samples
-  // per (N, ⃗τ) point (0 = the engine default).  Smaller budgets trade
-  // accuracy for latency; the planner's cost model accounts for it.
-  uint64_t montecarlo_samples = 0;
   // Calibrated-interval mode (conformal-style): a value in (0, 1) asks
   // for an interval answer at confidence 1-δ with δ = 1-interval_confidence:
   // the preemptive `calibrated` strategy sweeps the numeric schedule and
@@ -150,12 +145,15 @@ struct Answer {
 // explanation naming its free variables (OpenFormulaError), instead of
 // reaching the engines.  The query is checked in the context form, which
 // the KB forms answer through; the context form assumes its context's KB
-// is closed.
+// is closed.  The KB forms likewise answer kUnknown, naming the clash
+// (logic::SymbolConflict), a query or evidence formula that uses a KB
+// symbol at another arity or as another kind; the context form assumes
+// its context's vocabulary covers the query.
 Answer DegreeOfBelief(const KnowledgeBase& kb, const logic::FormulaPtr& query,
                       const InferenceOptions& options = {});
 
-// Convenience: parses the query from textual syntax.  Aborts on parse
-// errors (tests and examples pass literals).
+// Convenience: parses the query from textual syntax.  A parse error is
+// answered kUnknown with "query parse error: ..." as the explanation.
 Answer DegreeOfBelief(const KnowledgeBase& kb, std::string_view query,
                       const InferenceOptions& options = {});
 

@@ -1,6 +1,7 @@
 #include "src/core/knowledge_base.h"
 
 #include <sstream>
+#include <utility>
 
 #include "src/logic/parser.h"
 #include "src/logic/printer.h"
@@ -29,6 +30,15 @@ bool KnowledgeBase::AddParsed(std::string_view text, std::string* error) {
       message << result.error << " at offset " << result.error_offset;
       *error = message.str();
     }
+    return false;
+  }
+  // Register first, so a conflict leaves the KB as it was.
+  const int num_predicates = vocabulary_.num_predicates();
+  const int num_functions = vocabulary_.num_functions();
+  std::string conflict = logic::TryRegisterSymbols(result.formula, &vocabulary_);
+  if (!conflict.empty()) {
+    vocabulary_.Truncate(num_predicates, num_functions);
+    if (error != nullptr) *error = std::move(conflict);
     return false;
   }
   Add(result.formula);

@@ -30,7 +30,9 @@ class KnowledgeBase {
   // Adds a sentence (conjunct).
   void Add(const logic::FormulaPtr& formula);
 
-  // Parses and adds; returns false (with the message in *error) on failure.
+  // Parses and adds; returns false (with the message in *error) on a parse
+  // error or a symbol-signature conflict (logic::TryRegisterSymbols),
+  // leaving the KB unchanged.
   bool AddParsed(std::string_view text, std::string* error = nullptr);
 
   // Registers the symbols of a formula without asserting it (used for

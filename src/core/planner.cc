@@ -253,7 +253,6 @@ void AppendOptionsKey(const InferenceOptions& options, std::string* key) {
   AppendRaw(options.limit.convergence_epsilon, key);
   AppendRaw(options.interval_confidence, key);
   AppendRaw(options.fixed_domain_size, key);
-  AppendRaw(options.montecarlo_samples, key);
   AppendRaw(options.work_budget, key);
   // The two variable-length parts last, '|'-separated (neither encoding
   // contains '|').

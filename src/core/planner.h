@@ -6,8 +6,7 @@
 //      InferenceOptions::strategies (does it apply to
 //      this (KB, query) at all?) and CostEstimate (predicted work and
 //      accuracy, derived from the KB analyses cached in the QueryContext:
-//      profile leaf counts, world-odometer size, compiled-program length,
-//      Monte-Carlo acceptance-rate estimates),
+//      profile leaf counts, world-odometer size, compiled-program length),
 //   2. orders the applicable candidates — paper preference order
 //      (PlanMode::kFidelity, the default) or cheapest-predicted-first
 //      (PlanMode::kMinCost, the service mode),
@@ -91,12 +90,11 @@ uint64_t PlanShapeFingerprint(const logic::FormulaPtr& query);
 
 // Appends an exact encoding of every option that can change a plan or an
 // answer: plan mode, the N and τ schedules, convergence epsilon, base
-// tolerances, strategy set, interval confidence, fixed domain size,
-// Monte-Carlo samples and work budget.  Left out are the deadline (a
-// deadline-cut answer is never reused; see QueryContext::StoreAnswer) and
-// the knobs answers are bit-identical under (enable_caching,
-// limit.num_threads).  The plan cache and the service's answer memo
-// (service/catalog.h) both key on it.
+// tolerances, strategy set, interval confidence, fixed domain size and
+// work budget.  Left out are the deadline (a deadline-cut answer is never
+// reused; see QueryContext::StoreAnswer) and the knobs answers are
+// bit-identical under (enable_caching, limit.num_threads).  The plan cache
+// and the service's answer memo (service/catalog.h) both key on it.
 void AppendOptionsKey(const InferenceOptions& options, std::string* key);
 
 // Multi-line EXPLAIN rendering (rwlq --explain).

@@ -221,54 +221,6 @@ bool ResultsEquivalent(const FiniteResult& a, ResultClass class_a,
 
 namespace {
 
-int ExprNestingDepth(const logic::ExprPtr& e);
-
-int FormulaNestingDepth(const logic::FormulaPtr& f) {
-  if (f == nullptr) return 0;
-  using K = logic::Formula::Kind;
-  switch (f->kind()) {
-    case K::kTrue:
-    case K::kFalse:
-    case K::kAtom:
-    case K::kEqual:
-      return 1;
-    case K::kNot:
-    case K::kForAll:
-    case K::kExists:
-      return 1 + FormulaNestingDepth(f->body());
-    case K::kAnd:
-    case K::kOr:
-    case K::kImplies:
-    case K::kIff:
-      return 1 + std::max(FormulaNestingDepth(f->left()),
-                          FormulaNestingDepth(f->right()));
-    case K::kCompare:
-      return 1 + std::max(ExprNestingDepth(f->expr_left()),
-                          ExprNestingDepth(f->expr_right()));
-  }
-  return 1;
-}
-
-int ExprNestingDepth(const logic::ExprPtr& e) {
-  if (e == nullptr) return 0;
-  using K = logic::Expr::Kind;
-  switch (e->kind()) {
-    case K::kConstant:
-      return 1;
-    case K::kProportion:
-      return 1 + FormulaNestingDepth(e->body());
-    case K::kConditional:
-      return 1 + std::max(FormulaNestingDepth(e->body()),
-                          FormulaNestingDepth(e->cond()));
-    case K::kAdd:
-    case K::kSub:
-    case K::kMul:
-      return 1 + std::max(ExprNestingDepth(e->lhs()),
-                          ExprNestingDepth(e->rhs()));
-  }
-  return 1;
-}
-
 int ExprNodeCount(const logic::ExprPtr& e);
 
 int FormulaNodeCount(const logic::FormulaPtr& f) {
@@ -327,47 +279,6 @@ double ApproximateProgramLength(const QueryContext& ctx,
   // Programs average slightly over one instruction per AST node (loop
   // setup, comparisons); 1.5 keeps the estimate on the same scale.
   return 1.5 * std::max(FormulaNodeCount(f), 1);
-}
-
-Capability DescribeInstance(const logic::Vocabulary& vocabulary,
-                            const logic::FormulaPtr& query) {
-  Capability cap;
-  for (const auto& p : vocabulary.predicates()) {
-    cap.max_predicate_arity = std::max(cap.max_predicate_arity, p.arity);
-  }
-  cap.num_constants = static_cast<int>(vocabulary.Constants().size());
-  if (vocabulary.IsUnaryRelational() && vocabulary.num_predicates() <= 30) {
-    cap.num_atoms = 1 << vocabulary.num_predicates();
-  }
-  cap.query_depth = FormulaNestingDepth(query);
-  return cap;
-}
-
-Capability FiniteEngine::AssessCapability(const QueryContext& ctx,
-                                          const logic::FormulaPtr& query,
-                                          int domain_size) const {
-  Capability cap = DescribeInstance(ctx.vocabulary(), query);
-  cap.applicable = Supports(ctx, query, domain_size);
-  cap.reason = cap.applicable
-                   ? "supported at N=" + std::to_string(domain_size)
-                   : "outside the engine's structural limits at N=" +
-                         std::to_string(domain_size);
-  return cap;
-}
-
-CostEstimate FiniteEngine::EstimateCost(const QueryContext& ctx,
-                                        const logic::FormulaPtr& query,
-                                        int domain_size) const {
-  (void)ctx;
-  (void)query;
-  (void)domain_size;
-  // Uninformative default: engines without a model rank after engines
-  // with one at equal fidelity, never before.
-  CostEstimate cost;
-  cost.work = 1e9;
-  cost.error = result_class() == ResultClass::kStatistical ? 0.05 : 0.0;
-  cost.basis = "no engine-specific cost model";
-  return cost;
 }
 
 FiniteResult FiniteEngine::DegreeAt(

@@ -63,19 +63,13 @@ std::string ToString(const FiniteResult& result);
 // how accurate it would be (CostEstimate).  The planner scores candidate
 // strategies from these instead of trying engines in a hard-coded order.
 
-// Applicability of an engine on one (KB, query) pair, with the structural
-// facts the decision was derived from.  Derived from the KB analyses cached
-// in QueryContext where possible, so assessment is cheap enough to run per
-// query.
+// Applicability of an engine on one (KB, query) pair.  Derived from the KB
+// analyses cached in QueryContext where possible, so assessment is cheap
+// enough to run per query.
 struct Capability {
   bool applicable = false;
   // Why not (or under what caps), for --list-engines / EXPLAIN output.
   std::string reason;
-  // Structural facts behind the decision.
-  int max_predicate_arity = 0;   // over the context vocabulary
-  int num_constants = 0;         // arity-0 functions in the vocabulary
-  int num_atoms = 0;             // 2^k for the unary fragment; 0 when n/a
-  int query_depth = 0;           // connective nesting depth of the query
 };
 
 // Predicted work and accuracy of running an engine on one (KB, query)
@@ -89,12 +83,6 @@ struct CostEstimate {
   // size, program length, acceptance-rate estimate, ...).
   std::string basis;
 };
-
-// Structural facts shared by every engine's capability assessment:
-// vocabulary arity/constant/atom counts and the query's connective
-// nesting depth (applicable/reason are left for the engine to fill).
-Capability DescribeInstance(const logic::Vocabulary& vocabulary,
-                            const logic::FormulaPtr& query);
 
 // Per-world evaluation cost proxy for the planner's models: the compiled
 // program's instruction count when the context already holds the program
@@ -160,21 +148,6 @@ class FiniteEngine {
   virtual ResultClass result_class() const {
     return ResultClass::kDeterministic;
   }
-
-  // ---- Planner hooks ----
-  //
-  // Applicability and predicted cost of one DegreeAt probe at `domain_size`
-  // (sweep strategies sum probes over their schedule).  The defaults derive
-  // applicability from Supports and an uninformative cost; the concrete
-  // engines override with predictions from the context's cached KB
-  // analyses (profile leaf counts, world-odometer size, compiled-program
-  // length, acceptance-rate estimates).
-  virtual Capability AssessCapability(const QueryContext& ctx,
-                                      const logic::FormulaPtr& query,
-                                      int domain_size) const;
-  virtual CostEstimate EstimateCost(const QueryContext& ctx,
-                                    const logic::FormulaPtr& query,
-                                    int domain_size) const;
 
  protected:
   // The engine's computation behind DegreeAt (no memo layer).  Must honor

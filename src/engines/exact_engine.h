@@ -71,7 +71,7 @@ class ExactEngine : public FiniteEngine {
   // counting loop — near-free, so min-cost planning prefers this engine.
   CostEstimate EstimateCost(const QueryContext& ctx,
                             const logic::FormulaPtr& query,
-                            int domain_size) const override;
+                            int domain_size) const;
 
   // The N-independent half of EstimateCost: the KB + query program length
   // and, when both compile to aggregate-only programs over few enough

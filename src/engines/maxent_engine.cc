@@ -236,18 +236,6 @@ MaxEntEngine::LimitResultME MaxEntEngine::InferLimit(
   return result;
 }
 
-Capability MaxEntEngine::Assess(const QueryContext& ctx,
-                                const logic::FormulaPtr& query) const {
-  Capability cap = DescribeInstance(ctx.vocabulary(), query);
-  cap.applicable =
-      ctx.vocabulary().IsUnaryRelational() && cap.num_atoms > 0;
-  cap.reason = cap.applicable
-                   ? "unary fragment (linear-fragment check happens in the "
-                     "solve)"
-                   : "outside the unary fragment";
-  return cap;
-}
-
 CostEstimate MaxEntEngine::EstimateCost(const QueryContext& ctx,
                                         const logic::FormulaPtr& query) const {
   (void)query;

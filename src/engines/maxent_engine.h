@@ -66,11 +66,8 @@ class MaxEntEngine {
                            const std::vector<double>& scales = {1.0, 0.3,
                                                                 0.1}) const;
 
-  // Planner hooks.  Applicability is the unary fragment (the linear-
-  // fragment check happens inside the solve); predicted work is the
-  // entropy optimization over 2^k atom proportions per tolerance scale.
-  Capability Assess(const QueryContext& ctx,
-                    const logic::FormulaPtr& query) const;
+  // Planner cost model: the entropy optimization over 2^k atom
+  // proportions per tolerance scale.
   CostEstimate EstimateCost(const QueryContext& ctx,
                             const logic::FormulaPtr& query) const;
 };

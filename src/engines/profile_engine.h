@@ -157,7 +157,7 @@ class ProfileEngine : public FiniteEngine {
   // compiled KB+query program length.
   CostEstimate EstimateCost(const QueryContext& ctx,
                             const logic::FormulaPtr& query,
-                            int domain_size) const override;
+                            int domain_size) const;
 
  protected:
   // The DFS over profiles is query-independent up to the leaf evaluation,

@@ -950,15 +950,6 @@ SymbolicAnswer SymbolicEngine::Infer(QueryContext& ctx,
   return answer;
 }
 
-Capability SymbolicEngine::Assess(const QueryContext& ctx,
-                                  const FormulaPtr& query) const {
-  Capability cap = DescribeInstance(ctx.vocabulary(), query);
-  cap.applicable = true;
-  cap.reason = "theorem matchers cover the full language; a theorem may "
-               "still fail to match this (KB, query) pair";
-  return cap;
-}
-
 CostEstimate SymbolicEngine::EstimateCost(const QueryContext& ctx,
                                           const FormulaPtr& query) const {
   (void)query;

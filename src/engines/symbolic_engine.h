@@ -104,12 +104,8 @@ class SymbolicEngine {
   SymbolicAnswer Infer(QueryContext& ctx,
                        const logic::FormulaPtr& query) const;
 
-  // Planner hooks.  The theorem matchers cover the full language and
-  // whether one applies is only decidable by running them, so capability
-  // is "always worth trying" plus structural facts; predicted work is the
-  // (tiny) matcher pass over the KB's statistical conjuncts.
-  Capability Assess(const QueryContext& ctx,
-                    const logic::FormulaPtr& query) const;
+  // Planner cost model: the (tiny) matcher pass over the KB's
+  // statistical conjuncts.
   CostEstimate EstimateCost(const QueryContext& ctx,
                             const logic::FormulaPtr& query) const;
 

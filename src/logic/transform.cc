@@ -371,34 +371,86 @@ ConstantSplit SplitByConstants(const FormulaPtr& f) {
 
 namespace {
 
-void RegisterTermSymbols(const TermPtr& t, Vocabulary* vocabulary) {
+// Calls visit(is_predicate, name, arity) for every non-logical symbol
+// occurrence of f, in RegisterSymbols' order.
+template <typename Visit>
+void VisitTermSymbols(const TermPtr& t, const Visit& visit) {
   if (t->kind() == Term::Kind::kApply) {
-    vocabulary->AddFunction(t->name(), static_cast<int>(t->args().size()));
-    for (const auto& a : t->args()) RegisterTermSymbols(a, vocabulary);
+    visit(false, t->name(), static_cast<int>(t->args().size()));
+    for (const auto& a : t->args()) VisitTermSymbols(a, visit);
   }
 }
 
-void RegisterExprSymbols(const ExprPtr& e, Vocabulary* vocabulary) {
+template <typename Visit>
+void VisitSymbols(const FormulaPtr& f, const Visit& visit);
+
+template <typename Visit>
+void VisitExprSymbols(const ExprPtr& e, const Visit& visit) {
   if (e == nullptr) return;
-  if (e->body() != nullptr) RegisterSymbols(e->body(), vocabulary);
-  if (e->cond() != nullptr) RegisterSymbols(e->cond(), vocabulary);
-  if (e->lhs() != nullptr) RegisterExprSymbols(e->lhs(), vocabulary);
-  if (e->rhs() != nullptr) RegisterExprSymbols(e->rhs(), vocabulary);
+  if (e->body() != nullptr) VisitSymbols(e->body(), visit);
+  if (e->cond() != nullptr) VisitSymbols(e->cond(), visit);
+  if (e->lhs() != nullptr) VisitExprSymbols(e->lhs(), visit);
+  if (e->rhs() != nullptr) VisitExprSymbols(e->rhs(), visit);
+}
+
+template <typename Visit>
+void VisitSymbols(const FormulaPtr& f, const Visit& visit) {
+  if (f == nullptr) return;
+  if (f->kind() == Formula::Kind::kAtom) {
+    visit(true, f->predicate(), static_cast<int>(f->terms().size()));
+  }
+  for (const auto& t : f->terms()) VisitTermSymbols(t, visit);
+  if (f->left() != nullptr) VisitSymbols(f->left(), visit);
+  if (f->right() != nullptr) VisitSymbols(f->right(), visit);
+  VisitExprSymbols(f->expr_left(), visit);
+  VisitExprSymbols(f->expr_right(), visit);
+}
+
+// Registers f's symbols; a conflict stops registration with the error in
+// *conflict, or aborts when `conflict` is null.
+void Register(const FormulaPtr& f, Vocabulary* vocabulary,
+              std::string* conflict) {
+  VisitSymbols(f, [&](bool is_predicate, const std::string& name, int arity) {
+    if (conflict != nullptr && !conflict->empty()) return;
+    if (is_predicate) {
+      vocabulary->AddPredicate(name, arity, conflict);
+    } else {
+      vocabulary->AddFunction(name, arity, conflict);
+    }
+  });
 }
 
 }  // namespace
 
 void RegisterSymbols(const FormulaPtr& f, Vocabulary* vocabulary) {
-  if (f == nullptr) return;
-  if (f->kind() == Formula::Kind::kAtom) {
-    vocabulary->AddPredicate(f->predicate(),
-                             static_cast<int>(f->terms().size()));
-  }
-  for (const auto& t : f->terms()) RegisterTermSymbols(t, vocabulary);
-  if (f->left() != nullptr) RegisterSymbols(f->left(), vocabulary);
-  if (f->right() != nullptr) RegisterSymbols(f->right(), vocabulary);
-  RegisterExprSymbols(f->expr_left(), vocabulary);
-  RegisterExprSymbols(f->expr_right(), vocabulary);
+  Register(f, vocabulary, nullptr);
+}
+
+std::string TryRegisterSymbols(const FormulaPtr& f, Vocabulary* vocabulary) {
+  std::string conflict;
+  Register(f, vocabulary, &conflict);
+  return conflict;
+}
+
+std::string SymbolConflict(const FormulaPtr& f, const Vocabulary& vocabulary) {
+  // Symbols new to `vocabulary` are checked against each other in `fresh`.
+  Vocabulary fresh;
+  std::string conflict;
+  VisitSymbols(f, [&](bool is_predicate, const std::string& name, int arity) {
+    if (!conflict.empty()) return;
+    if (is_predicate) {
+      conflict = vocabulary.PredicateConflict(name, arity);
+      if (conflict.empty() && !vocabulary.FindPredicate(name).has_value()) {
+        fresh.AddPredicate(name, arity, &conflict);
+      }
+    } else {
+      conflict = vocabulary.FunctionConflict(name, arity);
+      if (conflict.empty() && !vocabulary.FindFunction(name).has_value()) {
+        fresh.AddFunction(name, arity, &conflict);
+      }
+    }
+  });
+  return conflict;
 }
 
 }  // namespace rwl::logic

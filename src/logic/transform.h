@@ -73,6 +73,18 @@ ConstantSplit SplitByConstants(const FormulaPtr& f);
 class Vocabulary;
 void RegisterSymbols(const FormulaPtr& f, Vocabulary* vocabulary);
 
+// RegisterSymbols that stops at the first conflict — a symbol used at two
+// arities or as two kinds, within f or against `vocabulary` — instead of
+// aborting, and returns it, worded as Vocabulary::PredicateConflict /
+// FunctionConflict word it ("" when every symbol registered).  Symbols
+// registered before the conflict stay (Vocabulary::Truncate undoes them).
+std::string TryRegisterSymbols(const FormulaPtr& f, Vocabulary* vocabulary);
+
+// The conflict TryRegisterSymbols(f, copy of `vocabulary`) would stop at,
+// without touching `vocabulary` ("" when none): the check the inference
+// entry points run on an untrusted query against a KB's vocabulary.
+std::string SymbolConflict(const FormulaPtr& f, const Vocabulary& vocabulary);
+
 }  // namespace rwl::logic
 
 #endif  // RWL_LOGIC_TRANSFORM_H_

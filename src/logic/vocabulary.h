@@ -29,19 +29,36 @@ struct FunctionSymbol {
 
 // A mutable symbol table.  Symbols are identified by name; registering the
 // same name twice with the same arity is idempotent, with a different arity
-// it is an error.
+// or as the other kind it is an error.
 class Vocabulary {
  public:
   Vocabulary() = default;
 
-  // Registers (or finds) a predicate symbol and returns its id.
-  // Terminates the program on an arity clash: that is a programming error in
-  // the caller, not a recoverable condition.
-  int AddPredicate(const std::string& name, int arity);
+  // Registers (or finds) a predicate symbol and returns its id.  On a
+  // conflict (see PredicateConflict) it returns -1 with the error in
+  // *conflict, or terminates the program when `conflict` is null: callers
+  // holding untrusted input pass one (logic::TryRegisterSymbols) or check
+  // first (logic::SymbolConflict).
+  int AddPredicate(const std::string& name, int arity,
+                   std::string* conflict = nullptr);
 
   // Registers (or finds) a function symbol; arity 0 declares a constant.
-  int AddFunction(const std::string& name, int arity);
+  // Conflicts as for AddPredicate (see FunctionConflict).
+  int AddFunction(const std::string& name, int arity,
+                  std::string* conflict = nullptr);
   int AddConstant(const std::string& name) { return AddFunction(name, 0); }
+
+  // Drops every symbol registered since the vocabulary held
+  // `num_predicates` predicates and `num_functions` functions, undoing a
+  // registration that stopped at a conflict.
+  void Truncate(int num_predicates, int num_functions);
+
+  // Empty when the symbol may be registered: it is new, or already
+  // declared as the same kind with the same arity.  Otherwise the error,
+  // e.g. "cannot declare constant 'Hep': already a predicate" or
+  // "cannot declare predicate 'Hep' with arity 2: already arity 1".
+  std::string PredicateConflict(const std::string& name, int arity) const;
+  std::string FunctionConflict(const std::string& name, int arity) const;
 
   std::optional<PredicateSymbol> FindPredicate(const std::string& name) const;
   std::optional<FunctionSymbol> FindFunction(const std::string& name) const;

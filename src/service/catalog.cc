@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/core/planner.h"
+#include "src/logic/transform.h"
 
 #if defined(__linux__)
 #include <sys/resource.h>
@@ -429,7 +430,7 @@ size_t RetractConjuncts(
 
 Answer AnswerOnSnapshot(const KbSnapshot& snapshot,
                         const logic::FormulaPtr& query,
-                        const InferenceOptions& options) {
+                        const InferenceOptions& options, std::string* error) {
   const auto start = std::chrono::steady_clock::now();
   std::string key;
   const uint64_t query_id = query->id();
@@ -451,6 +452,13 @@ Answer AnswerOnSnapshot(const KbSnapshot& snapshot,
                           .count();
     answer.plan = std::move(trace);
     return answer;
+  }
+  std::string conflict = logic::SymbolConflict(query, snapshot.kb.vocabulary());
+  if (!conflict.empty()) {
+    Answer refused;
+    refused.explanation = conflict;
+    if (error != nullptr) *error = std::move(conflict);
+    return refused;
   }
   const bool shared_context =
       QueryCoveredByVocabulary(snapshot.kb.vocabulary(), query);

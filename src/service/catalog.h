@@ -299,21 +299,26 @@ size_t RetractConjuncts(
 // The snapshot's answer memo comes first.  Its key is the hash-consed query
 // id plus every answer-affecting option (AppendOptionsKey: work budget,
 // plan mode, fixed domain size, strategy set, interval confidence and the
-// service-constant schedule, tolerances and Monte-Carlo samples); the
-// deadline is not part of it.  A hit returns the memoized answer with a
-// fresh PlanTrace: from_cache and from_memo set, no step run, total_ms the
-// hit's own time.
+// service-constant schedule and tolerances); the deadline is not part of
+// it.  A hit returns the memoized answer with a fresh PlanTrace:
+// from_cache and from_memo set, no step run, total_ms the hit's own time.
 //
-// On a miss, queries covered by the snapshot's vocabulary run through the
-// shared context (cache hits across queries and adopted versions); a
-// query introducing fresh symbols gets a private context derived from the
-// snapshot's KB — same rule, and bit-identical answers, as the batch API
-// (core/inference.cc).  The answer is then memoized unless its deadline
-// cut it short, so a hit is bit-identical to a fresh single-threaded
-// DegreeOfBelief on the pinned KB.
+// A miss first checks the query's symbols against the snapshot's
+// signature (logic::SymbolConflict; hits skip the check, since a
+// conflicting query is never memoized).  A conflict is refused: the
+// answer is kUnknown with the conflict as its explanation, and *error
+// (when given) names it too.  Otherwise, queries covered by the
+// snapshot's vocabulary run through the shared context (cache hits across
+// queries and adopted versions); a query introducing fresh symbols gets a
+// private context derived from the snapshot's KB — same rule, and
+// bit-identical answers, as the batch API (core/inference.cc).  The answer
+// is then memoized unless its deadline cut it short, so a hit is
+// bit-identical to a fresh single-threaded DegreeOfBelief on the pinned
+// KB.
 Answer AnswerOnSnapshot(const KbSnapshot& snapshot,
                         const logic::FormulaPtr& query,
-                        const InferenceOptions& options);
+                        const InferenceOptions& options,
+                        std::string* error = nullptr);
 
 }  // namespace rwl::service
 

@@ -193,21 +193,11 @@ KbService::MutationResult KbService::Load(
       result.error = "empty constant declaration";
       return result;
     }
-    // Validate before AddConstant: the vocabulary treats a cross-kind
-    // re-declaration as a fatal programming error, but here the name
-    // comes off the wire.
-    if (kb.vocabulary().FindPredicate(constant).has_value()) {
-      result.error =
-          "cannot declare constant '" + constant + "': already a predicate";
+    // The name comes off the wire: a cross-kind re-declaration is an
+    // error, not the vocabulary's abort.
+    if (kb.mutable_vocabulary().AddFunction(constant, 0, &result.error) < 0) {
       return result;
     }
-    auto existing = kb.vocabulary().FindFunction(constant);
-    if (existing.has_value() && existing->arity != 0) {
-      result.error =
-          "cannot declare constant '" + constant + "': already a function";
-      return result;
-    }
-    kb.mutable_vocabulary().AddConstant(constant);
   }
   WalRecord record;
   record.op = WalRecord::Op::kLoad;
@@ -319,8 +309,9 @@ std::future<void> KbService::SubmitOnSnapshot(
           // never on the caller's thread: a hit still takes the scheduler
           // hop, so tenants stay fair and the caller (a connection thread
           // under rwld) does no answering work of its own.
-          result->answer = AnswerOnSnapshot(*snapshot, query, options);
-          result->ok = true;
+          result->answer =
+              AnswerOnSnapshot(*snapshot, query, options, &result->error);
+          result->ok = result->error.empty();
         } catch (const std::exception& e) {
           result->error = std::string("engine failure: ") + e.what();
         } catch (...) {

@@ -136,7 +136,8 @@ class KbService {
 
   struct QueryResult {
     bool ok = false;
-    std::string error;  // parse error / unknown KB / "overloaded"
+    std::string error;  // parse error / signature conflict / unknown KB /
+                        // "overloaded"
     Answer answer;
     // The pinned version the answer was computed against (null on error
     // before admission).

@@ -15,13 +15,13 @@
 #include "src/service/replica.h"
 #include "src/service/wal.h"
 #include "src/engines/maxent_engine.h"
-#include "src/engines/montecarlo_engine.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/printer.h"
 #include "src/logic/transform.h"
 #include "src/semantics/compile.h"
 #include "src/semantics/evaluator.h"
 #include "src/semantics/vm.h"
+#include "src/testing/montecarlo_engine.h"
 
 namespace rwl::testing {
 namespace {
@@ -103,14 +103,13 @@ bool PipelineAnswersAgree(const Answer& a, const Answer& b, double epsilon,
   return true;
 }
 
-// Limit-level equivalence of two planner/forced-strategy answers, routed
-// through the engines' ResultsEquivalent hook so statistical strategies
-// get a sampling-error allowance.  Status handling (skips for unknown /
-// nonexistent / unconverged answers, undefinedness pairing) mirrors
-// PipelineAnswersAgree; interval answers compare by overlap.
-bool PlannerAnswersAgree(const Answer& a, engines::ResultClass class_a,
-                         const Answer& b, engines::ResultClass class_b,
-                         double epsilon, bool* compared, std::string* why) {
+// Limit-level equivalence of two planner/forced-strategy answers.  Status
+// handling (skips for unknown / nonexistent / unconverged answers,
+// undefinedness pairing) mirrors PipelineAnswersAgree; interval answers
+// compare by overlap, points to within epsilon, which absorbs
+// finite-prefix extrapolation bias.
+bool PlannerAnswersAgree(const Answer& a, const Answer& b, double epsilon,
+                         bool* compared, std::string* why) {
   *compared = false;
   if (a.status == Answer::Status::kUnknown ||
       b.status == Answer::Status::kUnknown ||
@@ -146,30 +145,17 @@ bool PlannerAnswersAgree(const Answer& a, engines::ResultClass class_a,
     }
     return true;
   }
-  // Point vs point: ResultsEquivalent with a limit-level tolerance — the
-  // epsilon absorbs finite-prefix extrapolation bias, and statistical
-  // sides get the same epsilon again as their sampling floor.
-  engines::FiniteResult fa;
-  fa.well_defined = true;
-  fa.probability = a.value;
-  engines::FiniteResult fb;
-  fb.well_defined = true;
-  fb.probability = b.value;
-  engines::ResultTolerance tolerance;
-  tolerance.deterministic_epsilon = epsilon;
-  tolerance.statistical_z = 0.0;
-  tolerance.statistical_floor = epsilon;
   *compared = true;
-  return engines::ResultsEquivalent(fa, class_a, fb, class_b, tolerance,
-                                    why);
-}
-
-// A planner answer produced by the Monte-Carlo sweep carries sampling
-// error; everything else is deterministic.
-engines::ResultClass AnswerClass(const Answer& answer) {
-  return answer.method.find("montecarlo") != std::string::npos
-             ? engines::ResultClass::kStatistical
-             : engines::ResultClass::kDeterministic;
+  const double gap = std::fabs(a.value - b.value);
+  if (gap > epsilon) {
+    if (why != nullptr) {
+      *why = "points differ by " + std::to_string(gap) + " > epsilon " +
+             std::to_string(epsilon) + "  [" + AnswerToString(a) + " vs " +
+             AnswerToString(b) + "]";
+    }
+    return false;
+  }
+  return true;
 }
 
 // Exact equality of the documented batch invariant: every batch answer
@@ -675,8 +661,7 @@ void RunDefaultsCheck(const Scenario& scenario,
     for (const Forced& point : points) {
       bool compared = false;
       std::string why;
-      if (!PlannerAnswersAgree(planned, AnswerClass(planned), point.answer,
-                               engines::ResultClass::kDeterministic,
+      if (!PlannerAnswersAgree(planned, point.answer,
                                options.defaults_epsilon, &compared, &why)) {
         report->disagreements.push_back(
             Disagreement{"defaults", "planner",
@@ -743,9 +728,8 @@ void RunEvidenceCheck(const Scenario& scenario,
     Answer planned = DegreeOfBelief(kb, query, base);
     bool compared = false;
     std::string why;
-    if (!PlannerAnswersAgree(planned, AnswerClass(planned), combined,
-                             engines::ResultClass::kDeterministic,
-                             options.defaults_epsilon, &compared, &why)) {
+    if (!PlannerAnswersAgree(planned, combined, options.defaults_epsilon,
+                             &compared, &why)) {
       report->disagreements.push_back(Disagreement{
           "evidence", "planner", "forced:evidence", query, 0, why});
     }
@@ -872,9 +856,9 @@ EngineSet DefaultEngineSet(uint64_t montecarlo_samples) {
   set.Add(std::make_unique<engines::ExactEngine>());
   set.Add(std::make_unique<engines::ProfileEngine>());
   if (montecarlo_samples > 0) {
-    engines::MonteCarloEngine::Options options;
+    MonteCarloEngine::Options options;
     options.num_samples = montecarlo_samples;
-    set.Add(std::make_unique<engines::MonteCarloEngine>(options));
+    set.Add(std::make_unique<MonteCarloEngine>(options));
   }
   return set;
 }
@@ -1063,7 +1047,7 @@ DifferentialReport RunDifferential(
     const size_t planner_queries =
         std::min<size_t>(scenario.queries.size(), 2);
     static const char* kForced[] = {"symbolic", "profile", "maxent",
-                                    "exact", "montecarlo"};
+                                    "exact"};
     KnowledgeBase planner_kb = ToKnowledgeBase(scenario);
     // One shared caching context for the planner and forced runs: the
     // finite-result memo dedups the sweeps across them (answers are
@@ -1083,9 +1067,8 @@ DifferentialReport RunDifferential(
       Answer cost_planned = DegreeOfBelief(shared_ctx, query, cost_options);
       bool compared = false;
       std::string why;
-      if (!PlannerAnswersAgree(planned, AnswerClass(planned), cost_planned,
-                               AnswerClass(cost_planned),
-                               options.limit_epsilon, &compared, &why)) {
+      if (!PlannerAnswersAgree(planned, cost_planned, options.limit_epsilon,
+                               &compared, &why)) {
         report.disagreements.push_back(Disagreement{
             "planner", "planner:fidelity", "planner:cost", query, 0, why});
       }
@@ -1106,29 +1089,16 @@ DifferentialReport RunDifferential(
 
       // Every forced applicable strategy.
       for (const char* forced_name : kForced) {
-        const bool is_montecarlo =
-            std::string(forced_name) == "montecarlo";
-        if (is_montecarlo && options.planner_montecarlo_samples == 0) {
-          continue;
-        }
         if (planned_exact_limit && std::string(forced_name) == "maxent") {
           continue;
         }
         InferenceOptions forced_options = planner_options;
         forced_options.strategies = StrategySet::Only(forced_name);
-        if (is_montecarlo) {
-          forced_options.montecarlo_samples =
-              options.planner_montecarlo_samples;
-        }
         Answer forced =
             DegreeOfBelief(shared_ctx, query, forced_options);
         compared = false;
         why.clear();
-        engines::ResultClass forced_class =
-            is_montecarlo ? engines::ResultClass::kStatistical
-                          : engines::ResultClass::kDeterministic;
-        if (!PlannerAnswersAgree(planned, AnswerClass(planned), forced,
-                                 forced_class, options.limit_epsilon,
+        if (!PlannerAnswersAgree(planned, forced, options.limit_epsilon,
                                  &compared, &why)) {
           report.disagreements.push_back(
               Disagreement{"planner", "planner",

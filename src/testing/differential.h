@@ -116,9 +116,6 @@ struct DifferentialOptions {
   // one context (a plan-cache hit) must be bit-identical to the cold
   // plan's answer.
   bool check_planner = true;
-  // Sample budget for the forced Monte-Carlo strategy (0 disables forcing
-  // montecarlo — the full default budget is too slow for fuzz loops).
-  uint64_t planner_montecarlo_samples = 4000;
   // Sweep schedule for the pipeline checks.  Kept small: the fuzzer runs
   // thousands of scenarios, and the profile DFS grows combinatorially in
   // (N, atoms) — at 8 atoms the leaf count at N=24 already exceeds the

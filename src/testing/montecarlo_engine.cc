@@ -1,7 +1,7 @@
-#include "src/engines/montecarlo_engine.h"
+#include "src/testing/montecarlo_engine.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <random>
 #include <string>
@@ -9,14 +9,15 @@
 
 #include "src/combinatorics/logmath.h"
 #include "src/core/query_context.h"
-#include "src/engines/symbolic_engine.h"
 #include "src/semantics/compile.h"
 #include "src/semantics/vm.h"
 #include "src/semantics/world.h"
 #include "src/util/thread_pool.h"
 
-namespace rwl::engines {
+namespace rwl::testing {
 namespace {
+
+using engines::FiniteResult;
 
 // The sample stream is split into a FIXED number of shards regardless of
 // the worker-pool width; each shard derives its own RNG from (seed, shard)
@@ -103,14 +104,14 @@ bool MonteCarloEngine::Supports(const QueryContext& ctx,
          options_.max_cells;
 }
 
-FiniteResult MonteCarloEngine::Sample(
-    const logic::Vocabulary& vocabulary,
-    const semantics::CompiledFormula& kb,
-    const semantics::CompiledFormula& query, int domain_size,
-    const semantics::ToleranceVector& tolerances,
-    uint64_t* accepted_out) const {
-  *accepted_out = 0;
-  if (!kb.ok() || !query.ok()) {
+FiniteResult MonteCarloEngine::DegreeAtInContext(
+    QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
+    const semantics::ToleranceVector& tolerances) const {
+  std::shared_ptr<const semantics::CompiledFormula> kb =
+      ctx.Compiled(ctx.kb());
+  std::shared_ptr<const semantics::CompiledFormula> compiled_query =
+      ctx.Compiled(query);
+  if (!kb->ok() || !compiled_query->ok()) {
     // Compile failure (user-input error): the engine gives up instead of
     // the process aborting inside the evaluator.
     FiniteResult result;
@@ -130,8 +131,9 @@ FiniteResult MonteCarloEngine::Sample(
       [&](int s) {
         const uint64_t shard_samples =
             base + (static_cast<uint64_t>(s) < remainder ? 1 : 0);
-        SampleShard(vocabulary, *kb.program, *query.program, domain_size,
-                    tolerances, options_.seed, s, shard_samples, &counts[s]);
+        SampleShard(ctx.vocabulary(), *kb->program, *compiled_query->program,
+                    domain_size, tolerances, options_.seed, s, shard_samples,
+                    &counts[s]);
       });
 
   uint64_t accepted = 0;
@@ -140,7 +142,6 @@ FiniteResult MonteCarloEngine::Sample(
     accepted += c.accepted;
     satisfying += c.satisfying;
   }
-  *accepted_out = accepted;
 
   FiniteResult result;
   if (accepted < options_.min_accepted) return result;
@@ -153,69 +154,6 @@ FiniteResult MonteCarloEngine::Sample(
   return result;
 }
 
-FiniteResult MonteCarloEngine::DegreeAtInContext(
-    QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
-    const semantics::ToleranceVector& tolerances) const {
-  uint64_t accepted = 0;
-  FiniteResult result =
-      Sample(ctx.vocabulary(), *ctx.Compiled(ctx.kb()), *ctx.Compiled(query),
-             domain_size, tolerances, &accepted);
-  // Feed the observed acceptance rate back to the planner's cost model
-  // (advisory only: it sharpens later cost predictions in this context,
-  // never the results themselves).  A cache-free context stores nothing.
-  if (ctx.caching_enabled() && !result.exhausted &&
-      options_.num_samples > 0) {
-    ctx.StoreBlob("planner.mc.acceptance|" + CacheSalt(),
-                  std::make_shared<const double>(
-                      static_cast<double>(accepted) /
-                      static_cast<double>(options_.num_samples)),
-                  sizeof(double));
-  }
-  return result;
-}
-
-CostEstimate MonteCarloEngine::EstimateCost(const QueryContext& ctx,
-                                            const logic::FormulaPtr& query,
-                                            int domain_size) const {
-  (void)query;
-  CostEstimate cost;
-  semantics::World probe(&ctx.vocabulary(), domain_size);
-  const double cells = static_cast<double>(probe.TotalPredicateCells() +
-                                           probe.TotalFunctionCells());
-  const double samples = static_cast<double>(options_.num_samples);
-  // Each sample fills every cell, then evaluates the KB (and, on
-  // acceptance, the query); cell filling dominates at realistic N.
-  cost.work = samples * std::max(cells * 0.1, 1.0);
-
-  // Acceptance-rate estimate: prefer the rate observed earlier in this
-  // context; otherwise a prior from the KB's statistical conjuncts — each
-  // ≈-constraint of width w keeps roughly a w-fraction of uniform worlds
-  // (binomial concentration makes tight defaults expensive to hit).
-  double acceptance = 0.0;
-  std::string acceptance_basis;
-  auto observed = std::static_pointer_cast<const double>(
-      ctx.LookupBlob("planner.mc.acceptance|" + CacheSalt()));
-  if (observed != nullptr) {
-    acceptance = *observed;
-    acceptance_basis = "observed acceptance";
-  } else {
-    acceptance = 1.0;
-    for (const StatStatement& stat : ctx.kb_analysis().stats) {
-      double width = std::max(stat.hi - stat.lo, 0.05);
-      acceptance *= std::min(width + 0.1, 1.0);
-    }
-    acceptance_basis = "prior acceptance from KB constraint widths";
-  }
-  acceptance = std::max(acceptance, 1e-6);
-  const double accepted = std::max(samples * acceptance, 1.0);
-  cost.error = 0.5 / std::sqrt(accepted);
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%.3g samples x %.0f cells; %s %.3g",
-                samples, cells, acceptance_basis.c_str(), acceptance);
-  cost.basis = buf;
-  return cost;
-}
-
 std::string MonteCarloEngine::CacheSalt() const {
   // num_threads is deliberately absent: the fixed shard→seed derivation
   // makes estimates bit-identical at every worker-pool width.
@@ -225,4 +163,4 @@ std::string MonteCarloEngine::CacheSalt() const {
          ";cells=" + std::to_string(options_.max_cells);
 }
 
-}  // namespace rwl::engines
+}  // namespace rwl::testing

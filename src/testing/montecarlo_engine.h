@@ -10,20 +10,23 @@
 // shrinks, which is why KBs built from near-extreme defaults (≈ 1 with
 // tiny τ) need the profile engine instead.  The result reports the
 // acceptance count so callers can judge the estimate.
-#ifndef RWL_ENGINES_MONTECARLO_ENGINE_H_
-#define RWL_ENGINES_MONTECARLO_ENGINE_H_
+//
+// The paper never samples: Pr_∞ comes from theorems, maximum entropy and
+// exact counting, so this engine is not a planner strategy.  It is a test
+// oracle, the statistical side of the differential `finite` check
+// (testing/differential.h, rwlfuzz --mc-samples, the corpus `//! mc:`
+// directive) on vocabularies the deterministic engines cover only at
+// small N.
+#ifndef RWL_TESTING_MONTECARLO_ENGINE_H_
+#define RWL_TESTING_MONTECARLO_ENGINE_H_
 
 #include <cstdint>
 
 #include "src/engines/engine.h"
 
-namespace rwl::semantics {
-struct CompiledFormula;
-}  // namespace rwl::semantics
+namespace rwl::testing {
 
-namespace rwl::engines {
-
-class MonteCarloEngine : public FiniteEngine {
+class MonteCarloEngine : public engines::FiniteEngine {
  public:
   struct Options {
     uint64_t num_samples = 200'000;
@@ -54,41 +57,21 @@ class MonteCarloEngine : public FiniteEngine {
 
   // Estimates carry binomial sampling error; differential comparisons must
   // budget for it.
-  ResultClass result_class() const override {
-    return ResultClass::kStatistical;
+  engines::ResultClass result_class() const override {
+    return engines::ResultClass::kStatistical;
   }
-
-  // Planner cost model: samples × world cells, with the predicted error
-  // from the KB acceptance rate — observed from an earlier run in this
-  // context when available (the "planner.mc.acceptance|<CacheSalt()>"
-  // blob every caching run stores), otherwise a prior from the KB's
-  // statistical conjuncts (rejection sampling degrades as Pr(KB) shrinks).
-  CostEstimate EstimateCost(const QueryContext& ctx,
-                            const logic::FormulaPtr& query,
-                            int domain_size) const override;
 
  protected:
   // Reuses the context's compiled programs for the KB and query instead of
   // recompiling per (N, ⃗τ) point when caching is on.
-  FiniteResult DegreeAtInContext(QueryContext& ctx,
-                                 const logic::FormulaPtr& query,
-                                 int domain_size,
-                                 const semantics::ToleranceVector& tolerances)
-      const override;
+  engines::FiniteResult DegreeAtInContext(
+      QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
+      const semantics::ToleranceVector& tolerances) const override;
 
  private:
-  // Draws options_.num_samples worlds; *accepted_out receives how many
-  // satisfied the KB (0 when a program failed to compile).
-  FiniteResult Sample(const logic::Vocabulary& vocabulary,
-                      const semantics::CompiledFormula& kb,
-                      const semantics::CompiledFormula& query,
-                      int domain_size,
-                      const semantics::ToleranceVector& tolerances,
-                      uint64_t* accepted_out) const;
-
   Options options_;
 };
 
-}  // namespace rwl::engines
+}  // namespace rwl::testing
 
-#endif  // RWL_ENGINES_MONTECARLO_ENGINE_H_
+#endif  // RWL_TESTING_MONTECARLO_ENGINE_H_

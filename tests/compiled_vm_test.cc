@@ -10,13 +10,13 @@
 
 #include "src/core/query_context.h"
 #include "src/engines/exact_engine.h"
-#include "src/engines/montecarlo_engine.h"
 #include "src/logic/builder.h"
 #include "src/logic/printer.h"
 #include "src/logic/transform.h"
 #include "src/semantics/compile.h"
 #include "src/semantics/evaluator.h"
 #include "src/semantics/vm.h"
+#include "src/testing/montecarlo_engine.h"
 #include "src/workload/generators.h"
 
 namespace rwl::semantics {
@@ -246,9 +246,9 @@ TEST(CompiledVm, EnginesGiveUpInsteadOfAbortingOnIllFormedInput) {
   EXPECT_TRUE(r.exhausted);
   EXPECT_FALSE(r.well_defined);
 
-  engines::MonteCarloEngine::Options options;
+  testing::MonteCarloEngine::Options options;
   options.num_samples = 100;
-  engines::MonteCarloEngine mc(options);
+  testing::MonteCarloEngine mc(options);
   r = mc.DegreeAt(ctx, open_query, 2, Tol(0.1));
   EXPECT_TRUE(r.exhausted);
   EXPECT_FALSE(r.well_defined);
@@ -287,14 +287,14 @@ TEST(CompiledVm, MonteCarloBitIdenticalAcrossThreadCounts) {
   FormulaPtr kb = Formula::ForAll("x", P("R", V("x"), V("x")));
   FormulaPtr query = P("R", C("A"), C("A"));
 
-  engines::MonteCarloEngine::Options serial_options;
+  testing::MonteCarloEngine::Options serial_options;
   serial_options.num_samples = 30'000;
   serial_options.num_threads = 1;
-  engines::MonteCarloEngine::Options pooled_options = serial_options;
+  testing::MonteCarloEngine::Options pooled_options = serial_options;
   pooled_options.num_threads = 4;
 
-  engines::MonteCarloEngine serial(serial_options);
-  engines::MonteCarloEngine pooled(pooled_options);
+  testing::MonteCarloEngine serial(serial_options);
+  testing::MonteCarloEngine pooled(pooled_options);
   QueryContext ctx(vocabulary, kb, /*caching_enabled=*/false);
   for (int n : {3, 5}) {
     engines::FiniteResult a = serial.DegreeAt(ctx, query, n, Tol(0.1));

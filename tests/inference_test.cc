@@ -1,6 +1,8 @@
 #include "src/core/inference.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -265,6 +267,61 @@ TEST(InferenceTest, OpenFormulasAnswerUnknownNamingFreeVariables) {
   }
 
   EXPECT_EQ(OpenFormulaError(closed_query, "query"), "");
+}
+
+// A symbol used at a second arity (or as a second kind) used to abort the
+// process inside Vocabulary; every KB entry point now refuses it.
+TEST(InferenceTest, SignatureConflictsAnswerUnknownNamingTheClash) {
+  const std::string clash_error =
+      "cannot declare predicate 'Hep' with arity 2: already arity 1";
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.AddParsed("#(Hep(x) ; Jaun(x))[x] ~= 0.8\nJaun(Eric)\n"));
+
+  std::string error;
+  EXPECT_FALSE(kb.AddParsed("Hep(Eric, Tom)", &error));
+  EXPECT_EQ(error, clash_error);
+  EXPECT_EQ(kb.conjuncts().size(), 2u);
+  KnowledgeBase fresh;
+  EXPECT_FALSE(fresh.AddParsed("P(A)\nP(A, B)", &error));
+  EXPECT_EQ(error, "cannot declare predicate 'P' with arity 2: already arity 1");
+  EXPECT_TRUE(fresh.conjuncts().empty());
+  EXPECT_FALSE(fresh.AddParsed("P(A)\nQ(P)", &error));
+  EXPECT_EQ(error, "cannot declare constant 'P': already a predicate");
+
+  const logic::FormulaPtr clash =
+      logic::ParseFormula("Hep(Eric, Tom)").formula;
+  const logic::FormulaPtr closed_query =
+      logic::ParseFormula("Hep(Eric)").formula;
+  for (const Answer& answer :
+       {DegreeOfBelief(kb, clash), DegreeOfBelief(kb, "Hep(Eric, Tom)"),
+        ConditionalDegreeOfBelief(kb, clash, closed_query),
+        ConditionalDegreeOfBelief(kb, closed_query, clash)}) {
+    EXPECT_EQ(answer.status, Answer::Status::kUnknown);
+    EXPECT_EQ(answer.explanation, clash_error);
+  }
+
+  const std::vector<logic::FormulaPtr> batch = {clash, closed_query};
+  const std::vector<std::string> text_batch = {"Hep(Eric, Tom)", "Hep(Eric)"};
+  for (const std::vector<Answer>& answers :
+       {DegreesOfBelief(kb, batch), DegreesOfBelief(kb, text_batch)}) {
+    ASSERT_EQ(answers.size(), 2u);
+    EXPECT_EQ(answers[0].status, Answer::Status::kUnknown);
+    EXPECT_EQ(answers[0].explanation, clash_error);
+    ASSERT_EQ(answers[1].status, Answer::Status::kPoint);
+    EXPECT_NEAR(answers[1].value, 0.8, 1e-9);
+  }
+}
+
+TEST(InferenceTest, TextQueryParseErrorAnswersUnknown) {
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.AddParsed("#(Hep(x) ; Jaun(x))[x] ~= 0.8\nJaun(Eric)\n"));
+  Answer answer = DegreeOfBelief(kb, "Hep(Eric");
+  EXPECT_EQ(answer.status, Answer::Status::kUnknown);
+  EXPECT_EQ(answer.explanation.rfind("query parse error: ", 0), 0u)
+      << answer.explanation;
+  EXPECT_EQ(DegreesOfBelief(kb, std::vector<std::string>{"Hep(Eric"})[0]
+                .explanation,
+            answer.explanation);
 }
 
 }  // namespace

@@ -86,9 +86,6 @@ TEST(PlannerTest, TraceRecordsAssessmentAndExecution) {
   ASSERT_NE(profile, nullptr);
   EXPECT_EQ(profile->action, PlanStep::Action::kNotReached);
   EXPECT_TRUE(profile->capability.applicable);
-  const PlanStep* montecarlo = FindStep(answer, "montecarlo");
-  ASSERT_NE(montecarlo, nullptr);
-  EXPECT_EQ(montecarlo->action, PlanStep::Action::kSkippedInapplicable);
 }
 
 TEST(PlannerTest, PlanCacheHitIsBitIdenticalToColdPlan) {
@@ -158,13 +155,12 @@ TEST(PlannerTest, SetOfOneRunsOnlyThatStrategy) {
   ASSERT_EQ(maxent.status, Answer::Status::kPoint);
   EXPECT_NEAR(maxent.value, 0.8, 0.02);
 
-  // The opt-in montecarlo sweep answers once it is in the set, with the
-  // requested sampling budget.
+  // Sampling is no planner strategy (the Monte-Carlo engine is a test
+  // oracle): forcing it answers like any unregistered name.
   options.strategies = StrategySet::Only("montecarlo");
-  options.montecarlo_samples = 20000;
   Answer mc = DegreeOfBelief(kb, "Hep(Eric)", options);
-  ASSERT_EQ(mc.status, Answer::Status::kPoint);
-  EXPECT_NEAR(mc.value, 0.8, 0.05);
+  EXPECT_EQ(mc.status, Answer::Status::kUnknown);
+  EXPECT_EQ(mc.explanation, "no strategy named 'montecarlo' is registered");
 }
 
 TEST(PlannerTest, SetOfOneAnswersLikeRunningTheStrategyAlone) {
@@ -186,11 +182,14 @@ TEST(PlannerTest, SetOfOneAnswersLikeRunningTheStrategyAlone) {
 // Counts the planner's calls into it; never answers.
 struct CountingStrategy : InferenceStrategy {
   std::string name() const override { return "counting"; }
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
+  engines::Capability Assess(QueryContext&, const logic::FormulaPtr&,
+                             const InferenceOptions&) const override {
     ++calls;
-    return InferenceStrategy::Assess(ctx, query, options);
+    return {true, "always"};
+  }
+  engines::CostEstimate EstimateCost(QueryContext&, const logic::FormulaPtr&,
+                                     const InferenceOptions&) const override {
+    return {1e9, 0.0, "uninformative"};
   }
   Outcome Run(QueryContext&, const logic::FormulaPtr&,
               const InferenceOptions&, Answer*) const override {
@@ -393,9 +392,7 @@ TEST(PlannerTest, CostModePicksCheapestApplicable) {
 TEST(PlannerTest, RegistryFindLooksUpByName) {
   EngineRegistry& registry = EngineRegistry::Default();
   EXPECT_NE(registry.Find("symbolic"), nullptr);
-  EXPECT_NE(registry.Find("montecarlo"), nullptr);
-  EXPECT_EQ(registry.Find("montecarlo")->result_class(),
-            engines::ResultClass::kStatistical);
+  EXPECT_EQ(registry.Find("montecarlo"), nullptr);
   EXPECT_EQ(registry.Find("no-such-engine"), nullptr);
 }
 
@@ -406,7 +403,10 @@ TEST(PlannerTest, ExplainRenderingMentionsEveryStrategy) {
   EXPECT_NE(rendered.find("mode=fidelity"), std::string::npos);
   EXPECT_NE(rendered.find("symbolic"), std::string::npos);
   EXPECT_NE(rendered.find("predicted work="), std::string::npos);
-  EXPECT_NE(rendered.find("montecarlo"), std::string::npos);
+  for (const auto& strategy : EngineRegistry::Default().Ordered()) {
+    EXPECT_NE(rendered.find(strategy->name()), std::string::npos)
+        << strategy->name();
+  }
 }
 
 // ---- defaults / evidence / calibrated strategies (PR 10) ----
@@ -507,6 +507,32 @@ TEST(PlannerTest, DefaultsFamilyAppliesToPenguinKb) {
     EXPECT_FALSE(step->capability.applicable) << name;
     EXPECT_EQ(step->capability.reason, "not in the strategy set") << name;
   }
+}
+
+TEST(PlannerTest, CachingContextAnalyzesTheDefaultsFragmentOncePerPlan) {
+  // The three defaults strategies assess and cost one shared analysis of
+  // (KB, query), memoized in the context.  Planning the same cold query
+  // with and without the family in the set differs by exactly one blob
+  // miss (the analysis, computed and stored once) and by at least five
+  // hits (the other assess/cost consults of it).
+  KnowledgeBase kb = PenguinKb();
+  logic::FormulaPtr query = logic::ParseFormula("Fly(Opus)").formula;
+  InferenceOptions with = FastOptions();
+  InferenceOptions without = FastOptions();
+  without.strategies.Remove("epsilon_semantics").Remove("klm").Remove(
+      "gmp90");
+  auto cold_plan_stats = [&](const InferenceOptions& options) {
+    QueryContext ctx = MakeQueryContext(
+        kb, std::span<const logic::FormulaPtr>(&query, 1), options);
+    Answer answer = DegreeOfBelief(ctx, query, options);
+    EXPECT_EQ(answer.status, Answer::Status::kPoint);
+    EXPECT_FALSE(answer.plan->from_cache);
+    return ctx.cache_stats();
+  };
+  const QueryContext::CacheStats family = cold_plan_stats(with);
+  const QueryContext::CacheStats rest = cold_plan_stats(without);
+  EXPECT_EQ(family.blob_misses - rest.blob_misses, 1u);
+  EXPECT_GE(family.blob_hits - rest.blob_hits, 5u);
 }
 
 TEST(PlannerTest, EvidenceStrategyCombinesByDempstersRule) {
@@ -627,7 +653,6 @@ TEST(PlannerTest, MiniFuzzPlannerDifferential) {
     options.check_planner = true;
     options.pipeline_domain_sizes = {6, 9, 12};
     options.pipeline_tolerance_scales = {1.0, 0.5};
-    options.planner_montecarlo_samples = 4000;
 
     testing::DifferentialReport report =
         testing::RunDifferential(scenario, options);

@@ -14,11 +14,11 @@
 #include "src/core/query_context.h"
 #include "src/engines/exact_engine.h"
 #include "src/engines/maxent_engine.h"
-#include "src/engines/montecarlo_engine.h"
 #include "src/engines/profile_engine.h"
 #include "src/engines/symbolic_engine.h"
 #include "src/logic/parser.h"
 #include "src/logic/transform.h"
+#include "src/testing/montecarlo_engine.h"
 
 // Live heap bytes, tracked through the replaceable global allocation
 // functions: a header in front of every block carries its size, so the
@@ -155,9 +155,9 @@ TEST(QueryContextCaching, ExactRecordReplayMatchesCacheFree) {
 
 TEST(QueryContextCaching, MonteCarloMemoMatchesCacheFree) {
   Fixture f = MakeFixture();
-  engines::MonteCarloEngine::Options options;
+  testing::MonteCarloEngine::Options options;
   options.num_samples = 20'000;
-  engines::MonteCarloEngine montecarlo(options);
+  testing::MonteCarloEngine montecarlo(options);
   semantics::ToleranceVector tol = semantics::ToleranceVector::Uniform(0.2);
 
   const int n = 8;

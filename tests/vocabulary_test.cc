@@ -56,5 +56,31 @@ TEST(Vocabulary, UnaryRelationalDetection) {
   EXPECT_FALSE(functional.IsUnaryRelational());
 }
 
+TEST(Vocabulary, ConflictsNameTheClashingDeclaration) {
+  Vocabulary vocab;
+  vocab.AddPredicate("Hep", 1);
+  vocab.AddConstant("Eric");
+  vocab.AddFunction("Father", 1);
+  EXPECT_EQ(vocab.PredicateConflict("Hep", 1), "");
+  EXPECT_EQ(vocab.PredicateConflict("Jaun", 2), "");
+  EXPECT_EQ(vocab.FunctionConflict("Father", 1), "");
+  EXPECT_EQ(vocab.PredicateConflict("Hep", 2),
+            "cannot declare predicate 'Hep' with arity 2: already arity 1");
+  EXPECT_EQ(vocab.PredicateConflict("Eric", 1),
+            "cannot declare predicate 'Eric': already a constant");
+  EXPECT_EQ(vocab.PredicateConflict("Father", 1),
+            "cannot declare predicate 'Father': already a function");
+  EXPECT_EQ(vocab.FunctionConflict("Hep", 0),
+            "cannot declare constant 'Hep': already a predicate");
+  EXPECT_EQ(vocab.FunctionConflict("Hep", 1),
+            "cannot declare function 'Hep': already a predicate");
+  EXPECT_EQ(vocab.FunctionConflict("Father", 0),
+            "cannot declare constant 'Father': already a function");
+  EXPECT_EQ(vocab.FunctionConflict("Eric", 1),
+            "cannot declare function 'Eric': already a constant");
+  EXPECT_EQ(vocab.FunctionConflict("Father", 2),
+            "cannot declare function 'Father' with arity 2: already arity 1");
+}
+
 }  // namespace
 }  // namespace rwl::logic

@@ -39,6 +39,7 @@
 #include "src/logic/parser.h"
 #include "src/logic/printer.h"
 #include "src/service/catalog.h"
+#include "src/service/protocol.h"
 #include "src/service/replica.h"
 #include "src/service/service.h"
 #include "src/service/wal.h"
@@ -173,6 +174,51 @@ TEST(WalRecoveryTest, RecoveredCatalogAnswersBitIdentically) {
   KbService::MutationResult next = recovered.Assert("kb", Marker(0));
   ASSERT_TRUE(next.ok) << next.error;
   EXPECT_GT(next.version, last_version);
+}
+
+// A symbol used at a second arity, or as a second kind, off the wire used
+// to abort the daemon inside Vocabulary.  Each refused op answers
+// "ok":false and journals nothing, and the tenant keeps answering.
+TEST(WalRecoveryTest, SignatureConflictsAreRefusedWithoutARecord) {
+  TempDir dir;
+  ServiceOptions options = SmallServiceOptions();
+  options.wal.dir = dir.path;
+  KbService durable(options);
+  std::vector<std::string> warnings;
+  std::string error;
+  ASSERT_TRUE(durable.Recover(&warnings, &error)) << error;
+
+  KbService::MutationResult load = durable.Load("bad", "P(A)\nP(A, B)\n");
+  EXPECT_FALSE(load.ok);
+  EXPECT_EQ(load.error,
+            "cannot declare predicate 'P' with arity 2: already arity 1");
+  EXPECT_NE(service::MutationResponse(1, "bad", load).find("\"ok\":false"),
+            std::string::npos);
+  EXPECT_EQ(durable.wal()->stats().appends, 0u);
+
+  ASSERT_TRUE(durable.Load("kb", kBaseKb).ok);
+  const uint64_t appends = durable.wal()->stats().appends;
+  KbService::MutationResult assert_clash = durable.Assert("kb", "P(C0, C1)");
+  EXPECT_FALSE(assert_clash.ok);
+  EXPECT_EQ(assert_clash.error,
+            "cannot declare predicate 'P' with arity 2: already arity 1");
+  EXPECT_EQ(durable.wal()->stats().appends, appends);
+
+  for (int attempt = 0; attempt < 2; ++attempt) {  // never memoized
+    KbService::QueryResult clash = durable.Query("kb", "P(C0, C1)");
+    EXPECT_FALSE(clash.ok);
+    EXPECT_EQ(clash.error,
+              "cannot declare predicate 'P' with arity 2: already arity 1");
+    EXPECT_NE(service::QueryResponse(2, clash).find("\"ok\":false"),
+              std::string::npos);
+  }
+  KbService::QueryResult as_constant = durable.Query("kb", "Q(P)");
+  EXPECT_FALSE(as_constant.ok);
+  EXPECT_EQ(as_constant.error,
+            "cannot declare constant 'P': already a predicate");
+
+  KbService::QueryResult still = durable.Query("kb", "P(C0)");
+  EXPECT_TRUE(still.ok) << still.error;
 }
 
 // ---- 2. SIGKILL mid-stream: acked prefix survives ----

@@ -393,9 +393,6 @@ GeneratedCase GenerateCase(const std::string& profile, uint64_t seed,
   generated.scenario.provenance = "seed=" + std::to_string(seed) +
                                   " case=" + std::to_string(index) +
                                   " profile=" + *chosen_profile;
-  // The sampling budget governs every Monte-Carlo comparison, including
-  // the planner check's forced-montecarlo run (0 disables it).
-  generated.options.planner_montecarlo_samples = config.mc_samples;
   ApplyCheckFilter(config.checks, &generated.options);
   return generated;
 }

@@ -23,25 +23,24 @@
 //                    with --json, adds a "plan" object per query
 //   --engine NAME    run only this strategy (fixed-n, calibrated, symbolic,
 //                    profile, epsilon_semantics, klm, gmp90, evidence,
-//                    maxent, exact, montecarlo); overrides --no-symbolic
-//                    and --montecarlo
+//                    maxent, exact); overrides --no-symbolic
 //   --interval CONF  calibrated-interval mode: report an order-statistic
 //                    interval that covers a 1-CONF-trimmed share of the
 //                    sweep series (confidence in (0,1); 0 disables)
-//   --list-engines   print each engine's name, result class and
-//                    capability on the loaded KB, then exit
+//   --list-engines   print each engine's name and capability on the
+//                    loaded KB, then exit
 //   --plan MODE      candidate order: fidelity (paper preference, the
 //                    default) or cost (cheapest predicted engine first)
 //   --deadline-ms D  per-query wall-clock deadline (engines stop between
 //                    probes; overshoot is at most one probe)
 //   --budget W       per-candidate predicted-work budget (abstract engine
 //                    work units; over-budget candidates are skipped)
-//   --montecarlo     add the opt-in Monte-Carlo sweep to the candidates
 //
 // Multiple queries are answered as one batch over a shared QueryContext:
 // the KB analyses and per-(N, τ) world enumerations run once, duplicate
 // queries are deduplicated, repeated query shapes reuse cached plans, and
 // answers print in argument order.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,15 +65,9 @@ int Usage(const char* argv0) {
                "         --explain  --engine NAME\n"
                "         --interval CONF\n"
                "         --list-engines  --plan fidelity|cost\n"
-               "         --deadline-ms D  --budget W  --montecarlo\n",
+               "         --deadline-ms D  --budget W\n",
                argv0);
   return 2;
-}
-
-const char* ResultClassName(rwl::engines::ResultClass result_class) {
-  return result_class == rwl::engines::ResultClass::kStatistical
-             ? "statistical"
-             : "deterministic";
 }
 
 // --list-engines: every registered strategy's identity and capability on
@@ -85,7 +78,7 @@ int ListEngines(const rwl::KnowledgeBase& kb,
                 const rwl::InferenceOptions& options) {
   rwl::QueryContext ctx = rwl::MakeQueryContext(
       kb, std::span<const rwl::logic::FormulaPtr>(), options);
-  std::printf("%-11s %-14s %-11s %s\n", "engine", "class", "applicable",
+  std::printf("%-17s %-11s %s\n", "engine", "applicable",
               "capability on this KB");
   for (const auto& strategy : rwl::EngineRegistry::Default().Ordered()) {
     rwl::engines::Capability cap;
@@ -101,16 +94,16 @@ int ListEngines(const rwl::KnowledgeBase& kb,
       std::snprintf(buf, sizeof(buf), "; predicted work=%.3g", cost.work);
       detail += buf;
     }
-    std::printf("%-11s %-14s %-11s %s\n", strategy->name().c_str(),
-                ResultClassName(strategy->result_class()),
+    std::printf("%-17s %-11s %s\n", strategy->name().c_str(),
                 cap.applicable ? "yes" : "no", detail.c_str());
   }
-  std::printf(
-      "(vocabulary: max arity %d, %d constants%s)\n",
-      rwl::engines::DescribeInstance(ctx.vocabulary(), nullptr)
-          .max_predicate_arity,
-      static_cast<int>(ctx.vocabulary().Constants().size()),
-      ctx.vocabulary().IsUnaryRelational() ? ", unary fragment" : "");
+  int max_arity = 0;
+  for (const auto& predicate : ctx.vocabulary().predicates()) {
+    max_arity = std::max(max_arity, predicate.arity);
+  }
+  std::printf("(vocabulary: max arity %d, %d constants%s)\n", max_arity,
+              static_cast<int>(ctx.vocabulary().Constants().size()),
+              ctx.vocabulary().IsUnaryRelational() ? ", unary fragment" : "");
   return 0;
 }
 
@@ -246,8 +239,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--budget") {
       if (++i >= argc) return Usage(argv[0]);
       options.work_budget = std::atof(argv[i]);
-    } else if (arg == "--montecarlo") {
-      options.strategies.Add("montecarlo");
     } else if (!have_kb) {
       std::ifstream file(arg);
       if (!file) {
