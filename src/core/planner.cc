@@ -277,6 +277,14 @@ std::string FormatPlanTrace(const PlanTrace& trace) {
                 trace.planning_ms, trace.total_ms,
                 trace.deadline_hit ? " [deadline hit]" : "");
   out += buf;
+  // Columns sized to this trace: positions right-aligned, names padded to
+  // the longest, so every status starts in one column.
+  const int position_width =
+      static_cast<int>(std::to_string(trace.steps.size()).size());
+  int name_width = 0;
+  for (const PlanStep& step : trace.steps) {
+    name_width = std::max(name_width, static_cast<int>(step.strategy.size()));
+  }
   int position = 0;
   for (const PlanStep& step : trace.steps) {
     ++position;
@@ -300,9 +308,11 @@ std::string FormatPlanTrace(const PlanTrace& trace) {
         status = "not reached";
         break;
     }
-    std::snprintf(buf, sizeof(buf), "  %d. %-11s %s\n", position,
-                  step.strategy.c_str(), status.c_str());
+    std::snprintf(buf, sizeof(buf), "  %*d. %-*s ", position_width, position,
+                  name_width, step.strategy.c_str());
     out += buf;
+    out += status;
+    out += '\n';
     if (step.capability.applicable) {
       std::snprintf(buf, sizeof(buf),
                     "       predicted work=%.3g err=%.3g  (%s)\n",

@@ -249,12 +249,12 @@ void QueryContext::StoreBlob(const std::string& key,
 }
 
 std::shared_ptr<const QueryContext::MemoizedAnswer> QueryContext::LookupAnswer(
-    const std::string& key) const {
+    const std::string& key, bool count_miss) const {
   if (!caching_enabled_) return nullptr;
   std::lock_guard<std::mutex> lock(impl_->answer_mutex);
   auto it = impl_->answers.find(key);
   if (it == impl_->answers.end()) {
-    ++impl_->answer_misses;
+    if (count_miss) ++impl_->answer_misses;
     return nullptr;
   }
   ++impl_->answer_hits;

@@ -245,7 +245,9 @@ class QueryContext {
   // dropped.  An answer whose PlanTrace reports deadline_hit is never
   // stored — like an exhausted FiniteResult, it reflects the execution
   // environment, not the key.  Lookup returns null (and Store is a no-op)
-  // when caching is disabled.
+  // when caching is disabled.  A lookup that misses counts in
+  // answer_misses unless `count_miss` is false (a probe whose miss is
+  // answered, and counted, by a later lookup).
   struct MemoizedAnswer {
     logic::FormulaPtr query;
     std::shared_ptr<const InferenceOptions> options;
@@ -257,7 +259,7 @@ class QueryContext {
   };
   static constexpr size_t kMaxMemoizedAnswers = 1024;
   std::shared_ptr<const MemoizedAnswer> LookupAnswer(
-      const std::string& key) const;
+      const std::string& key, bool count_miss = true) const;
   void StoreAnswer(const std::string& key,
                    std::shared_ptr<const MemoizedAnswer> entry);
   // Every entry, in the order it was stored.

@@ -428,29 +428,42 @@ size_t RetractConjuncts(
   return removed;
 }
 
-Answer AnswerOnSnapshot(const KbSnapshot& snapshot,
-                        const logic::FormulaPtr& query,
-                        const InferenceOptions& options, std::string* error) {
-  const auto start = std::chrono::steady_clock::now();
+std::string AnswerMemoKey(const logic::FormulaPtr& query,
+                          const InferenceOptions& options) {
   std::string key;
   const uint64_t query_id = query->id();
   key.append(reinterpret_cast<const char*>(&query_id), sizeof(query_id));
   AppendOptionsKey(options, &key);
-  QueryContext& context = *snapshot.context;
-  if (std::shared_ptr<const QueryContext::MemoizedAnswer> hit =
-          context.LookupAnswer(key)) {
-    Answer answer = *hit->answer;
-    auto trace = std::make_shared<PlanTrace>();
-    if (answer.plan != nullptr) {
-      trace->mode = answer.plan->mode;
-      trace->shape_fingerprint = answer.plan->shape_fingerprint;
-    }
-    trace->from_cache = true;
-    trace->from_memo = true;
-    trace->total_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    answer.plan = std::move(trace);
+  return key;
+}
+
+bool AnswerFromMemo(const KbSnapshot& snapshot, const std::string& key,
+                    bool count_miss, Answer* answer) {
+  const auto start = std::chrono::steady_clock::now();
+  std::shared_ptr<const QueryContext::MemoizedAnswer> hit =
+      snapshot.context->LookupAnswer(key, count_miss);
+  if (hit == nullptr) return false;
+  *answer = *hit->answer;
+  auto trace = std::make_shared<PlanTrace>();
+  if (answer->plan != nullptr) {
+    trace->mode = answer->plan->mode;
+    trace->shape_fingerprint = answer->plan->shape_fingerprint;
+  }
+  trace->from_cache = true;
+  trace->from_memo = true;
+  trace->total_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  answer->plan = std::move(trace);
+  return true;
+}
+
+Answer AnswerOnSnapshot(const KbSnapshot& snapshot,
+                        const logic::FormulaPtr& query,
+                        const InferenceOptions& options, std::string* error) {
+  const std::string key = AnswerMemoKey(query, options);
+  Answer answer;
+  if (AnswerFromMemo(snapshot, key, /*count_miss=*/true, &answer)) {
     return answer;
   }
   std::string conflict = logic::SymbolConflict(query, snapshot.kb.vocabulary());
@@ -464,8 +477,9 @@ Answer AnswerOnSnapshot(const KbSnapshot& snapshot,
       QueryCoveredByVocabulary(snapshot.kb.vocabulary(), query);
   // Fresh query symbols: a private context over the pinned KB (the shared
   // context's vocabulary cannot cover them) — the batch API's rule.
-  Answer answer = shared_context ? DegreeOfBelief(context, query, options)
-                                 : DegreeOfBelief(snapshot.kb, query, options);
+  QueryContext& context = *snapshot.context;
+  answer = shared_context ? DegreeOfBelief(context, query, options)
+                          : DegreeOfBelief(snapshot.kb, query, options);
   if (context.caching_enabled()) {
     context.StoreAnswer(
         key, std::make_shared<const QueryContext::MemoizedAnswer>(

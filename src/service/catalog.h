@@ -293,15 +293,28 @@ size_t RetractConjuncts(
     KnowledgeBase* kb,
     const std::function<bool(size_t, const logic::FormulaPtr&)>& drop);
 
+// The snapshot answer memo's key: the hash-consed query id plus every
+// answer-affecting option (AppendOptionsKey: work budget, plan mode, fixed
+// domain size, strategy set, interval confidence and the service-constant
+// schedule and tolerances); the deadline is not part of it.
+std::string AnswerMemoKey(const logic::FormulaPtr& query,
+                          const InferenceOptions& options);
+
+// The memo-hit half of AnswerOnSnapshot, and the lookup that
+// KbService::AnswerMemoized runs: on a hit under `key`, fills *answer with
+// the memoized answer and a fresh PlanTrace (from_cache and from_memo set,
+// no step run, total_ms the hit's own time) and returns true.  A miss
+// returns false and leaves *answer alone; it counts in the context's
+// answer_misses only with `count_miss` (a probe whose miss goes on to
+// AnswerOnSnapshot passes false, so each answered miss counts once).
+bool AnswerFromMemo(const KbSnapshot& snapshot, const std::string& key,
+                    bool count_miss, Answer* answer);
+
 // Shared by KbService and the differential `service` check: answers one
-// query against a pinned snapshot.
+// query against a pinned snapshot, on whatever thread calls it.
 //
-// The snapshot's answer memo comes first.  Its key is the hash-consed query
-// id plus every answer-affecting option (AppendOptionsKey: work budget,
-// plan mode, fixed domain size, strategy set, interval confidence and the
-// service-constant schedule and tolerances); the deadline is not part of
-// it.  A hit returns the memoized answer with a fresh PlanTrace:
-// from_cache and from_memo set, no step run, total_ms the hit's own time.
+// The snapshot's answer memo comes first (AnswerFromMemo, keyed once per
+// call by AnswerMemoKey).  A hit returns the memoized answer.
 //
 // A miss first checks the query's symbols against the snapshot's
 // signature (logic::SymbolConflict; hits skip the check, since a

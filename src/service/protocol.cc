@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
+#include <string_view>
 #include <type_traits>
 
 #include "src/core/planner.h"
@@ -294,15 +294,110 @@ bool StringArray(const Json& request, const std::string& key,
   return true;
 }
 
-// The shortest text that parses back to the same bits (std::to_chars'
-// round-trip guarantee), so a client decodes exactly the double the
-// library computed.  JSON has no NaN or infinity: those go out as null.
-std::string FormatDouble(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[32];
-  const std::to_chars_result printed =
-      std::to_chars(buf, buf + sizeof(buf), value);
-  return std::string(buf, printed.ptr);
+// A double on the wire: the shortest text that parses back to the same
+// bits (std::to_chars' round-trip guarantee), so a client decodes exactly
+// the double the library computed.  JSON has no NaN or infinity: those
+// go out as null.
+struct Double {
+  double value;
+};
+
+// A string on the wire, JSON-escaped.
+struct Escaped {
+  const std::string& text;
+};
+
+void AppendEscaped(const std::string& s, std::string* out) {
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          *out += c;
+        }
+    }
+  }
+}
+
+// Builds one reply in one reserved string, with ostream-style chaining
+// but none of ostringstream's stream and locale machinery per reply.
+class Reply {
+ public:
+  explicit Reply(size_t reserve) { out_.reserve(reserve); }
+
+  Reply& operator<<(std::string_view text) {
+    out_ += text;
+    return *this;
+  }
+  Reply& operator<<(char c) {
+    out_ += c;
+    return *this;
+  }
+  template <typename Integer,
+            typename = std::enable_if_t<std::is_integral_v<Integer>>>
+  Reply& operator<<(Integer value) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    return *this;
+  }
+  Reply& operator<<(Double number) {
+    if (!std::isfinite(number.value)) return *this << "null";
+    char buf[32];
+    out_.append(buf,
+                std::to_chars(buf, buf + sizeof(buf), number.value).ptr);
+    return *this;
+  }
+  Reply& operator<<(Escaped text) {
+    AppendEscaped(text.text, &out_);
+    return *this;
+  }
+
+  std::string Take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
+
+// One answer object without its opening brace, from "ok" to the closing
+// brace: QueryResponse writes it after `{"id":N,`, BATCH after a bare '{'.
+void AppendAnswerFields(const KbService::QueryResult& result, Reply* out) {
+  if (!result.ok) {
+    *out << "\"ok\":false,\"error\":\"" << Escaped{result.error} << "\"}";
+    return;
+  }
+  const Answer& answer = result.answer;
+  *out << "\"ok\":true";
+  if (result.snapshot != nullptr) {
+    *out << ",\"kb\":\"" << Escaped{result.snapshot->name}
+         << "\",\"version\":" << result.snapshot->version;
+  }
+  *out << ",\"status\":\"" << StatusToString(answer.status) << '"';
+  if (answer.status == Answer::Status::kPoint) {
+    *out << ",\"value\":" << Double{answer.value};
+  } else if (answer.status == Answer::Status::kInterval) {
+    *out << ",\"lo\":" << Double{answer.lo} << ",\"hi\":" << Double{answer.hi};
+  }
+  *out << ",\"method\":\"" << Escaped{answer.method} << "\",\"converged\":"
+       << (answer.converged ? "true" : "false");
+  if (answer.status == Answer::Status::kUnknown &&
+      !answer.explanation.empty()) {
+    *out << ",\"explanation\":\"" << Escaped{answer.explanation} << '"';
+  }
+  *out << ",\"latency_ms\":" << Double{result.latency_ms} << '}';
+}
+
+// Room for an answer's fixed fields and numbers plus its strings.
+size_t AnswerReserve(const KbService::QueryResult& result) {
+  return 192 + result.error.size() + result.answer.method.size() +
+         result.answer.explanation.size();
 }
 
 }  // namespace
@@ -332,23 +427,7 @@ bool ParseJson(const std::string& text, Json* out, std::string* error) {
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendEscaped(s, &out);
   return out;
 }
 
@@ -459,81 +538,50 @@ bool ParseRequest(const std::string& line, Request* out, std::string* error) {
 }
 
 std::string ErrorResponse(int64_t id, const std::string& error) {
-  std::ostringstream out;
-  out << "{\"id\":" << id << ",\"ok\":false,\"error\":\""
-      << JsonEscape(error) << "\"}";
-  return out.str();
+  Reply out(48 + error.size());
+  out << "{\"id\":" << id << ",\"ok\":false,\"error\":\"" << Escaped{error}
+      << "\"}";
+  return out.Take();
 }
 
 std::string MutationResponse(int64_t id, const std::string& kb,
                              const KbService::MutationResult& result) {
   if (!result.ok) return ErrorResponse(id, result.error);
-  std::ostringstream out;
-  out << "{\"id\":" << id << ",\"ok\":true,\"kb\":\"" << JsonEscape(kb)
-      << "\",\"version\":" << result.version << "}";
-  return out.str();
-}
-
-std::string AnswerJson(const KbService::QueryResult& result) {
-  std::ostringstream out;
-  if (!result.ok) {
-    out << "{\"ok\":false,\"error\":\"" << JsonEscape(result.error) << "\"}";
-    return out.str();
-  }
-  const Answer& answer = result.answer;
-  out << "{\"ok\":true";
-  if (result.snapshot != nullptr) {
-    out << ",\"kb\":\"" << JsonEscape(result.snapshot->name)
-        << "\",\"version\":" << result.snapshot->version;
-  }
-  out << ",\"status\":\"" << StatusToString(answer.status) << "\"";
-  if (answer.status == Answer::Status::kPoint) {
-    out << ",\"value\":" << FormatDouble(answer.value);
-  } else if (answer.status == Answer::Status::kInterval) {
-    out << ",\"lo\":" << FormatDouble(answer.lo)
-        << ",\"hi\":" << FormatDouble(answer.hi);
-  }
-  out << ",\"method\":\"" << JsonEscape(answer.method) << "\",\"converged\":"
-      << (answer.converged ? "true" : "false");
-  if (answer.status == Answer::Status::kUnknown &&
-      !answer.explanation.empty()) {
-    out << ",\"explanation\":\"" << JsonEscape(answer.explanation) << "\"";
-  }
-  out << ",\"latency_ms\":" << FormatDouble(result.latency_ms) << "}";
-  return out.str();
+  return WaitResponse(id, kb, result.version);
 }
 
 std::string QueryResponse(int64_t id, const KbService::QueryResult& result) {
   if (!result.ok) return ErrorResponse(id, result.error);
-  std::string answer = AnswerJson(result);
-  // Splice the id into the answer object: {"id":N,... }.
-  std::ostringstream out;
-  out << "{\"id\":" << id << "," << answer.substr(1);
-  return out.str();
+  Reply out(24 + AnswerReserve(result));
+  out << "{\"id\":" << id << ',';
+  AppendAnswerFields(result, &out);
+  return out.Take();
 }
 
 std::string BatchResponse(
     int64_t id, const std::vector<KbService::QueryResult>& results) {
-  std::ostringstream out;
+  size_t reserve = 48;
+  for (const auto& result : results) reserve += AnswerReserve(result);
+  Reply out(reserve);
   out << "{\"id\":" << id << ",\"ok\":true,\"answers\":[";
   for (size_t i = 0; i < results.size(); ++i) {
-    if (i > 0) out << ",";
-    out << AnswerJson(results[i]);
+    out << (i > 0 ? ",{" : "{");
+    AppendAnswerFields(results[i], &out);
   }
   out << "]}";
-  return out.str();
+  return out.Take();
 }
 
 std::string StatsResponse(int64_t id, const KbService& service,
                           const ReplicaApplier* replica) {
-  std::ostringstream out;
+  Reply out(1024);
   out << "{\"id\":" << id << ",\"ok\":true,\"kbs\":[";
   bool first = true;
   for (const auto& snapshot : service.Heads()) {
     if (!first) out << ",";
     first = false;
     QueryContext::CacheStats cache = snapshot->context->cache_stats();
-    out << "{\"name\":\"" << JsonEscape(snapshot->name)
+    out << "{\"name\":\"" << Escaped{snapshot->name}
         << "\",\"version\":" << snapshot->version
         << ",\"conjuncts\":" << snapshot->kb.conjuncts().size()
         << ",\"finite_hits\":" << cache.finite_hits
@@ -566,9 +614,9 @@ std::string StatsResponse(int64_t id, const KbService& service,
     out << ",\"wal\":{\"appends\":" << ws.appends
         << ",\"fsyncs\":" << ws.fsyncs << ",\"snapshots\":" << ws.snapshots
         << ",\"segments_deleted\":" << ws.segments_deleted
-        << ",\"fsync_p50_us\":" << FormatDouble(ws.fsync_p50_us)
-        << ",\"fsync_p99_us\":" << FormatDouble(ws.fsync_p99_us)
-        << ",\"fsync_max_us\":" << FormatDouble(ws.fsync_max_us) << "}";
+        << ",\"fsync_p50_us\":" << Double{ws.fsync_p50_us}
+        << ",\"fsync_p99_us\":" << Double{ws.fsync_p99_us}
+        << ",\"fsync_max_us\":" << Double{ws.fsync_max_us} << "}";
   }
   if (replica != nullptr) {
     out << ",\"replica\":{\"records_applied\":" << replica->records_applied()
@@ -578,34 +626,35 @@ std::string StatsResponse(int64_t id, const KbService& service,
     for (const auto& [name, versions] : replica->AppliedVersions()) {
       if (!first_kb) out << ",";
       first_kb = false;
-      out << "{\"name\":\"" << JsonEscape(name)
+      out << "{\"name\":\"" << Escaped{name}
           << "\",\"primary_version\":" << versions.primary
           << ",\"local_version\":" << versions.local << "}";
     }
     out << "]}";
   }
   out << "}";
-  return out.str();
+  return out.Take();
 }
 
 std::string ShutdownResponse(int64_t id) {
-  std::ostringstream out;
+  Reply out(40);
   out << "{\"id\":" << id << ",\"ok\":true,\"shutdown\":true}";
-  return out.str();
+  return out.Take();
 }
 
 std::string TailAckResponse(int64_t id) {
-  std::ostringstream out;
+  Reply out(40);
   out << "{\"id\":" << id << ",\"ok\":true,\"tail\":true}";
-  return out.str();
+  return out.Take();
 }
 
+// Also the mutation ack: the same {"id","ok","kb","version"} object.
 std::string WaitResponse(int64_t id, const std::string& kb,
                          uint64_t version) {
-  std::ostringstream out;
-  out << "{\"id\":" << id << ",\"ok\":true,\"kb\":\"" << JsonEscape(kb)
+  Reply out(72 + kb.size());
+  out << "{\"id\":" << id << ",\"ok\":true,\"kb\":\"" << Escaped{kb}
       << "\",\"version\":" << version << "}";
-  return out.str();
+  return out.Take();
 }
 
 }  // namespace rwl::service

@@ -132,8 +132,6 @@ struct SessionState {
 std::string ErrorResponse(int64_t id, const std::string& error);
 std::string MutationResponse(int64_t id, const std::string& kb,
                              const KbService::MutationResult& result);
-// One answer object (used standalone for QUERY, nested for BATCH).
-std::string AnswerJson(const KbService::QueryResult& result);
 std::string QueryResponse(int64_t id, const KbService::QueryResult& result);
 std::string BatchResponse(int64_t id,
                           const std::vector<KbService::QueryResult>& results);

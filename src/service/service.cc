@@ -86,21 +86,23 @@ KbCatalog::VersionHook KbService::JournalHook(WalRecord record,
                                               uint64_t* seq) {
   *seq = 0;
   ReplicationHub* hub = options_.replication;
-  // With a hub configured the hook must run even while no subscriber is
-  // attached: a TAIL bootstrap subscribes BEFORE serializing the staged
-  // state, so a record the bootstrap misses is guaranteed to be in the
-  // stream only if every version assignment publishes.
   if (wal_ == nullptr && hub == nullptr) return {};
   // Runs inside the catalog's version-assignment critical section: the
   // version is final here, and appending/publishing under the lock makes
   // journal order and ship order equal to version order.  Append only
   // buffers (the fsync happens in FinishDurable, outside the lock).
   return [this, hub, record = std::move(record), seq](uint64_t version) {
+    // Ship only once a TAIL has subscribed.  Its bootstrap subscribes
+    // BEFORE serializing the staged state, and reads that state under the
+    // catalog mutex this hook holds, so a version assigned while nobody
+    // was subscribed is in the bootstrap, and every later one is shipped.
+    const bool ship = hub != nullptr && hub->HasSubscribers();
+    if (wal_ == nullptr && !ship) return;
     WalRecord versioned = record;
     versioned.version = version;
     const std::string line = EncodeWalRecord(versioned);
     if (wal_ != nullptr) *seq = wal_->Append(versioned.kb, line);
-    if (hub != nullptr) hub->Publish(line);
+    if (ship) hub->Publish(line);
   };
 }
 
@@ -305,10 +307,6 @@ std::future<void> KbService::SubmitOnSnapshot(
       snapshot->name,
       [result, snapshot, query = parsed.formula, options, admitted, done]() {
         try {
-          // The snapshot's answer memo is consulted here, on the worker,
-          // never on the caller's thread: a hit still takes the scheduler
-          // hop, so tenants stay fair and the caller (a connection thread
-          // under rwld) does no answering work of its own.
           result->answer =
               AnswerOnSnapshot(*snapshot, query, options, &result->error);
           result->ok = result->error.empty();
@@ -364,6 +362,33 @@ KbService::QueryResult KbService::Query(const std::string& name,
       std::move(snapshot), query_text, EffectiveOptions(request), &result);
   if (future.valid()) future.wait();
   return result;
+}
+
+bool KbService::AnswerMemoized(const std::string& name,
+                               const std::string& query_text,
+                               const RequestOptions& request,
+                               QueryResult* result) {
+  const Clock::time_point start = Clock::now();
+  std::shared_ptr<const KbSnapshot> snapshot = catalog_.Get(name);
+  if (snapshot == nullptr || snapshot->version < request.min_version) {
+    return false;
+  }
+  logic::ParseResult parsed = logic::ParseFormula(query_text);
+  if (!parsed.ok() || !OpenFormulaError(parsed.formula, "query").empty()) {
+    return false;
+  }
+  Answer answer;
+  if (!AnswerFromMemo(*snapshot,
+                      AnswerMemoKey(parsed.formula, EffectiveOptions(request)),
+                      /*count_miss=*/false, &answer)) {
+    return false;
+  }
+  result->ok = true;
+  result->error.clear();
+  result->answer = std::move(answer);
+  result->snapshot = std::move(snapshot);
+  result->latency_ms = MillisSince(start);
+  return true;
 }
 
 std::vector<KbService::QueryResult> KbService::Batch(

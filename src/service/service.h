@@ -21,11 +21,16 @@
 //     read-your-writes: a connection's own acked mutations) waits for
 //     that version to publish before pinning;
 //   * a pinned version answers each (query, answer-affecting options)
-//     once: the job the scheduler runs looks the snapshot's answer memo
-//     up first (AnswerOnSnapshot, catalog.h), on the worker — never on
-//     the caller's or a connection thread — and a hit returns the
-//     memoized answer under the same bit-identity guarantee, with a plan
-//     trace marked from_memo.  A deadline-cut answer is never memoized,
+//     once: a hit on the snapshot's answer memo returns the memoized
+//     answer under the same bit-identity guarantee, with a plan trace
+//     marked from_memo.  rwld answers hits on the connection thread
+//     (AnswerMemoized below) and sends only misses to the scheduler, so a
+//     hit skips the tenant queue and is never refused as "overloaded".
+//     Query itself still looks the memo up inside the scheduled job, on a
+//     worker: in-process hits answered inline run fast enough that
+//     rwbench's warm_read, which keeps every latency sample, outgrows its
+//     memory bound, so Query takes the same probe once those samples are
+//     bounded (ROADMAP item 2).  A deadline-cut answer is never memoized,
 //     and CatalogOptions::caching_enabled = false turns the memo off with
 //     every other cache;
 //   * a BATCH pins one snapshot for all its queries;
@@ -71,9 +76,10 @@ struct ServiceOptions {
   // mutations (truncating the log), and Recover() rebuilds the catalog
   // after a crash.  Empty dir = in-memory only (the old behavior).
   WalOptions wal;
-  // Log shipping: when set, every journaled record is also published to
-  // this hub (inside the version-assignment critical section, so ship
-  // order is version order) for TAIL subscribers.  Not owned.
+  // Log shipping: when set, every mutation record is published to this
+  // hub (inside the version-assignment critical section, so ship order is
+  // version order) while a TAIL subscriber is attached; with none, no
+  // record is encoded for it.  Not owned.
   ReplicationHub* replication = nullptr;
 };
 
@@ -149,6 +155,19 @@ class KbService {
   QueryResult Query(const std::string& name, const std::string& query_text,
                     const RequestOptions& request = {});
 
+  // The memo-hit probe rwld runs before Query, on the calling thread: pins
+  // the published head (never waits) and, when its answer memo holds the
+  // query under `request`'s answer-affecting options, fills *result as
+  // Query's own hit would (ok, answer with a from_memo trace, snapshot,
+  // latency_ms) and returns true.  A hit takes no tenant queue slot, so it
+  // is never refused as "overloaded".  Returns false, leaving *result
+  // untouched, when the KB is unknown, the head is older than
+  // request.min_version, the text does not parse, the formula is open or
+  // the memo misses: Query then answers (publish grace, staged fallback
+  // and error messages included).
+  bool AnswerMemoized(const std::string& name, const std::string& query_text,
+                      const RequestOptions& request, QueryResult* result);
+
   // One pinned snapshot for the whole batch; answers in argument order.
   std::vector<QueryResult> Batch(const std::string& name,
                                  const std::vector<std::string>& queries,
@@ -201,8 +220,8 @@ class KbService {
                                                uint64_t min_version);
 
   // The version hook shared by Load/Assert/Retract: journals `record`
-  // (version filled in) and ships it to the replication hub.  Returns the
-  // WAL sequence to Sync on (0 = nothing journaled).
+  // (version filled in) and ships it to the replication hub's subscribers.
+  // Returns the WAL sequence to Sync on (0 = nothing journaled).
   KbCatalog::VersionHook JournalHook(WalRecord record, uint64_t* seq);
   // Finishes a mutation: group-commit fsync of `seq`, then snapshot
   // scheduling.  Flips result->ok to false on a durability failure.

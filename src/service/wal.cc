@@ -316,12 +316,17 @@ bool KbFromSnapshot(const WalRecord& record, KnowledgeBase* out,
   KnowledgeBase kb;
   // Symbols first, in recorded (registration) order: ids — and therefore
   // the fingerprint, compiled programs and world tables — come out
-  // identical to the snapshotted vocabulary's.
+  // identical to the snapshotted vocabulary's.  A clashing symbol list
+  // comes from a corrupt or hostile record: an error, not an abort.
   for (const auto& [name, arity] : record.predicates) {
-    kb.mutable_vocabulary().AddPredicate(name, arity);
+    if (kb.mutable_vocabulary().AddPredicate(name, arity, error) < 0) {
+      return false;
+    }
   }
   for (const auto& [name, arity] : record.functions) {
-    kb.mutable_vocabulary().AddFunction(name, arity);
+    if (kb.mutable_vocabulary().AddFunction(name, arity, error) < 0) {
+      return false;
+    }
   }
   for (const std::string& conjunct : record.conjuncts) {
     if (!kb.AddParsed(conjunct, error)) {
@@ -349,7 +354,9 @@ bool ApplyRecordToState(const WalRecord& record,
           *error = "empty constant declaration";
           return false;
         }
-        kb->mutable_vocabulary().AddConstant(constant);
+        if (kb->mutable_vocabulary().AddFunction(constant, 0, error) < 0) {
+          return false;
+        }
       }
       *state = std::move(kb);
       return true;

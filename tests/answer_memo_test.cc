@@ -9,8 +9,14 @@
 //     entries, while the deadline is not part of the key;
 //   * the per-snapshot entry cap holds, the successor mint replays at most
 //     KbCatalog::kMaxReplayedAnswers entries, and caching_enabled = false
-//     turns the memo off.
+//     turns the memo off;
+//   * KbService::AnswerMemoized (rwld's probe on the connection thread)
+//     answers only hits — the same bits as Query's hit, without a
+//     scheduler submission — and declines, without waiting, a cold memo,
+//     an unpublished min_version, a parse error, an open formula and an
+//     unknown KB, all of which Query still answers or reports.
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -296,6 +302,109 @@ TEST(AnswerMemoTest, EntryCapHolds) {
                                    std::move(cut_answer), true}));
   EXPECT_EQ(fresh.LookupAnswer("cut"), nullptr);
   EXPECT_TRUE(fresh.MemoizedAnswers().empty());
+}
+
+// What a declined probe must leave behind: nothing.
+void ExpectUntouched(const KbService::QueryResult& result) {
+  EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.error.empty()) << result.error;
+  EXPECT_EQ(result.snapshot, nullptr);
+  EXPECT_EQ(result.answer.plan, nullptr);
+}
+
+TEST(AnswerMemoTest, ProbeAnswersOnlyHitsWithQuerysBits) {
+  KbService kb_service(MemoServiceOptions());
+  ASSERT_TRUE(kb_service.Load("med", kKb, {"Tom"}).ok);
+  RequestOptions profile;
+  profile.engine = "profile";
+  RequestOptions klm;
+  klm.engine = "klm";  // inapplicable here: unknown, with an explanation
+  bool saw_explanation = false;
+  for (const RequestOptions& request : {RequestOptions{}, profile, klm}) {
+    for (const std::string query : {"Hep(Eric)", "Hep(Tom)"}) {
+      KbService::QueryResult probed;
+      EXPECT_FALSE(kb_service.AnswerMemoized("med", query, request, &probed))
+          << query << " on a cold snapshot";
+      ExpectUntouched(probed);
+
+      KbService::QueryResult asked = AskAndCheck(&kb_service, query, request);
+      ASSERT_TRUE(asked.ok) << asked.error;
+      const uint64_t submitted = kb_service.scheduler_stats().submitted;
+      ASSERT_TRUE(kb_service.AnswerMemoized("med", query, request, &probed))
+          << query;
+      EXPECT_EQ(kb_service.scheduler_stats().submitted, submitted);
+      ASSERT_TRUE(probed.ok);
+      EXPECT_TRUE(probed.error.empty());
+      ASSERT_NE(probed.snapshot, nullptr);
+      EXPECT_EQ(probed.snapshot, asked.snapshot);
+      ExpectBitIdentical(probed.answer, asked.answer, query);
+      EXPECT_EQ(probed.answer.explanation, asked.answer.explanation) << query;
+      saw_explanation =
+          saw_explanation || (probed.answer.status == Answer::Status::kUnknown &&
+                              !probed.answer.explanation.empty());
+      ASSERT_TRUE(FromMemo(probed));
+      EXPECT_TRUE(probed.answer.plan->from_cache);
+      EXPECT_TRUE(probed.answer.plan->steps.empty());
+      EXPECT_GE(probed.latency_ms, probed.answer.plan->total_ms);
+      // Query's own hit on the same key: the same bits again.
+      KbService::QueryResult hit = AskAndCheck(&kb_service, query, request);
+      ASSERT_TRUE(FromMemo(hit));
+      ExpectBitIdentical(hit.answer, probed.answer, query);
+    }
+  }
+  EXPECT_TRUE(saw_explanation);
+  // The declined probes counted no miss: each computed answer counts once.
+  const QueryContext::CacheStats stats =
+      kb_service.Snapshot("med")->context->cache_stats();
+  EXPECT_EQ(stats.answer_misses, 6u);
+  EXPECT_EQ(stats.answer_hits, 12u);
+}
+
+TEST(AnswerMemoTest, ProbeNeverWaitsForAnUnpublishedVersion) {
+  KbService kb_service(MemoServiceOptions());
+  KbService::MutationResult loaded = kb_service.Load("med", kKb, {"Tom"});
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  AskAndCheck(&kb_service, "Hep(Eric)");
+  RequestOptions ahead;
+  ahead.min_version = loaded.version + 1;
+  KbService::QueryResult probed;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(kb_service.AnswerMemoized("med", "Hep(Eric)", ahead, &probed));
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_LT(waited_ms, 10.0);  // half the 20 ms publish grace
+  ExpectUntouched(probed);
+  // The published version itself is a hit.
+  RequestOptions published;
+  published.min_version = loaded.version;
+  EXPECT_TRUE(
+      kb_service.AnswerMemoized("med", "Hep(Eric)", published, &probed));
+}
+
+TEST(AnswerMemoTest, ProbeDeclinesWhatQueryReports) {
+  KbService kb_service(MemoServiceOptions());
+  ASSERT_TRUE(kb_service.Load("med", kKb, {"Tom"}).ok);
+  struct Case {
+    const char* kb;
+    const char* query;
+    const char* error_prefix;
+  };
+  for (const Case& c :
+       {Case{"med", "Hep(", "query parse error: "},
+        Case{"med", "Hep(y)", "query has free variables: y"},
+        Case{"nosuch", "Hep(Eric)", "no knowledge base named 'nosuch'"}}) {
+    for (int attempt = 0; attempt < 2; ++attempt) {  // never memoized
+      KbService::QueryResult probed;
+      EXPECT_FALSE(kb_service.AnswerMemoized(c.kb, c.query, {}, &probed))
+          << c.query;
+      ExpectUntouched(probed);
+      KbService::QueryResult asked = kb_service.Query(c.kb, c.query);
+      EXPECT_FALSE(asked.ok) << c.query;
+      EXPECT_EQ(asked.error.rfind(c.error_prefix, 0), 0u)
+          << c.query << ": " << asked.error;
+    }
+  }
 }
 
 }  // namespace

@@ -409,6 +409,40 @@ TEST(PlannerTest, ExplainRenderingMentionsEveryStrategy) {
   }
 }
 
+// Every step's status starts in one column, however long the longest
+// strategy name and however many steps the trace has.
+TEST(PlannerTest, ExplainColumnsLineUp) {
+  KnowledgeBase kb = HepatitisKb();
+  Answer answer = DegreeOfBelief(kb, "Hep(Eric)", FastOptions());
+  ASSERT_GE(answer.plan->steps.size(), 10u);
+  const std::string rendered = FormatPlanTrace(*answer.plan);
+  std::vector<std::string> lines;
+  size_t begin = 0;
+  for (size_t end; (end = rendered.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    lines.push_back(rendered.substr(begin, end - begin));
+  }
+  std::vector<size_t> status_columns;
+  size_t dot_column = std::string::npos;
+  for (const PlanStep& step : answer.plan->steps) {
+    const std::string prefix = ". " + step.strategy + " ";
+    for (const std::string& line : lines) {
+      const size_t at = line.find(prefix);
+      if (at == std::string::npos) continue;
+      if (dot_column == std::string::npos) dot_column = at;
+      EXPECT_EQ(at, dot_column) << line;
+      const size_t status = line.find_first_not_of(' ', at + prefix.size());
+      ASSERT_NE(status, std::string::npos) << line;
+      status_columns.push_back(status);
+      break;
+    }
+  }
+  ASSERT_EQ(status_columns.size(), answer.plan->steps.size()) << rendered;
+  for (size_t column : status_columns) {
+    EXPECT_EQ(column, status_columns.front()) << rendered;
+  }
+}
+
 // ---- defaults / evidence / calibrated strategies (PR 10) ----
 
 KnowledgeBase PenguinKb() {

@@ -2,11 +2,15 @@
 // value, lo, hi — goes out as the shortest text that parses back to the
 // same bits, and a non-finite one goes out as JSON null.  Checked on
 // 10,000 seeded random doubles and on the answers for the example KBs.
+//
+// The reply serializers are pinned byte for byte by golden strings:
+// point, interval and unknown answers, errors, mutation acks and batches.
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -22,11 +26,11 @@ namespace {
 
 uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 
-// AnswerJson -> ParseJson; the decoded object.
+// QueryResponse -> ParseJson; the decoded object.
 Json RoundTrip(const KbService::QueryResult& result) {
   Json decoded;
   std::string error;
-  const std::string text = AnswerJson(result);
+  const std::string text = QueryResponse(0, result);
   EXPECT_TRUE(ParseJson(text, &decoded, &error)) << error << " in " << text;
   return decoded;
 }
@@ -154,6 +158,121 @@ TEST(ProtocolTest, ExampleKbAnswersRoundTripBitExactly) {
     }
   }
   EXPECT_GT(checked, 20u);
+}
+
+// ---- golden reply bytes ----
+
+std::shared_ptr<const KbSnapshot> GoldenSnapshot() {
+  auto snapshot = std::make_shared<KbSnapshot>();
+  snapshot->name = "med";
+  snapshot->version = 12;
+  return snapshot;
+}
+
+KbService::QueryResult GoldenPoint() {
+  KbService::QueryResult result = PointResult(0.8);
+  result.snapshot = GoldenSnapshot();
+  result.answer.method = "symbolic";
+  result.answer.converged = true;
+  result.latency_ms = 0.41;
+  return result;
+}
+
+KbService::QueryResult GoldenInterval() {
+  KbService::QueryResult result;
+  result.ok = true;
+  result.snapshot = GoldenSnapshot();
+  result.answer.status = Answer::Status::kInterval;
+  result.answer.lo = 0.25;
+  result.answer.hi = 1.0 / 3.0;
+  result.answer.method = "calibrated";
+  result.answer.converged = true;
+  result.latency_ms = 2.0;
+  return result;
+}
+
+// An unknown answer whose explanation needs every kind of escape; no
+// snapshot, so no kb/version fields.
+KbService::QueryResult GoldenUnknown() {
+  KbService::QueryResult result;
+  result.ok = true;
+  result.answer.status = Answer::Status::kUnknown;
+  result.answer.value = 0.5;  // not sent for an unknown answer
+  result.answer.method = "none";
+  result.answer.explanation = "query has \"x\"\n\tfree\\\x01";
+  result.latency_ms = -0.0;
+  return result;
+}
+
+KbService::QueryResult GoldenError() {
+  KbService::QueryResult result;
+  result.error = "overloaded: tenant queue is full";
+  return result;
+}
+
+TEST(ProtocolTest, QueryRepliesMatchGoldenBytes) {
+  EXPECT_EQ(QueryResponse(4, GoldenPoint()),
+            "{\"id\":4,\"ok\":true,\"kb\":\"med\",\"version\":12,"
+            "\"status\":\"point\",\"value\":0.8,\"method\":\"symbolic\","
+            "\"converged\":true,\"latency_ms\":0.41}");
+  EXPECT_EQ(QueryResponse(-9007199254740992, GoldenInterval()),
+            "{\"id\":-9007199254740992,\"ok\":true,\"kb\":\"med\","
+            "\"version\":12,\"status\":\"interval\",\"lo\":0.25,"
+            "\"hi\":0.3333333333333333,\"method\":\"calibrated\","
+            "\"converged\":true,\"latency_ms\":2}");
+  EXPECT_EQ(QueryResponse(0, GoldenUnknown()),
+            "{\"id\":0,\"ok\":true,\"status\":\"unknown\","
+            "\"method\":\"none\",\"converged\":false,"
+            "\"explanation\":\"query has \\\"x\\\"\\n\\tfree\\\\\\u0001\","
+            "\"latency_ms\":-0}");
+  KbService::QueryResult not_finite = GoldenPoint();
+  not_finite.answer.value = std::numeric_limits<double>::infinity();
+  not_finite.answer.converged = false;
+  EXPECT_EQ(QueryResponse(5, not_finite),
+            "{\"id\":5,\"ok\":true,\"kb\":\"med\",\"version\":12,"
+            "\"status\":\"point\",\"value\":null,\"method\":\"symbolic\","
+            "\"converged\":false,\"latency_ms\":0.41}");
+  EXPECT_EQ(QueryResponse(7, GoldenError()),
+            "{\"id\":7,\"ok\":false,"
+            "\"error\":\"overloaded: tenant queue is full\"}");
+}
+
+TEST(ProtocolTest, ErrorAndMutationRepliesMatchGoldenBytes) {
+  EXPECT_EQ(ErrorResponse(-3, "bad \"line\"\r\n"),
+            "{\"id\":-3,\"ok\":false,\"error\":\"bad \\\"line\\\"\\r\\n\"}");
+  KbService::MutationResult acked;
+  acked.ok = true;
+  acked.version = 18446744073709551615u;
+  EXPECT_EQ(MutationResponse(1, "m\"d", acked),
+            "{\"id\":1,\"ok\":true,\"kb\":\"m\\\"d\","
+            "\"version\":18446744073709551615}");
+  KbService::MutationResult refused;
+  refused.error = "no conjunct matches 'Jaun(Tom)'";
+  refused.version = 3;
+  EXPECT_EQ(MutationResponse(2, "med", refused),
+            "{\"id\":2,\"ok\":false,"
+            "\"error\":\"no conjunct matches 'Jaun(Tom)'\"}");
+}
+
+TEST(ProtocolTest, BatchReplyMatchesGoldenBytes) {
+  EXPECT_EQ(
+      BatchResponse(9, {GoldenPoint(), GoldenError(), GoldenInterval(),
+                        GoldenUnknown()}),
+      "{\"id\":9,\"ok\":true,\"answers\":["
+      "{\"ok\":true,\"kb\":\"med\",\"version\":12,\"status\":\"point\","
+      "\"value\":0.8,\"method\":\"symbolic\",\"converged\":true,"
+      "\"latency_ms\":0.41},"
+      "{\"ok\":false,\"error\":\"overloaded: tenant queue is full\"},"
+      "{\"ok\":true,\"kb\":\"med\",\"version\":12,\"status\":\"interval\","
+      "\"lo\":0.25,\"hi\":0.3333333333333333,\"method\":\"calibrated\","
+      "\"converged\":true,\"latency_ms\":2},"
+      "{\"ok\":true,\"status\":\"unknown\",\"method\":\"none\","
+      "\"converged\":false,"
+      "\"explanation\":\"query has \\\"x\\\"\\n\\tfree\\\\\\u0001\","
+      "\"latency_ms\":-0}]}");
+  EXPECT_EQ(BatchResponse(10, {GoldenError()}),
+            "{\"id\":10,\"ok\":true,\"answers\":["
+            "{\"ok\":false,\"error\":\"overloaded: tenant queue is full\"}]}");
 }
 
 }  // namespace

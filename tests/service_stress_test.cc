@@ -9,6 +9,8 @@
 //
 // Readers hit the snapshots' answer memos while writers publish: a memo
 // hit is held to the same bit-identity, and the storm must produce hits.
+// Half the reads go through rwld's path — the AnswerMemoized probe on the
+// reader's own thread, then Query on a miss — and the probe must hit too.
 //
 // Also covered here: the scheduler's admission control and round-robin
 // fairness (deterministically, with latch-blocked jobs), the catalog's
@@ -121,6 +123,7 @@ TEST(ServiceStressTest, SnapshotIsolationUnderConcurrentMutation) {
   std::atomic<int> mismatches{0};
   std::atomic<int> hard_errors{0};
   std::atomic<int> memo_hits{0};
+  std::atomic<int> probe_hits{0};
 
   // ---- 8 writers ----
   std::vector<std::thread> writers;
@@ -159,7 +162,13 @@ TEST(ServiceStressTest, SnapshotIsolationUnderConcurrentMutation) {
       const int num_queries = static_cast<int>(std::size(kQueries));
       for (int i = 0; i < reader_ops; ++i) {
         const std::string query = kQueries[rng() % num_queries];
-        KbService::QueryResult result = kb_service.Query("tenant", query);
+        KbService::QueryResult result;
+        if (i % 2 == 1 &&
+            kb_service.AnswerMemoized("tenant", query, {}, &result)) {
+          probe_hits.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          result = kb_service.Query("tenant", query);
+        }
         if (!result.ok) {
           hard_errors.fetch_add(1);
           continue;
@@ -192,6 +201,7 @@ TEST(ServiceStressTest, SnapshotIsolationUnderConcurrentMutation) {
   EXPECT_EQ(hard_errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(memo_hits.load(), 0);
+  EXPECT_GT(probe_hits.load(), 0);
 
   // ---- old pins: snapshots held across the whole storm still answer as
   // their own version, through their own (possibly cache-adopted)

@@ -221,6 +221,41 @@ TEST(WalRecoveryTest, SignatureConflictsAreRefusedWithoutARecord) {
   EXPECT_TRUE(still.ok) << still.error;
 }
 
+// A journaled or shipped record is untrusted input: WAL recovery and the
+// replica's TAIL feed both apply it through ApplyRecordToState, so a
+// record whose symbols clash is an error naming the clash, not an abort.
+TEST(WalRecoveryTest, ReplayedSignatureClashesAreErrors) {
+  WalRecord load;
+  load.op = WalRecord::Op::kLoad;
+  load.kb = "kb";
+  load.version = 1;
+  load.text = "P(A)";
+  load.declare = {"P"};
+  WalRecord snapshot;
+  snapshot.op = WalRecord::Op::kSnapshot;
+  snapshot.kb = "kb";
+  snapshot.version = 2;
+  snapshot.predicates = {{"P", 1}, {"P", 2}};
+  const std::pair<WalRecord, std::string> cases[] = {
+      {load, "cannot declare constant 'P': already a predicate"},
+      {snapshot, "cannot declare predicate 'P' with arity 2: already arity 1"},
+  };
+  for (const auto& [record, clash] : cases) {
+    std::unique_ptr<KnowledgeBase> state;
+    std::string error;
+    EXPECT_FALSE(service::ApplyRecordToState(record, &state, &error));
+    EXPECT_NE(error.find(clash), std::string::npos) << error;
+    EXPECT_EQ(state, nullptr);
+
+    KbCatalog replica_kbs;
+    ReplicaApplier applier(&replica_kbs);
+    error.clear();
+    EXPECT_FALSE(applier.ApplyLine(service::EncodeWalRecord(record), &error));
+    EXPECT_NE(error.find(clash), std::string::npos) << error;
+    EXPECT_EQ(replica_kbs.Get("kb"), nullptr);
+  }
+}
+
 // ---- 2. SIGKILL mid-stream: acked prefix survives ----
 
 TEST(WalRecoveryTest, SigkillMidStreamRecoversEveryAckedMutation) {
@@ -523,6 +558,67 @@ TEST(WalRecoveryTest, ReplicaAnswersBitIdenticallyViaVersionHandoff) {
         service::AnswerOnSnapshot(*pinned, parsed.formula, inference);
     ExpectSameAnswer(on_primary.answer, on_replica,
                      std::string("replica query ") + query);
+  }
+}
+
+// With no TAIL attached the hub ships nothing.  rwld's TAIL handshake —
+// subscribe, then bootstrap from the staged state — still hands a late
+// subscriber every version: the bootstrap holds what was assigned before
+// the subscription, and the stream carries every version after it.
+TEST(WalRecoveryTest, LateSubscriberGetsBootstrapThenEveryLaterRecord) {
+  ReplicationHub hub;
+  ServiceOptions options = SmallServiceOptions();
+  options.replication = &hub;
+  KbService primary(options);
+  ASSERT_TRUE(primary.Load("kb", kBaseKb, DeclareMarkers(8)).ok);
+  ASSERT_TRUE(primary.Assert("kb", Marker(0)).ok);
+
+  std::shared_ptr<service::ReplicationSubscription> sub = hub.Subscribe();
+  std::string line;
+  EXPECT_FALSE(sub->Next(&line, /*timeout_ms=*/0.0));  // nothing shipped
+  const KbCatalog::StagedState staged = primary.catalog()->Staged("kb");
+  ASSERT_TRUE(staged.ok);
+  KbCatalog replica_kbs;
+  ReplicaApplier applier(&replica_kbs);
+  std::string error;
+  ASSERT_TRUE(applier.ApplyLine(
+      service::EncodeWalRecord(
+          service::MakeSnapshotRecord("kb", staged.version, staged.kb)),
+      &error))
+      << error;
+
+  uint64_t acked = 0;
+  for (int i = 1; i < 4; ++i) {
+    KbService::MutationResult ack = primary.Assert("kb", Marker(i));
+    ASSERT_TRUE(ack.ok) << ack.error;
+    acked = ack.version;
+    ASSERT_TRUE(sub->Next(&line, /*timeout_ms=*/1000.0));
+    ASSERT_TRUE(applier.ApplyLine(line, &error)) << error << ": " << line;
+  }
+  EXPECT_FALSE(sub->Next(&line, /*timeout_ms=*/0.0));
+
+  uint64_t local_version = 0;
+  ASSERT_TRUE(applier.WaitForPrimaryVersion("kb", acked,
+                                            /*timeout_ms=*/1000.0,
+                                            &local_version));
+  ASSERT_TRUE(replica_kbs.WaitForVersion("kb", local_version,
+                                         /*timeout_ms=*/1000.0));
+  ASSERT_TRUE(primary.WaitForVersion("kb", acked, /*timeout_ms=*/1000.0));
+  std::shared_ptr<const service::KbSnapshot> pinned =
+      replica_kbs.GetVersion("kb", local_version);
+  ASSERT_NE(pinned, nullptr);
+  EXPECT_EQ(pinned->kb.conjuncts().size(),
+            primary.Snapshot("kb")->kb.conjuncts().size());
+  InferenceOptions inference = SmallServiceOptions().inference;
+  for (const char* query : kQueries) {
+    KbService::QueryResult on_primary = primary.Query("kb", query);
+    ASSERT_TRUE(on_primary.ok) << on_primary.error;
+    logic::ParseResult parsed = logic::ParseFormula(query);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    ExpectSameAnswer(
+        on_primary.answer,
+        service::AnswerOnSnapshot(*pinned, parsed.formula, inference),
+        std::string("late subscriber query ") + query);
   }
 }
 

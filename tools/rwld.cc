@@ -9,9 +9,13 @@
 // client thread).  Mutations ack once their WAL order is fixed; the
 // successor snapshot is minted on the catalog's background maintenance
 // worker and published atomically.  Queries pin the KB version at
-// admission and run on the shared scheduler, so a slow query on one
-// connection never blocks another connection's traffic and never sees a
-// later version than its admission point (snapshot isolation).  Each
+// admission and never see a later version than their admission point
+// (snapshot isolation).  A QUERY whose answer the pinned head has
+// memoized is answered on the connection thread
+// (KbService::AnswerMemoized) with no scheduler hop; every other query,
+// and every BATCH, runs on the shared scheduler, so a slow query on one
+// connection never blocks another connection's traffic.  (In-process
+// KbService::Query still hops for hits too; see service.h.)  Each
 // connection floors its queries' min_version at its own highest mutation
 // ack, so clients read their own writes even mid-publication (see README
 // "Running as a service").
@@ -175,12 +179,18 @@ struct Daemon {
         return ack(service.Assert(request.kb, request.text));
       case Request::Op::kRetract:
         return ack(service.Retract(request.kb, request.text));
-      case Request::Op::kQuery:
+      case Request::Op::kQuery: {
         request.options.min_version = std::max(
             request.options.min_version, session->AckedVersion(request.kb));
-        return rwl::service::QueryResponse(
-            request.id,
-            service.Query(request.kb, request.query, request.options));
+        // A memo hit is answered here, on the connection thread; only a
+        // miss takes the scheduler hop.
+        KbService::QueryResult result;
+        if (!service.AnswerMemoized(request.kb, request.query, request.options,
+                                    &result)) {
+          result = service.Query(request.kb, request.query, request.options);
+        }
+        return rwl::service::QueryResponse(request.id, result);
+      }
       case Request::Op::kBatch:
         request.options.min_version = std::max(
             request.options.min_version, session->AckedVersion(request.kb));
