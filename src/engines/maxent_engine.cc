@@ -13,7 +13,7 @@
 #include "src/logic/transform.h"
 #include "src/maxent/constraints.h"
 #include "src/maxent/solver.h"
-#include "src/semantics/evaluator.h"
+#include "src/semantics/tolerance.h"
 
 namespace rwl::engines {
 namespace {

@@ -17,7 +17,7 @@
 #include "src/engines/world_cache.h"
 #include "src/logic/classalg.h"
 #include "src/logic/transform.h"
-#include "src/semantics/evaluator.h"
+#include "src/semantics/tolerance.h"
 
 namespace rwl::engines {
 namespace {

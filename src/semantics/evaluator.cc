@@ -157,25 +157,6 @@ ExprValue EvaluateExpr(const logic::ExprPtr& e, const World& world,
   Die("unreachable expression kind");
 }
 
-bool CompareValues(double lhs, logic::CompareOp op, double rhs, double tau) {
-  using logic::CompareOp;
-  switch (op) {
-    case CompareOp::kApproxEq:
-      return lhs - rhs <= tau && rhs - lhs <= tau;
-    case CompareOp::kApproxLeq:
-      return lhs - rhs <= tau;
-    case CompareOp::kApproxGeq:
-      return rhs - lhs <= tau;
-    case CompareOp::kEq:
-      return lhs == rhs;
-    case CompareOp::kLeq:
-      return lhs <= rhs;
-    case CompareOp::kGeq:
-      return lhs >= rhs;
-  }
-  return false;
-}
-
 bool Evaluate(const logic::FormulaPtr& f, const World& world,
               const ToleranceVector& tolerances, Valuation* valuation) {
   using logic::Formula;

@@ -58,10 +58,6 @@ ExprValue EvaluateExpr(const logic::ExprPtr& e, const World& world,
 int EvaluateTerm(const logic::TermPtr& t, const World& world,
                  Valuation* valuation);
 
-// Decides `lhs op rhs` under tolerance τ (the scalar for this comparison's
-// index).  Shared with the profile engine.
-bool CompareValues(double lhs, logic::CompareOp op, double rhs, double tau);
-
 }  // namespace rwl::semantics
 
 #endif  // RWL_SEMANTICS_EVALUATOR_H_

@@ -57,4 +57,23 @@ std::string ToleranceVector::CacheKey() const {
   return key;
 }
 
+bool CompareValues(double lhs, logic::CompareOp op, double rhs, double tau) {
+  using logic::CompareOp;
+  switch (op) {
+    case CompareOp::kApproxEq:
+      return lhs - rhs <= tau && rhs - lhs <= tau;
+    case CompareOp::kApproxLeq:
+      return lhs - rhs <= tau;
+    case CompareOp::kApproxGeq:
+      return rhs - lhs <= tau;
+    case CompareOp::kEq:
+      return lhs == rhs;
+    case CompareOp::kLeq:
+      return lhs <= rhs;
+    case CompareOp::kGeq:
+      return lhs >= rhs;
+  }
+  return false;
+}
+
 }  // namespace rwl::semantics

@@ -9,6 +9,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "src/logic/formula.h"
+
 namespace rwl::semantics {
 
 class ToleranceVector {
@@ -40,6 +42,11 @@ class ToleranceVector {
   double default_value_;
   std::unordered_map<int, double> overrides_;
 };
+
+// Decides `lhs op rhs` under tolerance τ (the scalar for this comparison's
+// index): the one comparison judge of the VM, the tree-walking evaluator
+// and the maxent and profile engines.
+bool CompareValues(double lhs, logic::CompareOp op, double rhs, double tau);
 
 }  // namespace rwl::semantics
 

@@ -1,26 +1,10 @@
 #include "src/semantics/vm.h"
 
-#include "src/semantics/evaluator.h"
+#include <bit>
+
+#include "src/semantics/tolerance.h"
 
 namespace rwl::semantics {
-namespace {
-
-// Population count of one packed word.  The scalar build (RWL_SCALAR_KERNELS)
-// is the portable reference the popcount path is proven bit-identical to in
-// CI; both compute the exact bit count, so every downstream double is the
-// same either way.
-inline int PopcountWord(uint64_t x) {
-#if defined(RWL_SCALAR_KERNELS)
-  x = x - ((x >> 1) & 0x5555555555555555ull);
-  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
-  return static_cast<int>((x * 0x0101010101010101ull) >> 56);
-#else
-  return __builtin_popcountll(x);
-#endif
-}
-
-}  // namespace
 
 void EvalFrame::Prepare(const Program& program,
                         const ToleranceVector& tolerances) {
@@ -214,7 +198,7 @@ bool RunProgram(const Program& program, const World& world, EvalFrame* frame) {
         int64_t body_count = 0;
         if (ins.b < 0) {
           for (int i = 0; i < words; ++i) {
-            body_count += PopcountWord(body[i]);
+            body_count += std::popcount(body[i]);
           }
           double total = 1.0;
           total *= n;
@@ -223,8 +207,8 @@ bool RunProgram(const Program& program, const World& world, EvalFrame* frame) {
           const uint64_t* cond = packed_tables[ins.b];
           int64_t cond_count = 0;
           for (int i = 0; i < words; ++i) {
-            cond_count += PopcountWord(cond[i]);
-            body_count += PopcountWord(cond[i] & body[i]);
+            cond_count += std::popcount(cond[i]);
+            body_count += std::popcount(cond[i] & body[i]);
           }
           if (cond_count == 0) {
             vals[vt++] = {0.0, false};

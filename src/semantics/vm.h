@@ -13,10 +13,8 @@
 //
 // Unary predicates are read from the world's packed bitset columns
 // (world.h): fused unary atoms test single bits and the fused kPropUnary
-// proportion scans run as popcount-over-words kernels.
-// __builtin_popcountll is used by default; building with
-// -DRWL_SCALAR_KERNELS selects a portable scalar popcount that is
-// bit-identical by construction (CI proves it against the full suite).
+// proportion scans run as popcount-over-words kernels (std::popcount,
+// an exact bit count on every platform).
 #ifndef RWL_SEMANTICS_VM_H_
 #define RWL_SEMANTICS_VM_H_
 

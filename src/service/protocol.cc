@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <string_view>
 #include <type_traits>
 
 #include "src/core/planner.h"
@@ -294,19 +293,6 @@ bool StringArray(const Json& request, const std::string& key,
   return true;
 }
 
-// A double on the wire: the shortest text that parses back to the same
-// bits (std::to_chars' round-trip guarantee), so a client decodes exactly
-// the double the library computed.  JSON has no NaN or infinity: those
-// go out as null.
-struct Double {
-  double value;
-};
-
-// A string on the wire, JSON-escaped.
-struct Escaped {
-  const std::string& text;
-};
-
 void AppendEscaped(const std::string& s, std::string* out) {
   for (char c : s) {
     switch (c) {
@@ -326,45 +312,6 @@ void AppendEscaped(const std::string& s, std::string* out) {
     }
   }
 }
-
-// Builds one reply in one reserved string, with ostream-style chaining
-// but none of ostringstream's stream and locale machinery per reply.
-class Reply {
- public:
-  explicit Reply(size_t reserve) { out_.reserve(reserve); }
-
-  Reply& operator<<(std::string_view text) {
-    out_ += text;
-    return *this;
-  }
-  Reply& operator<<(char c) {
-    out_ += c;
-    return *this;
-  }
-  template <typename Integer,
-            typename = std::enable_if_t<std::is_integral_v<Integer>>>
-  Reply& operator<<(Integer value) {
-    char buf[24];
-    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
-    return *this;
-  }
-  Reply& operator<<(Double number) {
-    if (!std::isfinite(number.value)) return *this << "null";
-    char buf[32];
-    out_.append(buf,
-                std::to_chars(buf, buf + sizeof(buf), number.value).ptr);
-    return *this;
-  }
-  Reply& operator<<(Escaped text) {
-    AppendEscaped(text.text, &out_);
-    return *this;
-  }
-
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
 
 // One answer object without its opening brace, from "ok" to the closing
 // brace: QueryResponse writes it after `{"id":N,`, BATCH after a bare '{'.
@@ -429,6 +376,18 @@ std::string JsonEscape(const std::string& s) {
   out.reserve(s.size());
   AppendEscaped(s, &out);
   return out;
+}
+
+Reply& Reply::operator<<(Double number) {
+  if (!std::isfinite(number.value)) return *this << "null";
+  char buf[32];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), number.value).ptr);
+  return *this;
+}
+
+Reply& Reply::operator<<(Escaped text) {
+  AppendEscaped(text.text, &out_);
+  return *this;
 }
 
 bool ParseRequest(const std::string& line, Request* out, std::string* error) {

@@ -52,10 +52,14 @@
 #ifndef RWL_SERVICE_PROTOCOL_H_
 #define RWL_SERVICE_PROTOCOL_H_
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/service/service.h"
@@ -81,6 +85,50 @@ struct Json {
 bool ParseJson(const std::string& text, Json* out, std::string* error);
 
 std::string JsonEscape(const std::string& s);
+
+// A double on the wire: the shortest text that parses back to the same
+// bits (std::to_chars' round-trip guarantee), so a client decodes exactly
+// the double the library computed.  JSON has no NaN or infinity: those
+// go out as null.
+struct Double {
+  double value;
+};
+
+// A string on the wire, JSON-escaped (JsonEscape's bytes).
+struct Escaped {
+  const std::string& text;
+};
+
+// Builds one reply or WAL record in one reserved string, with
+// ostream-style chaining but none of ostringstream's stream and locale
+// machinery per line.  Integers print in decimal via std::to_chars.
+class Reply {
+ public:
+  explicit Reply(size_t reserve) { out_.reserve(reserve); }
+
+  Reply& operator<<(std::string_view text) {
+    out_ += text;
+    return *this;
+  }
+  Reply& operator<<(char c) {
+    out_ += c;
+    return *this;
+  }
+  template <typename Integer,
+            typename = std::enable_if_t<std::is_integral_v<Integer>>>
+  Reply& operator<<(Integer value) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    return *this;
+  }
+  Reply& operator<<(Double number);
+  Reply& operator<<(Escaped text);
+
+  std::string Take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
 
 struct Request {
   enum class Op {

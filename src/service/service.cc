@@ -101,7 +101,7 @@ KbCatalog::VersionHook KbService::JournalHook(WalRecord record,
     WalRecord versioned = record;
     versioned.version = version;
     const std::string line = EncodeWalRecord(versioned);
-    if (wal_ != nullptr) *seq = wal_->Append(versioned.kb, line);
+    if (wal_ != nullptr) *seq = wal_->Append(versioned.kb, version, line);
     if (ship) hub->Publish(line);
   };
 }
@@ -148,8 +148,9 @@ void KbService::SnapshotLoop() {
     std::string name = std::move(snapshot_queue_.front());
     snapshot_queue_.pop_front();
     lock.unlock();
-    // The staged tail is the authoritative post-ack state; its version
-    // bounds every record in the closed segments WriteSnapshot truncates.
+    // The staged tail is the authoritative post-ack state.  Mutations may
+    // ack past its version before the snapshot lands; WriteSnapshot keeps
+    // the segments that hold them.
     KbCatalog::StagedState staged = catalog_.Staged(name);
     if (staged.ok) {
       std::string snap_error;

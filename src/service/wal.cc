@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "src/logic/parser.h"
 #include "src/logic/printer.h"
@@ -34,14 +34,6 @@ const char* OpName(WalRecord::Op op) {
   return "?";
 }
 
-// Versions are uint64 and a JSON number is a double (53-bit mantissa), so
-// they travel as decimal strings.
-std::string U64(uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  return buf;
-}
-
 bool ParseU64(const Json* field, uint64_t* out) {
   if (field == nullptr) return false;
   if (field->type == Json::Type::kString) {
@@ -54,27 +46,6 @@ bool ParseU64(const Json* field, uint64_t* out) {
     return true;
   }
   return false;
-}
-
-void AppendStringArray(std::ostringstream* out,
-                       const std::vector<std::string>& items) {
-  *out << "[";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) *out << ",";
-    *out << "\"" << JsonEscape(items[i]) << "\"";
-  }
-  *out << "]";
-}
-
-void AppendSymbolArray(std::ostringstream* out,
-                       const std::vector<std::pair<std::string, int>>& items) {
-  *out << "[";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) *out << ",";
-    *out << "[\"" << JsonEscape(items[i].first) << "\"," << items[i].second
-         << "]";
-  }
-  *out << "]";
 }
 
 bool ParseSymbolArray(const Json* field,
@@ -129,6 +100,20 @@ void FsyncDir(const std::string& path) {
   }
 }
 
+// Writes all of `data` at `offset`; false on an error or a zero-length
+// write.
+bool WriteAll(int fd, size_t offset, std::string_view data) {
+  while (!data.empty()) {
+    const ssize_t n =
+        ::pwrite(fd, data.data(), data.size(), static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data.remove_prefix(static_cast<size_t>(n));
+    offset += static_cast<size_t>(n);
+  }
+  return true;
+}
+
 std::string SegmentName(uint64_t index) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "wal-%06" PRIu64 ".ndjson", index);
@@ -177,39 +162,56 @@ bool ListDir(const std::string& path, std::vector<std::string>* names,
 
 // ---- record encode / decode ----
 
+// Versions and fingerprints are uint64 and a JSON number is a double
+// (53-bit mantissa), so they travel as decimal strings.
 std::string EncodeWalRecord(const WalRecord& record) {
-  std::ostringstream out;
+  Reply out(96 + record.kb.size() + record.text.size());
+  auto strings = [&out](const std::vector<std::string>& items) {
+    out << '[';
+    for (size_t i = 0; i < items.size(); ++i) {
+      out << (i > 0 ? ",\"" : "\"") << Escaped{items[i]} << '"';
+    }
+    out << ']';
+  };
+  auto symbols = [&out](const std::vector<std::pair<std::string, int>>& items) {
+    out << '[';
+    for (size_t i = 0; i < items.size(); ++i) {
+      out << (i > 0 ? ",[\"" : "[\"") << Escaped{items[i].first} << "\","
+          << items[i].second << ']';
+    }
+    out << ']';
+  };
   out << "{\"op\":\"" << OpName(record.op) << "\",\"kb\":\""
-      << JsonEscape(record.kb) << "\"";
+      << Escaped{record.kb} << '"';
   if (record.op != WalRecord::Op::kDrop) {
-    out << ",\"version\":\"" << U64(record.version) << "\"";
+    out << ",\"version\":\"" << record.version << '"';
   }
   switch (record.op) {
     case WalRecord::Op::kLoad:
-      out << ",\"text\":\"" << JsonEscape(record.text) << "\"";
+      out << ",\"text\":\"" << Escaped{record.text} << '"';
       if (!record.declare.empty()) {
         out << ",\"declare\":";
-        AppendStringArray(&out, record.declare);
+        strings(record.declare);
       }
       break;
     case WalRecord::Op::kAssert:
     case WalRecord::Op::kRetract:
-      out << ",\"text\":\"" << JsonEscape(record.text) << "\"";
+      out << ",\"text\":\"" << Escaped{record.text} << '"';
       break;
     case WalRecord::Op::kSnapshot:
-      out << ",\"fingerprint\":\"" << U64(record.fingerprint) << "\"";
-      out << ",\"predicates\":";
-      AppendSymbolArray(&out, record.predicates);
+      out << ",\"fingerprint\":\"" << record.fingerprint
+          << "\",\"predicates\":";
+      symbols(record.predicates);
       out << ",\"functions\":";
-      AppendSymbolArray(&out, record.functions);
+      symbols(record.functions);
       out << ",\"conjuncts\":";
-      AppendStringArray(&out, record.conjuncts);
+      strings(record.conjuncts);
       break;
     case WalRecord::Op::kDrop:
       break;
   }
-  out << "}";
-  return out.str();
+  out << '}';
+  return out.Take();
 }
 
 bool DecodeWalRecord(const std::string& line, WalRecord* out,
@@ -450,56 +452,47 @@ KbWal::KbWal(const WalOptions& options) : options_(options) {
 }
 
 KbWal::~KbWal() {
-  // Flush every pending buffer so a clean shutdown loses nothing even
-  // when the last writer never called Sync (it always does — belt and
-  // braces for abnormal teardown order).
+  // Close every open segment through the one close path, so buffered
+  // records land and the preallocated padding is cut on a clean shutdown.
   std::map<std::string, std::shared_ptr<Writer>> writers;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     writers = writers_;
   }
   for (auto& [name, writer] : writers) {
-    std::lock_guard<std::mutex> lock(writer->mutex);
-    if (writer->fd >= 0) {
-      if (!writer->pending.empty()) {
-        ssize_t n = ::write(writer->fd, writer->pending.data(),
-                            writer->pending.size());
-        if (n > 0) writer->segment_bytes += static_cast<size_t>(n);
-      }
-      (void)!::ftruncate(writer->fd,
-                         static_cast<off_t>(writer->segment_bytes));
-      ::fsync(writer->fd);
-      ::close(writer->fd);
-      writer->fd = -1;
-    }
+    std::unique_lock<std::mutex> lock(writer->mutex);
+    CloseSegmentLocked(writer.get(), lock);
   }
 }
 
-std::shared_ptr<KbWal::Writer> KbWal::GetWriter(const std::string& kb,
-                                                bool create) {
+std::shared_ptr<KbWal::Writer> KbWal::FindWriter(const std::string& kb) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = writers_.find(kb);
+  return it != writers_.end() ? it->second : nullptr;
+}
+
+std::shared_ptr<KbWal::Writer> KbWal::GetWriter(const std::string& kb) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = writers_.find(kb);
   if (it != writers_.end()) return it->second;
-  if (!create) return nullptr;
   auto writer = std::make_shared<Writer>();
   writer->dir = options_.dir + "/" + EscapeKbName(kb);
   std::string dir_error;
   if (!EnsureDir(writer->dir, &dir_error)) return nullptr;
-  // Resume after the highest existing segment so recovery-era files are
-  // never appended to (their records may belong to an older version
-  // space).
+  // Segments already on disk predate this writer: recovery loaded them
+  // and put every new version above theirs, so any snapshot covers them.
+  // New segments resume after the highest, never appending to old ones.
   std::vector<std::string> names;
   std::string list_error;
-  uint64_t max_index = 0;
   if (ListDir(writer->dir, &names, &list_error)) {
     for (const std::string& name : names) {
       uint64_t index = 0;
       if (ParseIndexedName(name, "wal-", &index)) {
-        max_index = std::max(max_index, index);
+        writer->closed_segments[index] = 0;
+        writer->segment_index = std::max(writer->segment_index, index);
       }
     }
   }
-  writer->segment_index = max_index;  // OpenSegment pre-increments
   writers_.emplace(kb, writer);
   return writer;
 }
@@ -521,108 +514,124 @@ bool KbWal::OpenSegment(Writer* writer, std::string* error) {
   // that never waits on a jbd2 journal commit.  On ext4 that is the
   // difference between a multi-millisecond and a sub-millisecond ack-path
   // fsync tail.  The one-time cost lands here, off the per-ack path, once
-  // per segment.  Every close path truncates back to the bytes actually
+  // per segment.  The close path truncates back to the bytes actually
   // written; after a crash the NUL padding sits behind the last record
-  // and recovery skips it.  A short write is fine: appends past the
+  // and recovery skips it.  A failed write is fine: appends past the
   // preallocated region fall back to extending writes, just with a
   // slower tail.
-  {
-    std::string zeros(std::min<size_t>(options_.segment_bytes, 1 << 20),
-                      '\0');
-    size_t filled = 0;
-    while (filled < options_.segment_bytes) {
-      size_t chunk = std::min(zeros.size(), options_.segment_bytes - filled);
-      ssize_t n = ::pwrite(writer->fd, zeros.data(), chunk,
-                           static_cast<off_t>(filled));
-      if (n <= 0) break;
-      filled += static_cast<size_t>(n);
-    }
-    ::fsync(writer->fd);  // flush the padding now, not under the first ack
+  const std::string zeros(std::min<size_t>(options_.segment_bytes, 1 << 20),
+                          '\0');
+  for (size_t filled = 0; filled < options_.segment_bytes;) {
+    const std::string_view chunk = std::string_view(zeros).substr(
+        0, options_.segment_bytes - filled);
+    if (!WriteAll(writer->fd, filled, chunk)) break;
+    filled += chunk.size();
   }
+  ::fsync(writer->fd);  // flush the padding now, not under the first ack
   FsyncDir(writer->dir);  // make the new segment's name durable
   return true;
 }
 
-uint64_t KbWal::Append(const std::string& kb, const std::string& line) {
-  std::shared_ptr<Writer> writer = GetWriter(kb, /*create=*/true);
+uint64_t KbWal::Append(const std::string& kb, uint64_t version,
+                       const std::string& line) {
+  std::shared_ptr<Writer> writer = GetWriter(kb);
   if (writer == nullptr) return 0;
   std::lock_guard<std::mutex> lock(writer->mutex);
   uint64_t seq = writer->next_seq++;
   writer->pending += line;
   writer->pending += '\n';
   writer->pending_seq = seq;
+  writer->pending_version = version;
   ++writer->appends_since_snapshot;
   appends_.fetch_add(1, std::memory_order_relaxed);
   return seq;
 }
 
+bool KbWal::FlushLocked(Writer* writer, std::unique_lock<std::mutex>& lock,
+                        bool close) {
+  std::string batch;
+  batch.swap(writer->pending);
+  const uint64_t batch_seq = writer->pending_seq;
+  const uint64_t batch_version = writer->pending_version;
+  const int fd = writer->fd;
+  const size_t offset = writer->segment_bytes;
+  writer->syncing = true;
+  lock.unlock();
+
+  // Every write lands at the segment's logical end, so a failed batch
+  // leaves no hole: the next batch overwrites it, or the close cuts it.
+  const bool written = WriteAll(fd, offset, batch);
+  const size_t end = written ? offset + batch.size() : offset;
+  if (close) (void)!::ftruncate(fd, static_cast<off_t>(end));
+  const Clock::time_point fsync_start = Clock::now();
+  const bool ok = ::fdatasync(fd) == 0 && written;
+  const int saved_errno = errno;
+  if (close) {
+    ::close(fd);
+  } else {
+    fsyncs_.fetch_add(1, std::memory_order_relaxed);
+    RecordFsync(std::chrono::duration<double, std::micro>(Clock::now() -
+                                                          fsync_start)
+                    .count());
+  }
+
+  lock.lock();
+  writer->syncing = false;
+  writer->segment_bytes = end;
+  if (ok) {
+    writer->durable_seq = std::max(writer->durable_seq, batch_seq);
+  } else {
+    writer->failed_seq = std::max(writer->failed_seq, batch_seq);
+    writer->failed_errno = saved_errno;
+  }
+  if (close) {
+    writer->fd = -1;
+    writer->closed_segments[writer->segment_index] = batch_version;
+  }
+  writer->cv.notify_all();
+  return ok;
+}
+
+void KbWal::CloseSegmentLocked(Writer* writer,
+                               std::unique_lock<std::mutex>& lock) {
+  writer->cv.wait(lock, [writer] { return !writer->syncing; });
+  if (writer->fd >= 0) FlushLocked(writer, lock, /*close=*/true);
+}
+
 bool KbWal::Sync(const std::string& kb, uint64_t seq, std::string* error) {
-  std::shared_ptr<Writer> writer = GetWriter(kb, /*create=*/false);
+  std::shared_ptr<Writer> writer = FindWriter(kb);
   if (writer == nullptr) {
     *error = "no WAL writer for '" + kb + "'";
     return false;
   }
   std::unique_lock<std::mutex> lock(writer->mutex);
-  while (writer->durable_seq < seq) {
+  for (;;) {
+    if (seq <= writer->failed_seq) {
+      *error = std::string("WAL write/fsync failed: ") +
+               std::strerror(writer->failed_errno);
+      return false;
+    }
+    if (writer->durable_seq >= seq) return true;
     if (writer->syncing) {
       writer->cv.wait(lock);
       continue;
     }
     // Become the group-commit leader: take the whole pending buffer (ours
-    // and every record buffered behind us) through one write + fsync.
+    // and every record buffered behind us) through one write + fsync, and
+    // rotate once the segment exceeds the cap (the next leader opens the
+    // successor lazily).
     if (!OpenSegment(writer.get(), error)) return false;
-    std::string batch;
-    batch.swap(writer->pending);
-    const uint64_t batch_seq = writer->pending_seq;
-    const int fd = writer->fd;
-    writer->syncing = true;
-    lock.unlock();
-
-    bool write_ok = true;
-    size_t written = 0;
-    while (written < batch.size()) {
-      ssize_t n = ::write(fd, batch.data() + written, batch.size() - written);
-      if (n <= 0) {
-        write_ok = false;
-        break;
-      }
-      written += static_cast<size_t>(n);
-    }
-    const Clock::time_point fsync_start = Clock::now();
-    if (write_ok && ::fdatasync(fd) != 0) write_ok = false;
-    const double fsync_us =
-        std::chrono::duration<double, std::micro>(Clock::now() - fsync_start)
-            .count();
-    fsyncs_.fetch_add(1, std::memory_order_relaxed);
-    RecordFsync(fsync_us);
-
-    lock.lock();
-    writer->syncing = false;
-    if (!write_ok) {
-      writer->cv.notify_all();
-      *error = std::string("WAL write/fsync failed: ") + std::strerror(errno);
-      return false;
-    }
-    writer->durable_seq = std::max(writer->durable_seq, batch_seq);
-    writer->segment_bytes += batch.size();
-    // Rotate once the segment exceeds the cap; the next leader opens the
-    // successor segment lazily.  Drop any preallocated tail so closed
-    // segments end exactly at their last record.
+    if (!FlushLocked(writer.get(), lock, /*close=*/false)) continue;
     if (writer->segment_bytes >= options_.segment_bytes) {
-      (void)!::ftruncate(writer->fd,
-                         static_cast<off_t>(writer->segment_bytes));
-      ::close(writer->fd);
-      writer->fd = -1;
+      CloseSegmentLocked(writer.get(), lock);
     }
-    writer->cv.notify_all();
+    return true;
   }
-  return true;
 }
 
 bool KbWal::SnapshotDue(const std::string& kb) const {
   if (options_.snapshot_every <= 0) return false;
-  std::shared_ptr<Writer> writer =
-      const_cast<KbWal*>(this)->GetWriter(kb, /*create=*/false);
+  std::shared_ptr<Writer> writer = FindWriter(kb);
   if (writer == nullptr) return false;
   std::lock_guard<std::mutex> lock(writer->mutex);
   return writer->appends_since_snapshot >=
@@ -631,7 +640,7 @@ bool KbWal::SnapshotDue(const std::string& kb) const {
 
 bool KbWal::WriteSnapshot(const std::string& kb, uint64_t version,
                           const KnowledgeBase& state, std::string* error) {
-  std::shared_ptr<Writer> writer = GetWriter(kb, /*create=*/true);
+  std::shared_ptr<Writer> writer = GetWriter(kb);
   if (writer == nullptr) {
     *error = "cannot create WAL directory for '" + kb + "'";
     return false;
@@ -639,46 +648,16 @@ bool KbWal::WriteSnapshot(const std::string& kb, uint64_t version,
   // One snapshot at a time per KB (the service's snapshot worker is
   // single-threaded; recovery runs before it starts — this is a guard).
   std::lock_guard<std::mutex> snapshot_lock(writer->snapshot_mutex);
-
-  // Rotate first: after this point every record in a CLOSED segment was
-  // appended before `version` was staged, so the snapshot covers it and
-  // the closed segments can be deleted once the snapshot is durable.
-  uint64_t current_index;
   {
-    std::lock_guard<std::mutex> lock(writer->mutex);
-    if (writer->fd >= 0) {
-      // Pending-but-unsynced bytes belong to unacked mutations; flush so
-      // the close loses nothing (they are > version and stay replayable).
-      if (!writer->pending.empty()) {
-        size_t written = 0;
-        while (written < writer->pending.size()) {
-          ssize_t n = ::write(writer->fd, writer->pending.data() + written,
-                              writer->pending.size() - written);
-          if (n <= 0) break;
-          written += static_cast<size_t>(n);
-        }
-        // durable_seq intentionally NOT advanced: only Sync acks.
-        writer->pending.clear();
-        writer->segment_bytes += written;
-      }
-      if (writer->segment_bytes > 0) {
-        // Truncate the preallocated tail, then make the new size durable
-        // BEFORE the close: a closed mid-log segment must never carry
-        // padding (recovery tolerates padding only as a trailing run).
-        (void)!::ftruncate(writer->fd,
-                           static_cast<off_t>(writer->segment_bytes));
-        ::fdatasync(writer->fd);
-        ::close(writer->fd);
-        writer->fd = -1;
-      }
-    }
-    current_index = writer->segment_index;
+    // Close the open segment so it can be truncated once it is covered.
+    std::unique_lock<std::mutex> lock(writer->mutex);
+    CloseSegmentLocked(writer.get(), lock);
     writer->appends_since_snapshot = 0;
   }
 
   // Serialize + write to a temp file, fsync, atomic rename.
-  const std::string line = EncodeWalRecord(MakeSnapshotRecord(kb, version,
-                                                              state));
+  const std::string payload =
+      EncodeWalRecord(MakeSnapshotRecord(kb, version, state)) + "\n";
   const std::string tmp_path = writer->dir + "/snap-tmp";
   const std::string final_path = writer->dir + "/" + SnapshotName(version);
   int fd = ::open(tmp_path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0666);
@@ -686,19 +665,7 @@ bool KbWal::WriteSnapshot(const std::string& kb, uint64_t version,
     *error = "open " + tmp_path + ": " + std::strerror(errno);
     return false;
   }
-  std::string payload = line + "\n";
-  size_t written = 0;
-  bool ok = true;
-  while (written < payload.size()) {
-    ssize_t n = ::write(fd, payload.data() + written,
-                        payload.size() - written);
-    if (n <= 0) {
-      ok = false;
-      break;
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (ok && ::fsync(fd) != 0) ok = false;
+  const bool ok = WriteAll(fd, 0, payload) && ::fsync(fd) == 0;
   ::close(fd);
   if (!ok || ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     *error = "snapshot write failed: " + std::string(std::strerror(errno));
@@ -707,29 +674,37 @@ bool KbWal::WriteSnapshot(const std::string& kb, uint64_t version,
   }
   FsyncDir(writer->dir);
 
-  // Truncate: closed segments (index <= current_index, no longer open)
-  // and older snapshots are now redundant.
+  // Truncate: the closed segments the snapshot covers, and older
+  // snapshots, are now redundant.
+  std::vector<uint64_t> covered;
+  {
+    std::lock_guard<std::mutex> lock(writer->mutex);
+    auto& closed = writer->closed_segments;
+    for (auto it = closed.begin(); it != closed.end();) {
+      if (it->second <= version) {
+        covered.push_back(it->first);
+        it = closed.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (uint64_t index : covered) {
+    if (::unlink((writer->dir + "/" + SegmentName(index)).c_str()) == 0) {
+      segments_deleted_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
   std::vector<std::string> names;
   std::string list_error;
   if (ListDir(writer->dir, &names, &list_error)) {
-    uint64_t open_index;
-    {
-      std::lock_guard<std::mutex> lock(writer->mutex);
-      open_index = writer->fd >= 0 ? writer->segment_index : 0;
-    }
     for (const std::string& name : names) {
       uint64_t index = 0;
-      if (ParseIndexedName(name, "wal-", &index) &&
-          index <= current_index && index != open_index) {
-        if (::unlink((writer->dir + "/" + name).c_str()) == 0) {
-          segments_deleted_.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (ParseIndexedName(name, "snap-", &index) && index < version) {
+      if (ParseIndexedName(name, "snap-", &index) && index < version) {
         ::unlink((writer->dir + "/" + name).c_str());
       }
     }
-    FsyncDir(writer->dir);
   }
+  FsyncDir(writer->dir);
   // Counted after the truncation, with release: a stats() reader that sees
   // this snapshot also sees the segments it deleted.
   snapshots_.fetch_add(1, std::memory_order_release);
@@ -748,12 +723,8 @@ void KbWal::Remove(const std::string& kb) {
   }
   std::string dir = options_.dir + "/" + EscapeKbName(kb);
   if (writer != nullptr) {
-    std::lock_guard<std::mutex> lock(writer->mutex);
-    if (writer->fd >= 0) {
-      ::close(writer->fd);
-      writer->fd = -1;
-    }
-    dir = writer->dir;
+    std::unique_lock<std::mutex> lock(writer->mutex);
+    CloseSegmentLocked(writer.get(), lock);
   }
   std::vector<std::string> names;
   std::string list_error;

@@ -22,10 +22,15 @@
 // the serialized conjunct list plus the exact vocabulary — symbols in
 // registration order, so reconstruction reproduces every symbol id and
 // the vocabulary fingerprint verifies it.  Snapshots are written off the
-// ack path (KbService's snapshot worker) and truncate the log: once
-// snap-<V> is durable, every closed segment is deleted (all of their
-// records have version <= V by construction — the snapshot is taken from
-// the staged tail AFTER rotating the segment).
+// ack path (KbService's snapshot worker) and truncate the log by version:
+// once snap-<V> is durable, every closed segment whose last record is at
+// or below V is deleted.  A segment holding any newer record stays, and
+// recovery skips its records the snapshot covers.
+//
+// One owner per open segment: a Sync leader or the one close path, never
+// both.  The close path waits out an in-flight group commit, then writes
+// what is buffered, cuts the preallocated tail, fdatasyncs and closes;
+// size-cap rotation, snapshots, DROP and shutdown all go through it.
 //
 // Recovery = newest snapshot + replay of newer records, tolerating a torn
 // final record (a crash mid-append loses only the never-acked suffix).
@@ -135,30 +140,37 @@ class KbWal {
   const std::string& init_error() const { return init_error_; }
   const WalOptions& options() const { return options_; }
 
-  // Buffers one encoded record for `kb` (creating its log on first use)
-  // and returns the per-KB sequence to pass to Sync; 0 on failure.  The
-  // caller provides the already-encoded line so the hub publish path can
-  // share the encoding.
-  uint64_t Append(const std::string& kb, const std::string& line);
+  // Buffers one encoded record of `kb` at catalog `version` (creating its
+  // log on first use) and returns the per-KB sequence to pass to Sync; 0
+  // on failure.  Callers append each KB's records in version order (the
+  // catalog's version hook does).  The caller provides the already-encoded
+  // line so the hub publish path can share the encoding.
+  uint64_t Append(const std::string& kb, uint64_t version,
+                  const std::string& line);
 
   // Group commit: returns once every buffered record of `kb` up to `seq`
   // is written and fsync'd.  One concurrent caller becomes the leader and
   // pays the fsync; the rest wait for the durable sequence to cover them.
+  // False when a write or fsync that carried `seq` failed.
   bool Sync(const std::string& kb, uint64_t seq, std::string* error);
 
   // True when `kb` has journaled at least `snapshot_every` records since
   // its last snapshot (always false when snapshots are disabled).
   bool SnapshotDue(const std::string& kb) const;
 
-  // Writes a durable snapshot of `state` at `version` and truncates: the
-  // active segment is rotated first, then every closed segment is deleted
-  // (their records are all <= version when `state`/`version` come from
-  // the catalog's staged tail), along with older snapshot files.
+  // Writes a durable snapshot of `state` at `version`, closing the open
+  // segment first, then deletes the closed segments it covers: those
+  // whose last record is at or below `version`, and those this writer
+  // found on disk (they predate every version assigned since recovery,
+  // and the recovered state includes them).  Older snapshot files go too.
+  // `state` must hold every record at or below `version`; records above
+  // it may be journaled concurrently and are kept.
   bool WriteSnapshot(const std::string& kb, uint64_t version,
                      const KnowledgeBase& state, std::string* error);
 
   // Deletes every durable trace of `kb` (DROP semantics: a KB either has
-  // a directory — not dropped — or none).
+  // a directory — not dropped — or none).  The open segment is closed
+  // through the one close path first, so an in-flight Sync finishes.
   void Remove(const std::string& kb);
 
   WalStats stats() const;
@@ -192,15 +204,31 @@ class KbWal {
     size_t segment_bytes = 0;    // bytes written to the open segment
     uint64_t next_seq = 1;
     uint64_t durable_seq = 0;
+    uint64_t failed_seq = 0;     // highest seq a failed write/fsync carried
+    int failed_errno = 0;
     uint64_t pending_seq = 0;    // seq of the last buffered record
+    uint64_t pending_version = 0;  // catalog version of that record
     std::string pending;         // encoded lines awaiting the next fsync
-    bool syncing = false;        // a group-commit leader is flushing
+    bool syncing = false;        // a flush owns the fd (mutex released)
+    // Closed segments still on disk -> catalog version of their last
+    // record (0 for segments found on disk at startup).
+    std::map<uint64_t, uint64_t> closed_segments;
     uint64_t appends_since_snapshot = 0;
     std::mutex snapshot_mutex;   // serializes WriteSnapshot
   };
 
-  std::shared_ptr<Writer> GetWriter(const std::string& kb, bool create);
+  std::shared_ptr<Writer> FindWriter(const std::string& kb) const;
+  std::shared_ptr<Writer> GetWriter(const std::string& kb);  // creates
   bool OpenSegment(Writer* writer, std::string* error);  // writer->mutex held
+  // Writes every buffered record at the end of the open segment and
+  // fdatasyncs; with `close`, also cuts the preallocated tail and closes.
+  // The caller holds `lock`, no flush is in flight and the segment is
+  // open; the I/O runs with the mutex released and `syncing` set.
+  bool FlushLocked(Writer* writer, std::unique_lock<std::mutex>& lock,
+                   bool close);
+  // The one close path: waits until no flush is in flight, then closes
+  // the open segment (if any) through FlushLocked.
+  void CloseSegmentLocked(Writer* writer, std::unique_lock<std::mutex>& lock);
   void RecordFsync(double micros);
 
   WalOptions options_;

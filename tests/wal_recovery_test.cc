@@ -7,11 +7,13 @@
 // catalog with the same history; (2) a torn final record (the crash cut
 // an append short) is dropped silently, losing only the never-acked
 // suffix; (3) snapshots truncate the log without changing the recovered
-// state; (4) acks never wait on the maintenance queue (the 775 ms stall
-// regression: with the worker paused, hundreds of mutations must all ack
-// immediately, coalescing into one successor build); (5) a log-shipping
-// replica fed through the service's real publish hook answers
-// bit-identically to the primary via the version-vector handoff.
+// state, even while mutations keep acking, segments rotate and group
+// commits are in flight; (4) acks never wait on the maintenance queue
+// (the 775 ms stall regression: with the worker paused, hundreds of
+// mutations must all ack immediately, coalescing into one successor
+// build); (5) a log-shipping replica fed through the service's real
+// publish hook answers bit-identically to the primary via the
+// version-vector handoff.
 //
 // The SIGKILL test forks: the child runs its own service over the shared
 // WAL dir and reports each ack over a pipe; the parent kills it at an
@@ -25,12 +27,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +129,48 @@ void ExpectServicesAgree(KbService* expected, KbService* actual,
     ExpectSameAnswer(lhs.answer, rhs.answer,
                      where + " query " + std::string(query));
   }
+}
+
+// Journals one record through `wal` and waits for its fsync.
+void AppendAndSync(KbWal* wal, const WalRecord& record) {
+  const uint64_t seq =
+      wal->Append(record.kb, record.version, service::EncodeWalRecord(record));
+  ASSERT_NE(seq, 0u);
+  std::string error;
+  ASSERT_TRUE(wal->Sync(record.kb, seq, &error)) << error;
+}
+
+WalRecord MutationRecord(WalRecord::Op op, uint64_t version,
+                         const std::string& text) {
+  WalRecord record;
+  record.op = op;
+  record.kb = "kb";
+  record.version = version;
+  record.text = text;
+  return record;
+}
+
+// Printed conjuncts of one recovered KB, or a test failure.
+std::vector<std::string> RecoverConjuncts(const std::string& dir,
+                                          uint64_t* version) {
+  std::vector<KbWal::RecoveredKb> recovered;
+  std::vector<std::string> warnings;
+  uint64_t max_version = 0;
+  std::string error;
+  EXPECT_TRUE(
+      KbWal::Recover(dir, &recovered, &max_version, &warnings, &error))
+      << error;
+  for (const std::string& warning : warnings) ADD_FAILURE() << warning;
+  std::vector<std::string> conjuncts;
+  if (recovered.size() != 1) {
+    ADD_FAILURE() << "recovered " << recovered.size() << " KBs, want 1";
+    return conjuncts;
+  }
+  *version = recovered[0].version;
+  for (const auto& conjunct : recovered[0].kb.conjuncts()) {
+    conjuncts.push_back(logic::ToString(conjunct));
+  }
+  return conjuncts;
 }
 
 // ---- 1. durable ack + clean recovery ----
@@ -253,6 +301,60 @@ TEST(WalRecoveryTest, ReplayedSignatureClashesAreErrors) {
     EXPECT_FALSE(applier.ApplyLine(service::EncodeWalRecord(record), &error));
     EXPECT_NE(error.find(clash), std::string::npos) << error;
     EXPECT_EQ(replica_kbs.Get("kb"), nullptr);
+  }
+}
+
+// The record format is the on-disk and replication wire format: its
+// bytes are pinned exactly, escapes and 64-bit decimal strings included.
+TEST(WalRecoveryTest, RecordBytesAreGolden) {
+  WalRecord load = MutationRecord(WalRecord::Op::kLoad, 1, "P(A)\nQ(B)");
+  load.declare = {"C", "D\"E"};
+  WalRecord assert_record = MutationRecord(WalRecord::Op::kAssert,
+                                           18446744073709551615ull, "P(C)");
+  assert_record.kb = "a/b \"c\"";
+  const WalRecord retract = MutationRecord(WalRecord::Op::kRetract, 3, "P(A)");
+  WalRecord snapshot;
+  snapshot.op = WalRecord::Op::kSnapshot;
+  snapshot.kb = "kb";
+  snapshot.version = 42;
+  snapshot.fingerprint = 12345678901234567890ull;
+  snapshot.predicates = {{"P", 1}, {"Q", 2}};
+  snapshot.functions = {{"A", 0}, {"f", 1}};
+  snapshot.conjuncts = {"P(A)", "say \"hi\"\t\\", std::string("\x01\r", 2)};
+  WalRecord drop;
+  drop.op = WalRecord::Op::kDrop;
+  drop.kb = "kb";
+  const std::pair<WalRecord, std::string> cases[] = {
+      {load,
+       R"j({"op":"LOAD","kb":"kb","version":"1","text":"P(A)\nQ(B)",)j"
+       R"j("declare":["C","D\"E"]})j"},
+      {assert_record,
+       R"j({"op":"ASSERT","kb":"a/b \"c\"","version":"18446744073709551615",)j"
+       R"j("text":"P(C)"})j"},
+      {retract, R"j({"op":"RETRACT","kb":"kb","version":"3","text":"P(A)"})j"},
+      {snapshot,
+       R"j({"op":"SNAPSHOT","kb":"kb","version":"42",)j"
+       R"j("fingerprint":"12345678901234567890",)j"
+       R"j("predicates":[["P",1],["Q",2]],"functions":[["A",0],["f",1]],)j"
+       R"j("conjuncts":["P(A)","say \"hi\"\t\\","\u0001\r"]})j"},
+      {drop, R"j({"op":"DROP","kb":"kb"})j"},
+  };
+  for (const auto& [record, golden] : cases) {
+    const std::string line = service::EncodeWalRecord(record);
+    EXPECT_EQ(line, golden);
+    WalRecord decoded;
+    std::string error;
+    ASSERT_TRUE(service::DecodeWalRecord(line, &decoded, &error)) << error;
+    EXPECT_EQ(decoded.op, record.op);
+    EXPECT_EQ(decoded.kb, record.kb);
+    EXPECT_EQ(decoded.version, record.version);
+    EXPECT_EQ(decoded.text, record.text);
+    EXPECT_EQ(decoded.declare, record.declare);
+    EXPECT_EQ(decoded.predicates, record.predicates);
+    EXPECT_EQ(decoded.functions, record.functions);
+    EXPECT_EQ(decoded.conjuncts, record.conjuncts);
+    EXPECT_EQ(decoded.fingerprint, record.fingerprint);
+    EXPECT_EQ(service::EncodeWalRecord(decoded), golden);
   }
 }
 
@@ -441,6 +543,111 @@ TEST(WalRecoveryTest, SnapshotTruncationPreservesRecoveredState) {
     ASSERT_TRUE(oracle.Assert("kb", Marker(i)).ok);
   }
   ExpectServicesAgree(&oracle, &recovered, "kb", "after truncation");
+}
+
+// The snapshot worker reads the staged state (version v), releases the
+// catalog, then writes the snapshot; a mutation acked in between is at
+// v + 1 and lies in the segment the snapshot rotates.  Truncation must
+// keep that segment: its last record is newer than the snapshot.
+TEST(WalRecoveryTest, SnapshotKeepsRecordsAckedAfterItsVersion) {
+  TempDir dir;
+  service::WalOptions options;
+  options.dir = dir.path;
+  KbWal wal(options);
+  const WalRecord load = MutationRecord(WalRecord::Op::kLoad, 1, "P(C0)");
+  AppendAndSync(&wal, load);
+  AppendAndSync(&wal, MutationRecord(WalRecord::Op::kAssert, 2, "P(C1)"));
+
+  std::unique_ptr<KnowledgeBase> at_v1;
+  std::string error;
+  ASSERT_TRUE(service::ApplyRecordToState(load, &at_v1, &error)) << error;
+  ASSERT_TRUE(wal.WriteSnapshot("kb", 1, *at_v1, &error)) << error;
+
+  uint64_t version = 0;
+  const std::vector<std::string> conjuncts =
+      RecoverConjuncts(dir.path, &version);
+  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(conjuncts, (std::vector<std::string>{"P(C0)", "P(C1)"}));
+}
+
+// Writers append + sync distinct markers while segments rotate every few
+// records and a snapshotter keeps writing states captured before the
+// latest acks.  Every acked record must survive recovery.
+TEST(WalRecoveryTest, ConcurrentSyncsRotationsAndSnapshotsKeepEveryAck) {
+  TempDir dir;
+  service::WalOptions options;
+  options.dir = dir.path;
+  options.segment_bytes = 256;
+  KbWal wal(options);
+  const int kWriters = 4;
+  const int kPerWriter = 24;
+
+  // Stands in for the catalog's version-assignment critical section:
+  // versions are assigned, applied to the staged state and appended in
+  // one order.
+  std::mutex staged_mutex;
+  uint64_t staged_version = 1;
+  KnowledgeBase staged;
+  const WalRecord load = MutationRecord(WalRecord::Op::kLoad, 1, "Q(D)");
+  ASSERT_TRUE(staged.AddParsed(load.text, nullptr));
+  AppendAndSync(&wal, load);
+
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::vector<std::string>> acked(kWriters);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        const std::string marker =
+            "P(C" + std::to_string(t * kPerWriter + i) + ")";
+        uint64_t seq = 0;
+        {
+          std::lock_guard<std::mutex> lock(staged_mutex);
+          staged.AddParsed(marker, nullptr);
+          const WalRecord record = MutationRecord(
+              WalRecord::Op::kAssert, ++staged_version, marker);
+          seq = wal.Append("kb", record.version,
+                           service::EncodeWalRecord(record));
+        }
+        std::string error;
+        if (seq != 0 && wal.Sync("kb", seq, &error)) {
+          acked[t].push_back(marker);
+        } else {
+          ADD_FAILURE() << "ack of " << marker << " failed: " << error;
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  int snapshots = 0;
+  while (writers_left.load() > 0) {
+    uint64_t version;
+    KnowledgeBase state;
+    {
+      std::lock_guard<std::mutex> lock(staged_mutex);
+      version = staged_version;
+      state = staged;
+    }
+    std::this_thread::yield();  // let later acks land first
+    std::string error;
+    EXPECT_TRUE(wal.WriteSnapshot("kb", version, state, &error)) << error;
+    ++snapshots;
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_GE(snapshots, 1);
+  EXPECT_GE(wal.stats().segments_deleted, 1u) << "no snapshot truncated";
+
+  uint64_t version = 0;
+  const std::vector<std::string> conjuncts =
+      RecoverConjuncts(dir.path, &version);
+  EXPECT_EQ(version, staged_version);
+  for (const std::vector<std::string>& markers : acked) {
+    for (const std::string& marker : markers) {
+      EXPECT_TRUE(std::find(conjuncts.begin(), conjuncts.end(), marker) !=
+                  conjuncts.end())
+          << "acked " << marker << " was not recovered";
+    }
+  }
 }
 
 // ---- 5. the 775 ms stall regression: acks never wait on maintenance ----

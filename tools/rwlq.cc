@@ -54,6 +54,7 @@
 #include "src/core/knowledge_base.h"
 #include "src/core/planner.h"
 #include "src/logic/parser.h"
+#include "src/service/protocol.h"
 
 namespace {
 
@@ -123,22 +124,9 @@ const char* StepActionName(rwl::PlanStep::Action action) {
   return "?";
 }
 
-// Backslash-escapes quotes/backslashes and hides control bytes; the mode
-// string embeds the user-supplied --engine name, so it cannot be printed
-// verbatim into JSON.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
+// The mode string embeds the user-supplied --engine name, so it cannot be
+// printed verbatim into JSON.
+using rwl::service::JsonEscape;
 
 void PrintPlanJson(const rwl::PlanTrace& trace) {
   std::printf(", \"plan\": {\"mode\": \"%s\", \"cache\": %s, "
