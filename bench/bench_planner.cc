@@ -8,8 +8,8 @@
 //     produced a final answer,
 //   * the planner's wall time in cost mode (cheapest-predicted-first) —
 //     plan-quality ratio = planner time / best forced time,
-//   * the planning overhead (assessment + scoring) cold and on plan-cache
-//     hits, and
+//   * the planning overhead (summed Assess + EstimateCost time; a cost
+//     plan assesses every candidate) cold and on plan-cache hits, and
 //   * deadline conformance: with a deadline set, the elapsed time never
 //     exceeds the deadline by more than the final candidate's own probe
 //     (plus scheduling slack).

@@ -12,12 +12,10 @@
 //
 // and additionally reports, per (KB, query), a Capability (can it apply at
 // all?) and a CostEstimate (how much work would an answer take?).  The
-// planner assesses every registered strategy in the options' StrategySet
-// (the rest are never assessed), orders the applicable ones —
-// by the paper's fidelity preference or by predicted cost — executes under
-// the per-query deadline/work budget of InferenceOptions, falls back
-// adaptively when an engine exhausts its budget, and caches the plan in
-// the QueryContext for repeated traffic.
+// planner (core/planner.h) orders the strategies in the options'
+// StrategySet (the rest are never assessed), assesses each only when its
+// order needs it, executes under the per-query deadline/work budget and
+// caches its assessments in the QueryContext for repeated traffic.
 //
 // Registration priority doubles as the fidelity rank: lower priority =
 // preferred at equal applicability.  The default registry holds ten
@@ -33,10 +31,12 @@
 #ifndef RWL_CORE_ENGINE_REGISTRY_H_
 #define RWL_CORE_ENGINE_REGISTRY_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/inference.h"
@@ -99,25 +99,29 @@ class EngineRegistry {
   void Register(int priority,
                 std::shared_ptr<const InferenceStrategy> strategy);
 
-  // Strategies in fidelity (registration-priority) order.
-  std::vector<std::shared_ptr<const InferenceStrategy>> Ordered() const;
+  // The strategies in registration-priority order and a fingerprint of
+  // their names (the plan cache keys on it): an immutable snapshot that
+  // every Register replaces, so a reader copies one pointer per query.
+  struct Snapshot {
+    std::vector<std::shared_ptr<const InferenceStrategy>> ordered;
+    uint64_t fingerprint = 0;
+  };
+  std::shared_ptr<const Snapshot> snapshot() const;
 
   // The strategy registered under `name`, or null.
-  std::shared_ptr<const InferenceStrategy> Find(const std::string& name)
-      const;
+  std::shared_ptr<const InferenceStrategy> Find(std::string_view name) const;
 
-  // Plans and executes: assesses capability and cost of every registered
-  // strategy in options.strategies, orders candidates (paper preference or
-  // predicted cost), honors options.deadline_ms / work_budget, reuses
-  // cached plans from the context, and attaches a structured plan trace to
-  // the answer.  A partial interval survives as the fallback answer, otherwise
-  // kUnknown.
+  // Plans and executes the query (PlanAndExecute, core/planner.h) and
+  // attaches a structured plan trace to the answer.  A partial interval
+  // survives as the fallback answer, otherwise kUnknown.
   Answer Infer(QueryContext& ctx, const logic::FormulaPtr& query,
                const InferenceOptions& options) const;
 
  private:
   mutable std::mutex mutex_;
   std::multimap<int, std::shared_ptr<const InferenceStrategy>> strategies_;
+  std::shared_ptr<const Snapshot> snapshot_ =
+      std::make_shared<const Snapshot>();
 };
 
 }  // namespace rwl

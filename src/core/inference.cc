@@ -18,6 +18,7 @@
 #include "src/engines/symbolic_engine.h"
 #include "src/evidence/combination.h"
 #include "src/evidence/dempster.h"
+#include "src/logic/intern.h"
 #include "src/logic/parser.h"
 #include "src/logic/transform.h"
 
@@ -941,23 +942,24 @@ void EngineRegistry::Register(
     int priority, std::shared_ptr<const InferenceStrategy> strategy) {
   std::lock_guard<std::mutex> lock(mutex_);
   strategies_.emplace(priority, std::move(strategy));
+  auto next = std::make_shared<Snapshot>();
+  for (const auto& [rank, registered] : strategies_) {
+    next->ordered.push_back(registered);
+    next->fingerprint = logic::HashCombine(
+        next->fingerprint, std::hash<std::string>{}(registered->name()));
+  }
+  snapshot_ = std::move(next);
 }
 
-std::vector<std::shared_ptr<const InferenceStrategy>> EngineRegistry::Ordered()
+std::shared_ptr<const EngineRegistry::Snapshot> EngineRegistry::snapshot()
     const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::shared_ptr<const InferenceStrategy>> ordered;
-  ordered.reserve(strategies_.size());
-  for (const auto& [priority, strategy] : strategies_) {
-    ordered.push_back(strategy);
-  }
-  return ordered;
+  return snapshot_;
 }
 
 std::shared_ptr<const InferenceStrategy> EngineRegistry::Find(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [priority, strategy] : strategies_) {
+    std::string_view name) const {
+  for (const auto& strategy : snapshot()->ordered) {
     if (strategy->name() == name) return strategy;
   }
   return nullptr;

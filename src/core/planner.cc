@@ -122,12 +122,10 @@ void AppendRaw(const T& value, std::string* key) {
   key->append(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-// The cached artifact: the assessed candidate list in execution order.
-// Capability and cost ride along so cache hits render the same EXPLAIN
-// output without re-assessing.
-struct CachedPlan {
-  std::vector<PlanStep> steps;
-};
+// The cached artifact: the steps in execution order with every assessment
+// made so far (execution fields cleared), so a hit re-assesses nothing and
+// renders the same EXPLAIN output.
+using CachedPlan = std::vector<PlanStep>;
 
 std::string PlanCacheKey(const InferenceOptions& options, uint64_t shape,
                          uint64_t registry_fingerprint) {
@@ -152,64 +150,6 @@ std::string OutcomeName(InferenceStrategy::Outcome outcome) {
       return "skip";
   }
   return "?";
-}
-
-// Builds the planned candidate list: every registered strategy in the
-// strategy set assessed and costed, applicable candidates first in the
-// mode's order (preemptive strategies pinned to the front), inapplicable
-// and out-of-set ones kept at the tail for the trace.
-std::vector<PlanStep> BuildPlan(
-    const std::vector<std::shared_ptr<const InferenceStrategy>>& strategies,
-    QueryContext& ctx, const logic::FormulaPtr& query,
-    const InferenceOptions& options) {
-  struct Assessed {
-    PlanStep step;
-    size_t rank = 0;  // registration (fidelity) order
-  };
-  std::vector<Assessed> assessed;
-  assessed.reserve(strategies.size());
-  for (size_t i = 0; i < strategies.size(); ++i) {
-    const auto& strategy = strategies[i];
-    Assessed a;
-    a.step.strategy = strategy->name();
-    if (!options.strategies.Contains(a.step.strategy)) {
-      a.step.capability.reason = kNotInSet;
-    } else {
-      a.step.capability = strategy->Assess(ctx, query, options);
-      if (a.step.capability.applicable) {
-        a.step.predicted = strategy->EstimateCost(ctx, query, options);
-      }
-    }
-    a.step.preemptive = strategy->preemptive();
-    a.rank = i;
-    assessed.push_back(std::move(a));
-  }
-
-  std::stable_sort(assessed.begin(), assessed.end(),
-                   [&](const Assessed& x, const Assessed& y) {
-                     auto bucket = [&](const Assessed& a) {
-                       if (!a.step.capability.applicable) return 2;
-                       return a.step.preemptive ? 0 : 1;
-                     };
-                     int bx = bucket(x);
-                     int by = bucket(y);
-                     if (bx != by) return bx < by;
-                     if (bx == 1 && options.plan_mode == PlanMode::kMinCost &&
-                         x.step.predicted.work != y.step.predicted.work) {
-                       return x.step.predicted.work < y.step.predicted.work;
-                     }
-                     return x.rank < y.rank;
-                   });
-
-  std::vector<PlanStep> steps;
-  steps.reserve(assessed.size());
-  for (auto& a : assessed) {
-    if (!a.step.capability.applicable) {
-      a.step.action = PlanStep::Action::kSkippedInapplicable;
-    }
-    steps.push_back(std::move(a.step));
-  }
-  return steps;
 }
 
 void FinalizeAnswer(Answer* answer, bool deadline_hit,
@@ -331,12 +271,11 @@ Answer PlanAndExecute(const EngineRegistry& registry, QueryContext& ctx,
   Answer answer;
   auto trace = std::make_shared<PlanTrace>();
   trace->shape_fingerprint = PlanShapeFingerprint(query);
-
-  // ---- plan (or fetch the cached plan) ----
-  trace->mode =
-      options.plan_mode == PlanMode::kMinCost ? "cost" : "fidelity";
-  const std::vector<std::shared_ptr<const InferenceStrategy>> strategies =
-      registry.Ordered();
+  const bool cost_mode = options.plan_mode == PlanMode::kMinCost;
+  trace->mode = cost_mode ? "cost" : "fidelity";
+  const std::shared_ptr<const EngineRegistry::Snapshot> registered =
+      registry.snapshot();
+  const auto& strategies = registered->ordered;
   for (const std::string& name : options.strategies.Required()) {
     if (registry.Find(name) == nullptr) {
       answer.explanation = "no strategy named '" + name + "' is registered";
@@ -344,32 +283,73 @@ Answer PlanAndExecute(const EngineRegistry& registry, QueryContext& ctx,
       return answer;
     }
   }
+
+  // ---- the candidates: cached assessments, or fidelity order ----
   // Plans cache per registry composition: two registries sharing one
   // context (tests, custom pipelines) must not replay each other's plans.
-  uint64_t registry_fingerprint = 0;
-  for (const auto& strategy : strategies) {
-    registry_fingerprint =
-        Mix(registry_fingerprint, HashString(strategy->name()));
-  }
   const std::string cache_key = PlanCacheKey(
-      options, trace->shape_fingerprint, registry_fingerprint);
+      options, trace->shape_fingerprint, registered->fingerprint);
   std::shared_ptr<const CachedPlan> cached =
       std::static_pointer_cast<const CachedPlan>(ctx.LookupBlob(cache_key));
   std::vector<PlanStep> steps;
   if (cached != nullptr) {
     trace->from_cache = true;
-    steps = cached->steps;
+    steps = *cached;
   } else {
-    steps = BuildPlan(strategies, ctx, query, options);
-    trace->planning_ms = MillisSince(start);
-    auto to_store = std::make_shared<CachedPlan>();
-    to_store->steps = steps;
-    size_t bytes = 64;
-    for (const PlanStep& step : steps) {
-      bytes += sizeof(PlanStep) + step.strategy.size() +
-               step.capability.reason.size() + step.predicted.basis.size();
+    // Fidelity order needs no assessment: preemptive strategies first,
+    // then registration rank.
+    steps.reserve(strategies.size());
+    for (bool preemptive : {true, false}) {
+      for (size_t rank = 0; rank < strategies.size(); ++rank) {
+        if (strategies[rank]->preemptive() != preemptive) continue;
+        PlanStep& step = steps.emplace_back();
+        step.strategy = strategies[rank]->name();
+        step.rank = rank;
+        step.preemptive = preemptive;
+      }
     }
-    ctx.StoreBlob(cache_key, std::move(to_store), bytes);
+  }
+
+  // Assesses step i once: capability, then cost if it applies.
+  bool assessed_new = false;
+  auto in_set = [&](size_t i) {
+    return options.strategies.Contains(steps[i].strategy);
+  };
+  auto assess = [&](size_t i) {
+    PlanStep& step = steps[i];
+    if (step.assessed) return;
+    const Clock::time_point t0 = Clock::now();
+    const InferenceStrategy& strategy = *strategies[step.rank];
+    step.capability = strategy.Assess(ctx, query, options);
+    if (step.capability.applicable) {
+      step.predicted = strategy.EstimateCost(ctx, query, options);
+    }
+    step.assessed = true;
+    assessed_new = true;
+    trace->planning_ms += MillisSince(t0);
+  };
+
+  if (cost_mode && cached == nullptr) {
+    // Cheapest-first needs every cost: applicable preemptive candidates,
+    // then applicable ones by predicted work, then the rest, each group
+    // in registration rank.  A cached cost plan is already in this order.
+    for (size_t i = 0; i < steps.size(); ++i) {
+      if (in_set(i)) assess(i);
+    }
+    auto bucket = [](const PlanStep& step) {
+      if (!step.capability.applicable) return 2;
+      return step.preemptive ? 0 : 1;
+    };
+    std::stable_sort(steps.begin(), steps.end(),
+                     [&](const PlanStep& x, const PlanStep& y) {
+                       const int bx = bucket(x);
+                       const int by = bucket(y);
+                       if (bx != by) return bx < by;
+                       if (bx == 1 && x.predicted.work != y.predicted.work) {
+                         return x.predicted.work < y.predicted.work;
+                       }
+                       return x.rank < y.rank;
+                     });
   }
 
   // ---- execute under deadline / work budget ----
@@ -390,12 +370,20 @@ Answer PlanAndExecute(const EngineRegistry& registry, QueryContext& ctx,
   std::optional<size_t> late_only;
   for (size_t i = 0; i < steps.size(); ++i) {
     PlanStep& step = steps[i];
-    if (!step.capability.applicable) {
+    if (!in_set(i)) {
+      step.capability.reason = kNotInSet;
       step.action = PlanStep::Action::kSkippedInapplicable;
       continue;
     }
     if (finalized) {
-      step.action = PlanStep::Action::kNotReached;
+      step.action = step.assessed && !step.capability.applicable
+                        ? PlanStep::Action::kSkippedInapplicable
+                        : PlanStep::Action::kNotReached;
+      continue;
+    }
+    assess(i);
+    if (!step.capability.applicable) {
+      step.action = PlanStep::Action::kSkippedInapplicable;
       continue;
     }
     // Preemptive candidates (fixed-N) ARE the question: skipping one for
@@ -417,6 +405,8 @@ Answer PlanAndExecute(const EngineRegistry& registry, QueryContext& ctx,
         size_t best = i;
         double best_work = std::numeric_limits<double>::infinity();
         for (size_t j = i; j < steps.size(); ++j) {
+          if (!in_set(j)) continue;
+          assess(j);
           const PlanStep& candidate = steps[j];
           if (!candidate.capability.applicable) continue;
           if (options.work_budget > 0.0 &&
@@ -436,25 +426,9 @@ Answer PlanAndExecute(const EngineRegistry& registry, QueryContext& ctx,
       }
     }
 
-    const InferenceStrategy* strategy = nullptr;
-    for (const auto& candidate : strategies) {
-      if (candidate->name() == step.strategy) {
-        strategy = candidate.get();
-        break;
-      }
-    }
-    if (strategy == nullptr) {
-      // Defensive: a cached plan from a context outliving a registry
-      // mutation; the registry fingerprint makes this unreachable for
-      // composition changes, but a same-name swap stays sound — the plan
-      // is advisory and every strategy self-validates.
-      step.action = PlanStep::Action::kSkippedInapplicable;
-      step.capability.reason = "strategy no longer registered";
-      continue;
-    }
     Clock::time_point t0 = Clock::now();
     InferenceStrategy::Outcome outcome =
-        strategy->Run(ctx, query, step_options, &answer);
+        strategies[step.rank]->Run(ctx, query, step_options, &answer);
     step.action = PlanStep::Action::kRan;
     step.outcome = OutcomeName(outcome);
     step.observed_ms = MillisSince(t0);
@@ -466,6 +440,19 @@ Answer PlanAndExecute(const EngineRegistry& registry, QueryContext& ctx,
   // step to trip the skip check; the elapsed clock is the ground truth.
   if (deadline_set && Clock::now() > deadline) trace->deadline_hit = true;
   if (!finalized) FinalizeAnswer(&answer, trace->deadline_hit, steps);
+
+  if (assessed_new) {
+    auto to_store = std::make_shared<CachedPlan>(steps);
+    size_t bytes = 64;
+    for (PlanStep& step : *to_store) {
+      step.action = PlanStep::Action::kNotReached;
+      step.outcome.clear();
+      step.observed_ms = 0.0;
+      bytes += sizeof(PlanStep) + step.strategy.size() +
+               step.capability.reason.size() + step.predicted.basis.size();
+    }
+    ctx.StoreBlob(cache_key, std::move(to_store), bytes);
+  }
   trace->steps = std::move(steps);
   trace->total_ms = MillisSince(start);
   answer.plan = trace;

@@ -2,20 +2,19 @@
 //
 // For each query the planner:
 //
-//   1. assesses the Capability of every registered strategy in
-//      InferenceOptions::strategies (does it apply to
-//      this (KB, query) at all?) and CostEstimate (predicted work and
-//      accuracy, derived from the KB analyses cached in the QueryContext:
-//      profile leaf counts, world-odometer size, compiled-program length),
-//   2. orders the applicable candidates — paper preference order
-//      (PlanMode::kFidelity, the default) or cheapest-predicted-first
+//   1. orders the strategies in InferenceOptions::strategies — paper
+//      preference order (PlanMode::kFidelity, the default: preemptive
+//      strategies, then registration rank) or cheapest-predicted-first
 //      (PlanMode::kMinCost, the service mode),
-//   3. caches the plan in the QueryContext keyed by (KB signature, query
-//      shape, N schedule, ⃗τ, strategy set, planner options), so batch
-//      and repeated traffic skips assessment and scoring entirely — a
-//      cache hit
-//      executes the identical candidate order, so its answers are
-//      bit-identical to a cold plan,
+//   2. assesses a candidate's Capability (does it apply to this (KB,
+//      query) at all?) and CostEstimate (predicted work and accuracy, from
+//      the KB analyses cached in the QueryContext) only when needed: a
+//      fidelity plan when execution reaches it, a cost plan before sorting,
+//   3. caches the order and the assessments made so far in the
+//      QueryContext keyed by (KB signature, query shape, N schedule, ⃗τ,
+//      strategy set, planner options, registry); a cache hit re-assesses
+//      nothing and executes the identical candidate order, so its answers
+//      are bit-identical to a cold plan,
 //   4. executes candidates in order under the per-query deadline / work
 //      budget of InferenceOptions, falling back adaptively when an engine
 //      exhausts its budget or a sweep is cut short, and
@@ -42,9 +41,14 @@
 
 namespace rwl {
 
-// One assessed candidate of a plan, in planned order.
+// One candidate of a plan, in planned order.
 struct PlanStep {
   std::string strategy;
+  // Whether Assess (and EstimateCost, if it applies) ran.  Candidates a
+  // fidelity plan never reached, and those outside the strategy set, are
+  // unassessed: no capability, no prediction.
+  bool assessed = false;
+  size_t rank = 0;  // index in the planning registry's snapshot
   engines::Capability capability;
   engines::CostEstimate predicted;
   // Preemptive candidates (fixed-N) define the semantics of the query —
@@ -72,13 +76,13 @@ struct PlanTrace {
   std::vector<PlanStep> steps;  // in planned (execution) order
   // "fidelity" or "cost".
   std::string mode;
-  bool from_cache = false;   // plan order came from the context's cache
+  bool from_cache = false;   // plan came from the context's cache
   // The whole answer came from the snapshot's answer memo
   // (service/catalog.h): no step ran, `steps` is empty, and total_ms is
   // the memo hit's own time.  Implies from_cache.
   bool from_memo = false;
   bool deadline_hit = false;  // the deadline cut planning or execution short
-  double planning_ms = 0.0;  // assessment + scoring (0 on cache hits)
+  double planning_ms = 0.0;  // summed Assess + EstimateCost time
   double total_ms = 0.0;     // planning + execution wall time
   uint64_t shape_fingerprint = 0;
 };

@@ -172,6 +172,19 @@ bool SameAnswer(const Answer& a, const Answer& b, std::string* why) {
   return true;
 }
 
+// The (strategy, outcome) of every step an answer's plan ran, in order,
+// as "symbolic:partial profile:final".
+std::string RanSteps(const Answer& answer) {
+  std::string ran;
+  if (answer.plan == nullptr) return ran;
+  for (const PlanStep& step : answer.plan->steps) {
+    if (step.action != PlanStep::Action::kRan) continue;
+    if (!ran.empty()) ran += ' ';
+    ran += step.strategy + ':' + step.outcome;
+  }
+  return ran;
+}
+
 // vm-vs-interp: the compiled VM must reproduce the tree-walking oracle bit
 // for bit on every formula over pseudo-random worlds.  World seeds derive
 // from the (formula position, N) pair alone, so a replay of the same case
@@ -1109,7 +1122,8 @@ DifferentialReport RunDifferential(
       }
 
       // Plan-cache hit ≡ cold plan, bit for bit: the second identical
-      // query through one context executes the cached candidate order.
+      // query through one context runs the same steps with the same
+      // outcomes, in the cached candidate order.
       QueryContext planner_ctx = MakeQueryContext(
           planner_kb, std::span<const logic::FormulaPtr>(&query, 1),
           planner_options);
@@ -1124,6 +1138,10 @@ DifferentialReport RunDifferential(
         report.disagreements.push_back(Disagreement{
             "plan-cache", "cached plan", "cold plan", query, 0,
             "second identical query did not hit the plan cache"});
+      } else if (RanSteps(warm) != RanSteps(cold)) {
+        report.disagreements.push_back(Disagreement{
+            "plan-cache", "cached plan", "cold plan", query, 0,
+            "ran [" + RanSteps(warm) + "] vs [" + RanSteps(cold) + "]"});
       }
     }
   }

@@ -73,19 +73,23 @@ TEST(PlannerTest, TraceRecordsAssessmentAndExecution) {
   ASSERT_NE(answer.plan, nullptr);
   EXPECT_EQ(answer.plan->mode, "fidelity");
   EXPECT_FALSE(answer.plan->from_cache);
-  // Every registered strategy was assessed.
+  // Every registered strategy has a step.
   EXPECT_EQ(answer.plan->steps.size(),
-            EngineRegistry::Default().Ordered().size());
-  // The symbolic theorems answered; later candidates were not reached.
+            EngineRegistry::Default().snapshot()->ordered.size());
+  // The symbolic theorems answered, assessed and costed on the way.
   const PlanStep* symbolic = FindStep(answer, "symbolic");
   ASSERT_NE(symbolic, nullptr);
+  EXPECT_TRUE(symbolic->assessed);
   EXPECT_EQ(symbolic->action, PlanStep::Action::kRan);
   EXPECT_EQ(symbolic->outcome, "final");
   EXPECT_GT(symbolic->predicted.work, 0.0);
+  // Later candidates were neither reached nor assessed.
   const PlanStep* profile = FindStep(answer, "profile");
   ASSERT_NE(profile, nullptr);
   EXPECT_EQ(profile->action, PlanStep::Action::kNotReached);
-  EXPECT_TRUE(profile->capability.applicable);
+  EXPECT_FALSE(profile->assessed);
+  EXPECT_FALSE(profile->capability.applicable);
+  EXPECT_EQ(profile->predicted.work, 0.0);
 }
 
 TEST(PlannerTest, PlanCacheHitIsBitIdenticalToColdPlan) {
@@ -179,48 +183,144 @@ TEST(PlannerTest, SetOfOneAnswersLikeRunningTheStrategyAlone) {
   }
 }
 
-// Counts the planner's calls into it; never answers.
-struct CountingStrategy : InferenceStrategy {
-  std::string name() const override { return "counting"; }
+// A stub that counts the planner's calls into it and answers with a
+// settable outcome (a point naming it when final).
+struct StubStrategy : InferenceStrategy {
+  StubStrategy(std::string name, double work)
+      : stub_name(std::move(name)), work(work) {}
+  std::string name() const override { return stub_name; }
   engines::Capability Assess(QueryContext&, const logic::FormulaPtr&,
                              const InferenceOptions&) const override {
-    ++calls;
-    return {true, "always"};
+    ++assessed;
+    return {true, "stub"};
   }
   engines::CostEstimate EstimateCost(QueryContext&, const logic::FormulaPtr&,
                                      const InferenceOptions&) const override {
-    return {1e9, 0.0, "uninformative"};
+    ++costed;
+    return {work, 0.0, "stub"};
   }
   Outcome Run(QueryContext&, const logic::FormulaPtr&,
-              const InferenceOptions&, Answer*) const override {
-    ++calls;
-    return Outcome::kSkip;
+              const InferenceOptions&, Answer* answer) const override {
+    ++ran;
+    if (outcome == Outcome::kFinal) {
+      answer->status = Answer::Status::kPoint;
+      answer->value = 0.5;
+      answer->method = stub_name;
+    }
+    return outcome;
   }
-  mutable int calls = 0;
+  std::string stub_name;
+  double work;
+  Outcome outcome = Outcome::kSkip;
+  mutable int assessed = 0;
+  mutable int costed = 0;
+  mutable int ran = 0;
 };
 
-TEST(PlannerTest, OutOfSetStrategiesAreNeverAssessed) {
-  auto counting = std::make_shared<CountingStrategy>();
-  EngineRegistry registry;
-  registry.Register(0, counting);
-  registry.Register(10, EngineRegistry::Default().Find("symbolic"));
+// A strategy is assessed (Assess, then EstimateCost) at most once per
+// plan-cache entry, and only when the plan needs it: when fidelity order
+// reaches it, when cost order ranks candidates, or when an expired
+// deadline picks the cheapest remaining candidate.
+TEST(PlannerTest, PlansAssessOnDemand) {
   KnowledgeBase kb = HepatitisKb();
   logic::FormulaPtr query = logic::ParseFormula("Hep(Eric)").formula;
-  InferenceOptions options = FastOptions();
-  QueryContext ctx = MakeQueryContext(
-      kb, std::span<const logic::FormulaPtr>(&query, 1), options);
+  auto a = std::make_shared<StubStrategy>("a", 30.0);
+  auto b = std::make_shared<StubStrategy>("b", 20.0);
+  auto c = std::make_shared<StubStrategy>("c", 10.0);
+  EngineRegistry registry;
+  registry.Register(10, a);
+  registry.Register(20, b);
+  registry.Register(30, c);
+  auto calls = [&] {
+    return std::vector<int>{a->assessed, a->costed, b->assessed,
+                            b->costed,   c->assessed, c->costed};
+  };
+  auto reset = [&] {
+    for (StubStrategy* stub : {a.get(), b.get(), c.get()}) {
+      stub->assessed = stub->costed = stub->ran = 0;
+      stub->outcome = InferenceStrategy::Outcome::kSkip;
+    }
+  };
+  auto fresh_context = [&](const InferenceOptions& options) {
+    return MakeQueryContext(
+        kb, std::span<const logic::FormulaPtr>(&query, 1), options);
+  };
+  const InferenceOptions fidelity = FastOptions();
 
-  options.strategies.Remove("counting");
-  Answer answer = PlanAndExecute(registry, ctx, query, options);
-  EXPECT_EQ(answer.status, Answer::Status::kPoint);
-  EXPECT_EQ(counting->calls, 0);
-  ASSERT_NE(FindStep(answer, "counting"), nullptr);
-  EXPECT_EQ(FindStep(answer, "counting")->capability.reason,
-            "not in the strategy set");
+  // Fidelity: assessment stops at the final step; the rest read "not
+  // reached", unassessed.  A cache hit re-assesses nothing it has and
+  // assesses a newly reached step exactly once.
+  {
+    reset();
+    QueryContext ctx = fresh_context(fidelity);
+    a->outcome = InferenceStrategy::Outcome::kFinal;
+    Answer first = PlanAndExecute(registry, ctx, query, fidelity);
+    EXPECT_EQ(first.method, "a");
+    EXPECT_EQ(calls(), (std::vector<int>{1, 1, 0, 0, 0, 0}));
+    for (const char* name : {"b", "c"}) {
+      const PlanStep* step = FindStep(first, name);
+      ASSERT_NE(step, nullptr) << name;
+      EXPECT_EQ(step->action, PlanStep::Action::kNotReached) << name;
+      EXPECT_FALSE(step->assessed) << name;
+    }
 
-  // The default set admits a custom strategy: assessed, then run.
-  PlanAndExecute(registry, ctx, query, FastOptions());
-  EXPECT_EQ(counting->calls, 2);
+    a->outcome = InferenceStrategy::Outcome::kSkip;
+    b->outcome = InferenceStrategy::Outcome::kFinal;
+    Answer second = PlanAndExecute(registry, ctx, query, fidelity);
+    EXPECT_TRUE(second.plan->from_cache);
+    EXPECT_EQ(second.method, "b");
+    EXPECT_EQ(calls(), (std::vector<int>{1, 1, 1, 1, 0, 0}));
+
+    Answer third = PlanAndExecute(registry, ctx, query, fidelity);
+    EXPECT_TRUE(third.plan->from_cache);
+    EXPECT_EQ(third.plan->planning_ms, 0.0);
+    EXPECT_EQ(calls(), (std::vector<int>{1, 1, 1, 1, 0, 0}));
+  }
+
+  // Cost: every candidate is assessed before the cheapest runs.
+  {
+    reset();
+    InferenceOptions cost = fidelity;
+    cost.plan_mode = PlanMode::kMinCost;
+    QueryContext ctx = fresh_context(cost);
+    c->outcome = InferenceStrategy::Outcome::kFinal;
+    Answer answer = PlanAndExecute(registry, ctx, query, cost);
+    EXPECT_EQ(answer.method, "c");
+    EXPECT_EQ(calls(), (std::vector<int>{1, 1, 1, 1, 1, 1}));
+    EXPECT_EQ(a->ran + b->ran, 0);
+  }
+
+  // An expired deadline with nothing run assesses the remaining
+  // candidates to start only the cheapest.
+  {
+    reset();
+    InferenceOptions late = fidelity;
+    late.deadline_ms = 1e-6;
+    QueryContext ctx = fresh_context(late);
+    c->outcome = InferenceStrategy::Outcome::kFinal;
+    Answer answer = PlanAndExecute(registry, ctx, query, late);
+    EXPECT_TRUE(answer.plan->deadline_hit);
+    EXPECT_EQ(answer.method, "c");
+    EXPECT_EQ(calls(), (std::vector<int>{1, 1, 1, 1, 1, 1}));
+    EXPECT_EQ(a->ran + b->ran, 0);
+  }
+
+  // Out-of-set strategies are marked without being assessed.
+  {
+    reset();
+    InferenceOptions without_b = fidelity;
+    without_b.strategies.Remove("b");
+    QueryContext ctx = fresh_context(without_b);
+    c->outcome = InferenceStrategy::Outcome::kFinal;
+    Answer answer = PlanAndExecute(registry, ctx, query, without_b);
+    EXPECT_EQ(answer.method, "c");
+    EXPECT_EQ(calls(), (std::vector<int>{1, 1, 0, 0, 1, 1}));
+    const PlanStep* step = FindStep(answer, "b");
+    ASSERT_NE(step, nullptr);
+    EXPECT_FALSE(step->assessed);
+    EXPECT_EQ(step->action, PlanStep::Action::kSkippedInapplicable);
+    EXPECT_EQ(step->capability.reason, "not in the strategy set");
+  }
 }
 
 TEST(PlannerTest, UnknownStrategyNameIsReported) {
@@ -403,7 +503,7 @@ TEST(PlannerTest, ExplainRenderingMentionsEveryStrategy) {
   EXPECT_NE(rendered.find("mode=fidelity"), std::string::npos);
   EXPECT_NE(rendered.find("symbolic"), std::string::npos);
   EXPECT_NE(rendered.find("predicted work="), std::string::npos);
-  for (const auto& strategy : EngineRegistry::Default().Ordered()) {
+  for (const auto& strategy : EngineRegistry::Default().snapshot()->ordered) {
     EXPECT_NE(rendered.find(strategy->name()), std::string::npos)
         << strategy->name();
   }
@@ -545,14 +645,17 @@ TEST(PlannerTest, DefaultsFamilyAppliesToPenguinKb) {
 
 TEST(PlannerTest, CachingContextAnalyzesTheDefaultsFragmentOncePerPlan) {
   // The three defaults strategies assess and cost one shared analysis of
-  // (KB, query), memoized in the context.  Planning the same cold query
-  // with and without the family in the set differs by exactly one blob
-  // miss (the analysis, computed and stored once) and by at least five
-  // hits (the other assess/cost consults of it).
+  // (KB, query), memoized in the context.  A cost plan assesses every
+  // candidate (a fidelity plan never reaches the family here: symbolic
+  // answers first), so planning the same cold query with and without the
+  // family in the set differs by exactly one blob miss (the analysis,
+  // computed and stored once) and by at least five hits (the other
+  // assess/cost consults of it).
   KnowledgeBase kb = PenguinKb();
   logic::FormulaPtr query = logic::ParseFormula("Fly(Opus)").formula;
   InferenceOptions with = FastOptions();
-  InferenceOptions without = FastOptions();
+  with.plan_mode = PlanMode::kMinCost;
+  InferenceOptions without = with;
   without.strategies.Remove("epsilon_semantics").Remove("klm").Remove(
       "gmp90");
   auto cold_plan_stats = [&](const InferenceOptions& options) {

@@ -81,7 +81,8 @@ int ListEngines(const rwl::KnowledgeBase& kb,
       kb, std::span<const rwl::logic::FormulaPtr>(), options);
   std::printf("%-17s %-11s %s\n", "engine", "applicable",
               "capability on this KB");
-  for (const auto& strategy : rwl::EngineRegistry::Default().Ordered()) {
+  for (const auto& strategy :
+       rwl::EngineRegistry::Default().snapshot()->ordered) {
     rwl::engines::Capability cap;
     cap.reason = "not in the strategy set";
     if (options.strategies.Contains(strategy->name())) {
