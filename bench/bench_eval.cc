@@ -370,7 +370,10 @@ void ReportThreadScaling() {
 // Wall time per DFS leaf of one profile sweep point.  The sweep is cut at
 // a leaf budget below the point's leaf count, so exactly `leaves` leaves
 // are evaluated (the engine reports exhaustion on the next one); the time
-// includes the DFS walk between them.  Best of five runs.
+// includes the DFS walk between them.  Best of five runs.  A recording
+// case runs on a caching context in eager mode, as the service's snapshot
+// contexts do, so the time includes appending the leaves and entries of
+// the world list (a fresh context per run: the cut point is never stored).
 void ReportProfileLeaves() {
   rwl::bench::PrintHeader("Profile engine: leaf kernel");
   struct Case {
@@ -379,25 +382,28 @@ void ReportProfileLeaves() {
     const char* query;
     int n;
     uint64_t leaves;
+    bool recording;
   };
+  // Corpus E5.24: class-counted conditional proportions, a taxonomy and
+  // one constant (8 placements per leaf).
+  const char* const kE524 =
+      "(0.7 <~_1 #(Chirps(x) ; Bird(x))[x]) & "
+      "(#(Chirps(x) ; Bird(x))[x] <~_2 0.8)\n"
+      "(0 <~_3 #(Chirps(x) ; Magpie(x))[x]) & "
+      "(#(Chirps(x) ; Magpie(x))[x] <~_4 0.99)\n"
+      "forall x. (Magpie(x) => Bird(x))\n"
+      "Magpie(Tweety)\n";
   const Case cases[] = {
-      // Corpus E5.24: class-counted conditional proportions, a taxonomy
-      // and one constant (8 placements per leaf).
-      {"profile_leaf_E5.24_N32",
-       "(0.7 <~_1 #(Chirps(x) ; Bird(x))[x]) & "
-       "(#(Chirps(x) ; Bird(x))[x] <~_2 0.8)\n"
-       "(0 <~_3 #(Chirps(x) ; Magpie(x))[x]) & "
-       "(#(Chirps(x) ; Magpie(x))[x] <~_4 0.99)\n"
-       "forall x. (Magpie(x) => Bird(x))\n"
-       "Magpie(Tweety)\n",
-       "Chirps(Tweety)", 32, 80000},
+      {"profile_leaf_E5.24_N32", kE524, "Chirps(Tweety)", 32, 80000, false},
+      {"profile_leaf_E5.24_N32_recording", kE524, "Chirps(Tweety)", 32,
+       80000, true},
       // Four constants over four atoms: 756 placements per leaf, each
       // checked against the constant-dependent KB and the query.
       {"profile_leaf_placements_N32",
        "#(A(x) ; B(x))[x] ~= 0.6\n"
        "A(C1) | B(C2)\n"
        "!(C3 = C4) & B(C3)\n",
-       "A(C1) & !A(C4)", 32, 500},
+       "A(C1) & !A(C4)", 32, 500, false},
   };
   const auto tol = rwl::semantics::ToleranceVector::Uniform(0.04);
   for (const Case& c : cases) {
@@ -415,9 +421,10 @@ void ReportProfileLeaves() {
     using Clock = std::chrono::steady_clock;
     double best_ns = 0.0;
     bool exhausted = true;
-    QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
-                     /*caching_enabled=*/false);
     for (int rep = 0; rep < 5; ++rep) {
+      QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
+                       /*caching_enabled=*/c.recording);
+      ctx.set_eager_world_recording(c.recording);
       auto start = Clock::now();
       auto r = engine.DegreeAt(ctx, query, c.n, tol);
       double ns =

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -45,6 +44,7 @@ struct Placement {
   std::vector<int> constant_block;  // index: position in constants list
   std::vector<int> block_atom;      // per block
   std::vector<int> blocks_in_atom;  // d_a, per atom
+  std::vector<int> occupied_atoms;  // atoms with d_a > 0, ascending
   int num_blocks = 0;
 };
 
@@ -98,6 +98,9 @@ std::vector<Placement> EnumeratePlacements(int num_constants, int num_atoms) {
       p.blocks_in_atom.assign(num_atoms, 0);
       p.num_blocks = num_blocks;
       for (int a : atom) ++p.blocks_in_atom[a];
+      for (int a = 0; a < num_atoms; ++a) {
+        if (p.blocks_in_atom[a] > 0) p.occupied_atoms.push_back(a);
+      }
       placements.push_back(p);
       int j = 0;
       for (; j < num_blocks; ++j) {
@@ -178,7 +181,34 @@ struct LeafProgram {
   std::vector<std::string> errors;
   int root = -1;
   int num_slots = 0;
+  // Only atoms and equalities over constants under connectives: the
+  // verdict depends on the placement alone, never on the leaf's counts.
+  bool is_static = false;
 };
+
+bool IsStatic(const LeafProgram& program) {
+  if (!program.exprs.empty()) return false;
+  using Op = FormulaNode::Op;
+  const auto constant = [](const TermRef& t) {
+    return t.kind == TermRef::Kind::kConstant;
+  };
+  for (const FormulaNode& node : program.formulas) {
+    switch (node.op) {
+      case Op::kTrue: case Op::kFalse: case Op::kNot: case Op::kAnd:
+      case Op::kOr: case Op::kImplies: case Op::kIff:
+        break;
+      case Op::kAtom:
+        if (!constant(node.t0)) return false;
+        break;
+      case Op::kEqual:
+        if (!constant(node.t0) || !constant(node.t1)) return false;
+        break;
+      default:
+        return false;
+    }
+  }
+  return true;
+}
 
 // Compiles formulas against one vocabulary: atom bits are predicate ids
 // (positions in `universe`), constants resolve through `constant_index`.
@@ -192,6 +222,7 @@ class LeafCompiler {
     program_ = LeafProgram();
     scope_.clear();
     program_.root = CompileFormula(f);
+    program_.is_static = IsStatic(program_);
     return std::move(program_);
   }
 
@@ -667,6 +698,36 @@ class LeafEvaluator {
   int next_fresh_id_ = 0;
 };
 
+// One program's verdicts at the placements of a leaf.  A static program's
+// verdict is memoized per placement at its first use (its evaluation reads
+// neither counts nor slots, so later leaves would repeat it); any other
+// program is evaluated at every call.
+class PlacementVerdicts {
+ public:
+  PlacementVerdicts(const LeafProgram& program, size_t num_placements)
+      : program_(program),
+        memo_(program.is_static ? num_placements : 0, kUnknown) {}
+
+  // False once the program is known to fail at `placement` on every leaf.
+  bool MayHold(size_t placement) const {
+    return memo_.empty() || memo_[placement] != 0;
+  }
+
+  // The verdict at `placement`, which `eval` must be set to.
+  bool Eval(LeafEvaluator& eval, size_t placement,
+            const semantics::ToleranceVector& tolerances) {
+    if (memo_.empty()) return eval.Eval(program_, tolerances);
+    int8_t& verdict = memo_[placement];
+    if (verdict == kUnknown) verdict = eval.Eval(program_, tolerances);
+    return verdict != 0;
+  }
+
+ private:
+  static constexpr int8_t kUnknown = -1;
+  const LeafProgram& program_;
+  std::vector<int8_t> memo_;
+};
+
 // ---------------------------------------------------------------------------
 // DFS pruning constraints.
 // ---------------------------------------------------------------------------
@@ -968,7 +1029,9 @@ namespace {
 // constant-dependent KB, carrying the world-count log-weight.  Entries are
 // stored in DFS emission order so a replay accumulates the identical
 // LogSumExp sequence.  Placements index the vocabulary's enumeration
-// (ProfileKbProgram), which every context of one signature shares.
+// (ProfileKbProgram), which every context of one signature shares.  A leaf
+// takes 4 bytes per atom (a count is at most the int domain size), an
+// entry 16 bytes.
 struct ProfileWorldList {
   // Record-and-replay protocol state (see engines/world_cache.h).
   internal::WorldCacheState state = internal::WorldCacheState::kSeenOnce;
@@ -976,7 +1039,7 @@ struct ProfileWorldList {
   bool valid = false;
   int num_atoms = 0;
   // Leaf i's counts are leaf_counts[i·num_atoms, (i+1)·num_atoms).
-  std::vector<int64_t> leaf_counts;
+  std::vector<int32_t> leaf_counts;
   struct Entry {
     int32_t leaf = 0;
     int32_t placement = 0;
@@ -991,15 +1054,18 @@ struct ProfileWorldList {
   size_t num_leaves() const {
     return num_atoms == 0 ? 0 : leaf_counts.size() / num_atoms;
   }
-  const int64_t* leaf(int32_t i) const {
-    return leaf_counts.data() + static_cast<size_t>(i) * num_atoms;
+  // Widens leaf i's counts into out[0, num_atoms).
+  void WidenLeaf(int32_t i, int64_t* out) const {
+    const int32_t* counts =
+        leaf_counts.data() + static_cast<size_t>(i) * num_atoms;
+    std::copy(counts, counts + num_atoms, out);
   }
 
   // What the list occupies, allocation slack included: this is what the
   // context's blob budget is charged.
   size_t ByteSize() const {
     return sizeof(*this) + entries.capacity() * sizeof(Entry) +
-           leaf_counts.capacity() * sizeof(int64_t);
+           leaf_counts.capacity() * sizeof(int32_t);
   }
 };
 
@@ -1032,9 +1098,9 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
   const int num_atoms = kb.num_atoms;
   const int64_t n_total = domain_size;
   const std::vector<Placement>& placements = kb.placements;
-  const AtomSet& allowed = kb.allowed;
   const std::vector<PruneConstraint> constraints =
       InstantiateAll(kb, tolerances);
+  const int num_constraints = static_cast<int>(constraints.size());
 
   // DFS over atom-count vectors.
   std::vector<int64_t> counts(num_atoms, 0);
@@ -1045,10 +1111,36 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
   bool record_overflow = false;
   if (record != nullptr) record->num_atoms = num_atoms;
 
+  // Per atom: the constraints whose body or cond contains it, as the 0/1
+  // amounts a unit of n_a adds to their partial sums.
+  struct Touch {
+    int constraint;
+    int64_t body;
+    int64_t cond;
+  };
+  std::vector<Touch> touches;
+  std::vector<int> touch_begin(num_atoms + 1, 0);
+  std::vector<uint8_t> allowed(num_atoms);
+  for (int a = 0; a < num_atoms; ++a) {
+    allowed[a] = kb.allowed.Get(a);
+    touch_begin[a] = static_cast<int>(touches.size());
+    for (int j = 0; j < num_constraints; ++j) {
+      const bool in_body = constraints[j].body.Get(a);
+      const bool in_cond = constraints[j].cond.Get(a);
+      if (in_body || in_cond) touches.push_back({j, in_body, in_cond});
+    }
+  }
+  touch_begin[num_atoms] = static_cast<int>(touches.size());
+
   // Partial sums per constraint: body and cond over assigned atoms.
-  const int num_constraints = static_cast<int>(constraints.size());
   std::vector<int64_t> sum_body(num_constraints, 0);
   std::vector<int64_t> sum_cond(num_constraints, 0);
+  auto add = [&](int atom, int64_t amount) {
+    for (int t = touch_begin[atom]; t < touch_begin[atom + 1]; ++t) {
+      sum_body[touches[t].constraint] += touches[t].body * amount;
+      sum_cond[touches[t].constraint] += touches[t].cond * amount;
+    }
+  };
 
   // Safe feasibility bounds: given assigned partial sums and remaining
   // capacity, constraint j is provably violated when
@@ -1062,14 +1154,15 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
     bool all_in_body = true;     // every allowed atom ≥ a lies in body
     bool all_in_cond = true;
   };
-  // suffix[j][a] summarizes atoms a..num_atoms-1 for constraint j.
-  std::vector<std::vector<SuffixInfo>> suffix(
-      num_constraints, std::vector<SuffixInfo>(num_atoms + 1));
+  // suffix[a·num_constraints + j] summarizes atoms a..num_atoms-1 for
+  // constraint j.
+  std::vector<SuffixInfo> suffix(
+      static_cast<size_t>(num_atoms + 1) * num_constraints);
   for (int j = 0; j < num_constraints; ++j) {
     const PruneConstraint& c = constraints[j];
     for (int a = num_atoms - 1; a >= 0; --a) {
-      SuffixInfo info = suffix[j][a + 1];
-      if (allowed.Get(a)) {
+      SuffixInfo info = suffix[(a + 1) * num_constraints + j];
+      if (allowed[a]) {
         bool in_body = c.body.Get(a);
         bool in_cond = c.cond.Get(a);
         info.any_open = true;
@@ -1078,14 +1171,15 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
         info.all_in_body = info.all_in_body && in_body;
         info.all_in_cond = info.all_in_cond && in_cond;
       }
-      suffix[j][a] = info;
+      suffix[a * num_constraints + j] = info;
     }
   }
 
   auto infeasible = [&](int next_atom, int64_t remaining) {
+    const SuffixInfo* row = suffix.data() + next_atom * num_constraints;
     for (int j = 0; j < num_constraints; ++j) {
       const PruneConstraint& c = constraints[j];
-      const SuffixInfo& info = suffix[j][next_atom];
+      const SuffixInfo& info = row[j];
       int64_t body_max = sum_body[j] + (info.body_open ? remaining : 0);
       int64_t body_min =
           sum_body[j] +
@@ -1107,15 +1201,15 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
   };
 
   LeafEvaluator eval(num_atoms);
+  PlacementVerdicts kb_verdicts(kb.constant_dependent, placements.size());
+  PlacementVerdicts query_verdicts(query, placements.size());
   const int num_predicates = kb.universe.num_predicates();
-  auto process_leaf = [&]() {
+  auto process_leaf = [&](double log_multinomial) {
     ++leaves;
     if (leaves > options.max_leaves) {
       exhausted = true;
       return;
     }
-    double log_multinomial = LogMultinomial(n_total, counts);
-    if (log_multinomial == kNegInf) return;
     if (options.prior == Prior::kRandomPropensities) {
       // Marginal probability of a world under per-predicate uniform
       // propensities: Π_i c_i!(N-c_i)!/(N+1)!, constant across the worlds
@@ -1136,23 +1230,25 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
     if (!eval.Eval(kb.constant_free, tolerances)) return;
     int32_t recorded_leaf = -1;
     for (size_t pi = 0; pi < placements.size(); ++pi) {
+      if (!kb_verdicts.MayHold(pi)) continue;
       const Placement& placement = placements[pi];
       // Block feasibility: enough elements in each atom.
-      double log_falling = 0.0;
       bool feasible = true;
-      for (int a = 0; a < num_atoms; ++a) {
-        int d = placement.blocks_in_atom[a];
-        if (d == 0) continue;
-        if (counts[a] < d) {
+      for (int a : placement.occupied_atoms) {
+        if (counts[a] < placement.blocks_in_atom[a]) {
           feasible = false;
           break;
         }
-        log_falling += LogFallingFactorial(counts[a], d);
       }
       if (!feasible) continue;
 
       eval.SetPlacement(&placement);
-      if (!eval.Eval(kb.constant_dependent, tolerances)) continue;
+      if (!kb_verdicts.Eval(eval, pi, tolerances)) continue;
+      double log_falling = 0.0;
+      for (int a : placement.occupied_atoms) {
+        log_falling +=
+            LogFallingFactorial(counts[a], placement.blocks_in_atom[a]);
+      }
       double log_weight = log_multinomial + log_falling;
       denominator.Add(log_weight);
       if (record != nullptr && !record_overflow) {
@@ -1174,22 +1270,24 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
           }
         }
       }
-      if (eval.Eval(query, tolerances)) numerator.Add(log_weight);
+      if (query_verdicts.Eval(eval, pi, tolerances)) {
+        numerator.Add(log_weight);
+      }
     }
   };
 
-  // Recursive DFS written iteratively would obscure the logic; recursion
-  // depth equals num_atoms (≤ max_atoms), which is safe.
-  std::function<void(int, int64_t)> dfs = [&](int atom, int64_t remaining) {
+  // log_prefix[a] = log N! − Σ_{b<a} log n_b!: the multinomial's
+  // subtractions in LogMultinomial's (atom) order, one per value step.
+  std::vector<double> log_prefix(num_atoms + 1);
+  log_prefix[0] = LogFactorial(n_total);
+  const int last = num_atoms - 1;
+  auto dfs = [&](auto& self, int atom, int64_t remaining) -> void {
     if (exhausted) return;
-    if (atom == num_atoms - 1) {
+    if (atom == last) {
       // Last atom takes the remainder.
-      if (!allowed.Get(atom) && remaining > 0) return;
+      if (!allowed[atom] && remaining > 0) return;
       counts[atom] = remaining;
-      for (int j = 0; j < num_constraints; ++j) {
-        if (constraints[j].body.Get(atom)) sum_body[j] += remaining;
-        if (constraints[j].cond.Get(atom)) sum_cond[j] += remaining;
-      }
+      add(atom, remaining);
       bool ok = true;
       for (int j = 0; j < num_constraints && ok; ++j) {
         const PruneConstraint& c = constraints[j];
@@ -1197,40 +1295,35 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
         double cond = static_cast<double>(sum_cond[j]);
         if (c.lo * cond > body + 1e-9 || body > c.hi * cond + 1e-9) ok = false;
       }
-      if (ok) process_leaf();
-      for (int j = 0; j < num_constraints; ++j) {
-        if (constraints[j].body.Get(atom)) sum_body[j] -= remaining;
-        if (constraints[j].cond.Get(atom)) sum_cond[j] -= remaining;
-      }
+      if (ok) process_leaf(log_prefix[atom] - LogFactorial(remaining));
+      add(atom, -remaining);
       counts[atom] = 0;
       return;
     }
-    int64_t max_here = allowed.Get(atom) ? remaining : 0;
-    for (int64_t value = 0; value <= max_here; ++value) {
+    const int64_t max_here = allowed[atom] ? remaining : 0;
+    int64_t value = 0;
+    for (;; ++value) {
+      if (value > 0) add(atom, 1);
       counts[atom] = value;
-      for (int j = 0; j < num_constraints; ++j) {
-        if (constraints[j].body.Get(atom)) sum_body[j] += value;
-        if (constraints[j].cond.Get(atom)) sum_cond[j] += value;
-      }
+      log_prefix[atom + 1] = log_prefix[atom] - LogFactorial(value);
       if (!infeasible(atom + 1, remaining - value)) {
-        dfs(atom + 1, remaining - value);
+        self(self, atom + 1, remaining - value);
       }
-      for (int j = 0; j < num_constraints; ++j) {
-        if (constraints[j].body.Get(atom)) sum_body[j] -= value;
-        if (constraints[j].cond.Get(atom)) sum_cond[j] -= value;
-      }
-      if (exhausted) break;
+      if (exhausted || value == max_here) break;
     }
+    add(atom, -value);
     counts[atom] = 0;
   };
 
   if (num_atoms == 1) {
     counts[0] = n_total;
-    if (allowed.Get(0) || n_total == 0) process_leaf();
+    if (allowed[0] || n_total == 0) {
+      process_leaf(log_prefix[0] - LogFactorial(n_total));
+    }
   } else if (!SweepPointCertifiedEmpty(kb, domain_size, tolerances)) {
     // Skipped only when no count vector can pass the leaf's constraint
     // test, i.e. when the DFS would reach no leaf.
-    dfs(0, n_total);
+    dfs(dfs, 0, n_total);
   }
 
   if (record != nullptr) {
@@ -1262,11 +1355,20 @@ FiniteResult ReplayWorldList(const ProfileKbProgram& kb,
   LogSumExp denominator;
   LogSumExp numerator;
   LeafEvaluator eval(worlds.num_atoms);
+  PlacementVerdicts query_verdicts(query, kb.placements.size());
+  std::vector<int64_t> counts(worlds.num_atoms);
+  int32_t leaf = -1;
   for (const auto& entry : worlds.entries) {
     denominator.Add(entry.log_weight);
-    eval.SetLeaf(worlds.leaf(entry.leaf));
+    if (entry.leaf != leaf) {
+      leaf = entry.leaf;
+      worlds.WidenLeaf(leaf, counts.data());
+      eval.SetLeaf(counts.data());
+    }
     eval.SetPlacement(&kb.placements[entry.placement]);
-    if (eval.Eval(query, tolerances)) numerator.Add(entry.log_weight);
+    if (query_verdicts.Eval(eval, entry.placement, tolerances)) {
+      numerator.Add(entry.log_weight);
+    }
   }
   return Finish(numerator, denominator);
 }
@@ -1305,24 +1407,29 @@ std::shared_ptr<const void> PatchProfileWorlds(
   patched->leaf_counts = worlds->leaf_counts;
   patched->tolerances = tolerances;
   patched->entries.reserve(worlds->entries.size());
-  // Per-leaf memo of the constant-free verdict (-1 unknown, else 0/1):
-  // consecutive entries share leaves, and the fresh sweep, too, evaluates
-  // the constant-free part once per leaf.
-  std::vector<int8_t> leaf_pass(worlds->num_leaves(), -1);
+  // The constant-free verdict is taken once per leaf (consecutive entries
+  // share leaves, and the fresh sweep, too, evaluates the constant-free
+  // part once per leaf).
   LeafEvaluator eval(worlds->num_atoms);
+  PlacementVerdicts dep_verdicts(delta->constant_dependent,
+                                 delta->placements.size());
+  std::vector<int64_t> counts(worlds->num_atoms);
+  int32_t leaf = -1;
+  bool leaf_passes = true;
   for (const auto& entry : worlds->entries) {
-    eval.SetLeaf(worlds->leaf(entry.leaf));
-    if (!appended_free.empty()) {
-      int8_t& verdict = leaf_pass[entry.leaf];
-      if (verdict < 0) {
+    if (entry.leaf != leaf) {
+      leaf = entry.leaf;
+      worlds->WidenLeaf(leaf, counts.data());
+      eval.SetLeaf(counts.data());
+      if (!appended_free.empty()) {
         eval.SetPlacement(nullptr);
-        verdict = eval.Eval(delta->constant_free, tolerances) ? 1 : 0;
+        leaf_passes = eval.Eval(delta->constant_free, tolerances);
       }
-      if (verdict == 0) continue;
     }
+    if (!leaf_passes) continue;
     if (!appended_dep.empty()) {
       eval.SetPlacement(&delta->placements[entry.placement]);
-      if (!eval.Eval(delta->constant_dependent, tolerances)) continue;
+      if (!dep_verdicts.Eval(eval, entry.placement, tolerances)) continue;
     }
     patched->entries.push_back(entry);
   }

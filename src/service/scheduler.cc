@@ -10,16 +10,17 @@ QueryScheduler::QueryScheduler(const SchedulerOptions& options)
 QueryScheduler::~QueryScheduler() = default;  // pool_ drains, then joins
 
 bool QueryScheduler::Submit(const std::string& tenant,
-                            std::function<void()> job) {
+                            std::function<void()> job,
+                            std::function<void()> reply) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::deque<std::function<void()>>& queue = queues_[tenant];
+    std::deque<Job>& queue = queues_[tenant];
     if (queue.size() >= options_.max_queue_depth) {
       ++stats_.rejected;
       if (queue.empty()) queues_.erase(tenant);
       return false;
     }
-    queue.push_back(std::move(job));
+    queue.push_back(Job{std::move(job), std::move(reply)});
     ++stats_.submitted;
     ++stats_.queued;
   }
@@ -31,7 +32,7 @@ bool QueryScheduler::Submit(const std::string& tenant,
 }
 
 void QueryScheduler::RunNext() {
-  std::function<void()> job;
+  Job job;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (queues_.empty()) return;  // job count == ticket count; defensive
@@ -45,10 +46,13 @@ void QueryScheduler::RunNext() {
     --stats_.queued;
     ++stats_.running;
   }
-  job();
-  std::lock_guard<std::mutex> lock(mutex_);
-  --stats_.running;
-  ++stats_.completed;
+  job.run();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    --stats_.running;
+    ++stats_.completed;
+  }
+  if (job.reply) job.reply();
 }
 
 QueryScheduler::Stats QueryScheduler::stats() const {

@@ -43,8 +43,12 @@ class QueryScheduler {
   QueryScheduler& operator=(const QueryScheduler&) = delete;
 
   // Enqueues `job` under `tenant`'s queue.  Returns false (job dropped,
-  // not run) when the tenant's queue is at max_queue_depth.
-  bool Submit(const std::string& tenant, std::function<void()> job);
+  // not run) when the tenant's queue is at max_queue_depth.  `reply`, when
+  // given, runs after the job is counted completed: a job that hands its
+  // result to a waiter does it there, so a stats() read by that waiter
+  // already counts the job.
+  bool Submit(const std::string& tenant, std::function<void()> job,
+              std::function<void()> reply = nullptr);
 
   struct Stats {
     uint64_t submitted = 0;
@@ -59,6 +63,11 @@ class QueryScheduler {
   int num_threads() const { return pool_.num_threads(); }
 
  private:
+  struct Job {
+    std::function<void()> run;
+    std::function<void()> reply;  // may be empty
+  };
+
   // Pops the next job in round-robin tenant order (called by pool tasks).
   void RunNext();
 
@@ -66,7 +75,7 @@ class QueryScheduler {
   mutable std::mutex mutex_;
   // Ordered map: the round-robin cursor walks tenant names in a stable
   // order, and empty queues are erased so the map stays small.
-  std::map<std::string, std::deque<std::function<void()>>> queues_;
+  std::map<std::string, std::deque<Job>> queues_;
   std::string cursor_;  // last-served tenant; next turn starts after it
   Stats stats_;
   util::WorkerPool pool_;  // last member: workers stop before state dies

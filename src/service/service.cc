@@ -306,7 +306,7 @@ std::future<void> KbService::SubmitOnSnapshot(
   const Clock::time_point admitted = Clock::now();
   const bool admitted_ok = scheduler_.Submit(
       snapshot->name,
-      [result, snapshot, query = parsed.formula, options, admitted, done]() {
+      [result, snapshot, query = parsed.formula, options, admitted]() {
         try {
           result->answer =
               AnswerOnSnapshot(*snapshot, query, options, &result->error);
@@ -317,8 +317,8 @@ std::future<void> KbService::SubmitOnSnapshot(
           result->error = "engine failure";
         }
         result->latency_ms = MillisSince(admitted);
-        done->set_value();
-      });
+      },
+      [done] { done->set_value(); });
   if (!admitted_ok) {
     result->error = "overloaded: tenant queue is full";
     return {};

@@ -269,6 +269,23 @@ const std::vector<GoldenCase>& GoldenCases() {
        "A(L) | K = L", {"L"}, 0.1, Prior::kUniformWorlds,
        "exists x. (A(x) & !(x = L))\n"
        "#(B(x) ; !(x = L))[x] >~ 0.1\n"},
+      // bench_eval's four-constant case: 756 placements per leaf, a static
+      // constant-dependent KB part and a static query.
+      {"placements",
+       "#(A(x) ; B(x))[x] ~= 0.6\n"
+       "A(C1) | B(C2)\n"
+       "!(C3 = C4) & B(C3)\n",
+       "A(C1) & !A(C4)", {}, 0.04, Prior::kUniformWorlds,
+       "#(A(x))[x] <~ 0.7\n"
+       "!B(C4) | A(C2)\n"},
+      // A constant-dependent conjunct whose verdict depends on the counts
+      // as well as the placement, with a static query.
+      {"count-dependent",
+       "#(A(x) ; !(x = K))[x] ~= 0.5\n"
+       "#(B(x))[x] <~ 0.6\n",
+       "B(K) & !(K = L)", {"L"}, 0.1, Prior::kUniformWorlds,
+       "#(A(x))[x] >~ 0.2\n"
+       "A(L) | B(K)\n"},
   };
   return *cases;
 }
@@ -466,6 +483,78 @@ const std::vector<GoldenPoint>& GoldenPoints() {
        0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
       {"fallback", 1, 32, 0.25, 1,
        0x3fe07ba47377f9ba, 0x40484ab7ea704abc, 0x40489fa275768811},
+      {"placements", 0, 8, 1, 1,
+       0x3fd1b8aa0becd967, 0x402db79f714b658c, 0x4030248b5e17555a},
+      {"placements", 0, 16, 1, 1,
+       0x3fd38409a12413f2, 0x403d38e69913bc0c, 0x403e68f117927a8d},
+      {"placements", 0, 32, 1, 1,
+       0x3fd402ad788ed0ac, 0x404b33812aa06959, 0x404bc85228f29f9a},
+      {"placements", 0, 8, 0.5, 1,
+       0x3fd20be4ee289ac4, 0x402d5a5ae14572fa, 0x402fe2834e85734a},
+      {"placements", 0, 16, 0.5, 1,
+       0x3fd30c40d694e439, 0x403c2f126d66979d, 0x403d655358d613bd},
+      {"placements", 0, 32, 0.5, 1,
+       0x3fd406950a20419c, 0x404ad77a5f9c17ee, 0x404b6c326678950b},
+      {"placements", 0, 8, 0.25, 1,
+       0x3fd20be4ee289ac4, 0x402d5a5ae14572fa, 0x402fe2834e85734a},
+      {"placements", 0, 16, 0.25, 1,
+       0x3fd385150b157831, 0x403bf9c590a3df68, 0x403d29c25bace2ad},
+      {"placements", 0, 32, 0.25, 1,
+       0x3fd3e795abb60877, 0x404a539bd4d5c452, 0x404ae91a96cff7bd},
+      {"placements", 1, 8, 1, 1,
+       0x3fd2f5b97cc39178, 0x402cfb7a10109375, 0x402f6a5ade8ccf26},
+      {"placements", 1, 16, 1, 1,
+       0x3fd428e8fd2f440e, 0x403cfc553c8fffbe, 0x403e240feb6874da},
+      {"placements", 1, 32, 1, 1,
+       0x3fd46c0619d22c1f, 0x404b166e4bac9c47, 0x404ba8a442d3fc61},
+      {"placements", 1, 8, 0.5, 1,
+       0x3fd388e6a2e50f9b, 0x402ca70d25aaa8c0, 0x402f06a29b8d4775},
+      {"placements", 1, 16, 0.5, 1,
+       0x3fd3a31f8789cc21, 0x403bec2765b70a6e, 0x403d1a9b631c9dca},
+      {"placements", 1, 32, 0.5, 1,
+       0x3fd477d9078e7fe0, 0x404abb2b14fb4891, 0x404b4d17057e779d},
+      {"placements", 1, 8, 0.25, 1,
+       0x3fd388e6a2e50f9b, 0x402ca70d25aaa8c0, 0x402f06a29b8d4775},
+      {"placements", 1, 16, 0.25, 1,
+       0x3fd4280c662a9c3b, 0x403bbc952363366e, 0x403ce45ac3a2c465},
+      {"placements", 1, 32, 0.25, 1,
+       0x3fd462b5008b1a41, 0x404a36180016bb96, 0x404ac88869ce53ba},
+      {"count-dependent", 0, 8, 1, 1,
+       0x3fd950a8542a14fb, 0x402b1fcd66c388ee, 0x402cfaac7d27d240},
+      {"count-dependent", 0, 16, 1, 1,
+       0x3fdd59a67179b256, 0x403a8c4680383e54, 0x403b53d94f07807f},
+      {"count-dependent", 0, 32, 1, 1,
+       0x3fdeda5f3501bc66, 0x40491c92223e79f9, 0x404979f74251698f},
+      {"count-dependent", 0, 8, 0.5, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"count-dependent", 0, 16, 0.5, 1,
+       0x3fdc76c665d0386b, 0x4039debe85bbe3d6, 0x403aae2aaf80775f},
+      {"count-dependent", 0, 32, 0.5, 1,
+       0x3fde5a6ce648ab03, 0x4048ecba8790ea42, 0x40494c36d0334e9e},
+      {"count-dependent", 0, 8, 0.25, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"count-dependent", 0, 16, 0.25, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"count-dependent", 0, 32, 0.25, 1,
+       0x3fdddbc8d011ee45, 0x40489255cdc57a00, 0x4048f3ec88bca79c},
+      {"count-dependent", 1, 8, 1, 1,
+       0x3fe16f1826a439f9, 0x402b1fcd66c388ee, 0x402c56bf7d9f4976},
+      {"count-dependent", 1, 16, 1, 1,
+       0x3fe3b587705c717b, 0x403a8c4680383e54, 0x403b0858e31a8f16},
+      {"count-dependent", 1, 32, 1, 1,
+       0x3fe499eaa5f226f4, 0x40491c92223e79f9, 0x404954f0a9a86c40},
+      {"count-dependent", 1, 8, 0.5, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"count-dependent", 1, 16, 0.5, 1,
+       0x3fe34e32e39fe78c, 0x4039debe85bbe3d6, 0x403a601cfde2cd14},
+      {"count-dependent", 1, 32, 0.5, 1,
+       0x3fe4609005c38b52, 0x4048ecba8790ea42, 0x4049267f5d05e849},
+      {"count-dependent", 1, 8, 0.25, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"count-dependent", 1, 16, 0.25, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"count-dependent", 1, 32, 0.25, 1,
+       0x3fe4272de17cc83d, 0x40489255cdc57a00, 0x4048cd8517183608},
   };
   return *points;
 }

@@ -375,6 +375,23 @@ TEST(ServiceStressTest, AdmissionControlRejectsBeyondQueueDepth) {
   EXPECT_EQ(stats.submitted, 4u);
 }
 
+TEST(ServiceStressTest, CompletionIsVisibleByTheReply) {
+  // A STATS read right after a query's reply must count that query as
+  // completed, not running: the scheduler marks the job done before the
+  // job hands its result back.  Repeats answer from the memo, which keeps
+  // the window between reply and bookkeeping as short as it gets.
+  ServiceOptions options = StressServiceOptions();
+  options.scheduler.num_threads = 1;
+  KbService kb_service(options);
+  ASSERT_TRUE(kb_service.Load("kb", kBaseKb).ok);
+  for (uint64_t i = 1; i <= 2000; ++i) {
+    ASSERT_TRUE(kb_service.Query("kb", "Q(C0)").ok);
+    QueryScheduler::Stats stats = kb_service.scheduler_stats();
+    ASSERT_EQ(stats.running, 0u) << "after reply " << i;
+    ASSERT_EQ(stats.completed, i) << "after reply " << i;
+  }
+}
+
 TEST(ServiceStressTest, RoundRobinServesTenantsFairly) {
   SchedulerOptions options;
   options.num_threads = 1;
