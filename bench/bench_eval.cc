@@ -1,6 +1,6 @@
 // Evaluator microbenchmark: compiled bytecode VM vs. the tree-walking
 // interpreter, world-loop thread scaling of the sharded exact engine, and
-// the profile engine's leaf kernel (ns per DFS leaf).
+// the profile engine's kernel (ns per DFS leaf, and one whole sweep).
 //
 // Emits one BENCH_JSON line per row (grep into BENCH_eval.json — see
 // bench_util.h) so the perf trajectory of the evaluation hot path is
@@ -9,7 +9,10 @@
 //   bench_eval | grep '^BENCH_JSON ' | sed 's/^BENCH_JSON //' > BENCH_eval.json
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <iterator>
 #include <random>
 #include <thread>
 
@@ -365,22 +368,86 @@ void ReportThreadScaling() {
   line.Emit();
 }
 
-// ---- profile-engine leaf kernel (one JSON row per case) ----
+// ---- profile-engine kernel (one JSON row per case) ----
 
-// Wall time per DFS leaf of one profile sweep point.  The sweep is cut at
-// a leaf budget below the point's leaf count, so exactly `leaves` leaves
-// are evaluated (the engine reports exhaustion on the next one); the time
-// includes the DFS walk between them.  Best of five runs.  A recording
-// case runs on a caching context in eager mode, as the service's snapshot
+// A fixed in-process workload that the profile rows are divided by, so
+// their gate compares the code, not the host.  It is written apart from
+// the engine but has the kernel's shape — a pruned depth-first walk over
+// the compositions of 26 into 6 parts, with a log-factorial table and one
+// exp per accepted leaf — because host load slows that shape (deep
+// recursion, data-dependent branches) far more than a straight-line loop:
+// on a shared 4-vCPU host a process's profile rows ran up to 1.6x slower
+// while an xorshift-and-add loop beside them did not move, and this walk
+// moved with them.  Its functions are 64-byte aligned, as the profile
+// kernel's are, so a change elsewhere in the binary cannot move its
+// branches across fetch boundaries.  About a millisecond.
+struct CalibrationWalk {
+  static constexpr int kParts = 6;
+  static constexpr int kTotal = 26;
+  double log_factorial[kTotal + 1];
+  int parts[kParts] = {};
+  double sum = 0.0;
+  int64_t accepted = 0;
+};
+
+[[gnu::noinline, gnu::aligned(64)]] void Walk(CalibrationWalk& w, int i,
+                                              int left, double log_weight) {
+  if (i == CalibrationWalk::kParts - 1) {
+    w.parts[i] = left;
+    const int mix = w.parts[0] + 2 * w.parts[1] - w.parts[2];
+    if ((mix & 3) != 1 && w.parts[3] <= w.parts[4] + 3) {
+      w.sum += std::exp(log_weight - w.log_factorial[left] - 40.0);
+      ++w.accepted;
+    }
+    return;
+  }
+  for (int v = 0; v <= left; ++v) {
+    w.parts[i] = v;
+    if (i >= 2 && w.parts[0] + w.parts[1] > 3 * w.parts[2] + 8) continue;
+    Walk(w, i + 1, left - v, log_weight - w.log_factorial[v]);
+  }
+}
+
+[[gnu::noinline, gnu::aligned(64)]] double RunCalibrationKernel() {
+  CalibrationWalk w;
+  for (int n = 0; n <= CalibrationWalk::kTotal; ++n) {
+    w.log_factorial[n] = std::lgamma(static_cast<double>(n) + 1.0);
+  }
+  Walk(w, 0, CalibrationWalk::kTotal,
+       w.log_factorial[CalibrationWalk::kTotal]);
+  return w.sum + static_cast<double>(w.accepted);
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+// The profile rows, each interleaved with the calibration kernel over five
+// repetitions: a row reports its median time, the median time of the
+// calibration runs beside it, and their ratio (`profile_vs_calibration`,
+// the gated field).
+//
+// A leaf row times one profile sweep point cut at a leaf budget below the
+// point's leaf count, so exactly `leaves` leaves are evaluated (the engine
+// reports exhaustion on the next one); the time includes the DFS walk
+// between them, and the row also reports ns per leaf.  A recording row
+// runs on a caching context in eager mode, as the service's snapshot
 // contexts do, so the time includes appending the leaves and entries of
-// the world list (a fresh context per run: the cut point is never stored).
-void ReportProfileLeaves() {
-  rwl::bench::PrintHeader("Profile engine: leaf kernel");
+// the world list (a fresh context per run: the cut point is never
+// stored).  A sweep row times one whole EstimateLimit over its domain
+// sizes and τ scales on a fresh recording context, and reports the bytes
+// of the world lists it recorded.
+void ReportProfileKernel() {
+  rwl::bench::PrintHeader("Profile engine: leaf kernel and sweep");
   struct Case {
     const char* id;
     const char* kb;
     const char* query;
     int n;
+    // Leaf rows: the leaf budget; 0 for a sweep row.
     uint64_t leaves;
     bool recording;
   };
@@ -404,48 +471,98 @@ void ReportProfileLeaves() {
        "A(C1) | B(C2)\n"
        "!(C3 = C4) & B(C3)\n",
        "A(C1) & !A(C4)", 32, 500, false},
+      // The service's cold E5.24 sweep at its largest N: every τ scale.
+      {"profile_sweep_E5.24_N32_3scales", kE524, "Chirps(Tweety)", 32, 0,
+       true},
   };
   const auto tol = rwl::semantics::ToleranceVector::Uniform(0.04);
-  for (const Case& c : cases) {
+  struct Row {
+    const Case* c;
     rwl::KnowledgeBase kb;
+    FormulaPtr query;
+    std::vector<double> ns;
+    std::vector<double> calibration_ns;
+    bool ok = true;
+    uint64_t recorded_bytes = 0;
+  };
+  std::vector<Row> rows(std::size(cases));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Row& row = rows[i];
+    row.c = &cases[i];
     std::string error;
-    if (!kb.AddParsed(c.kb, &error)) {
-      std::printf("  %s: bad KB: %s\n", c.id, error.c_str());
+    if (!row.kb.AddParsed(row.c->kb, &error)) {
+      std::printf("  %s: bad KB: %s\n", row.c->id, error.c_str());
+      row.ok = false;
       continue;
     }
-    FormulaPtr query = rwl::logic::ParseFormula(c.query).formula;
-    kb.RegisterQuerySymbols(query);
-    rwl::engines::ProfileEngine::Options options;
-    options.max_leaves = c.leaves;
-    rwl::engines::ProfileEngine engine(options);
-    using Clock = std::chrono::steady_clock;
-    double best_ns = 0.0;
-    bool exhausted = true;
-    for (int rep = 0; rep < 5; ++rep) {
-      QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
+    row.query = rwl::logic::ParseFormula(row.c->query).formula;
+    row.kb.RegisterQuerySymbols(row.query);
+  }
+  using Clock = std::chrono::steady_clock;
+  auto elapsed_ns = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::nano>(Clock::now() - start)
+        .count();
+  };
+  volatile double sink = 0.0;
+  for (int rep = 0; rep < 5; ++rep) {
+    for (Row& row : rows) {
+      if (!row.ok) continue;
+      const Case& c = *row.c;
+      auto start = Clock::now();
+      sink = sink + RunCalibrationKernel();
+      row.calibration_ns.push_back(elapsed_ns(start));
+
+      rwl::engines::ProfileEngine::Options options;
+      if (c.leaves > 0) options.max_leaves = c.leaves;
+      rwl::engines::ProfileEngine engine(options);
+      QueryContext ctx(row.kb.vocabulary(), row.kb.AsFormula(),
                        /*caching_enabled=*/c.recording);
       ctx.set_eager_world_recording(c.recording);
-      auto start = Clock::now();
-      auto r = engine.DegreeAt(ctx, query, c.n, tol);
-      double ns =
-          std::chrono::duration<double, std::nano>(Clock::now() - start)
-              .count();
-      exhausted = exhausted && r.exhausted;
-      if (rep == 0 || ns < best_ns) best_ns = ns;
+      start = Clock::now();
+      if (c.leaves > 0) {
+        auto r = engine.DegreeAt(ctx, row.query, c.n, tol);
+        row.ns.push_back(elapsed_ns(start));
+        if (!r.exhausted) {
+          std::printf("  %s: the point has fewer than %llu leaves\n", c.id,
+                      static_cast<unsigned long long>(c.leaves));
+          row.ok = false;
+        }
+      } else {
+        rwl::engines::LimitOptions limit;
+        limit.domain_sizes = {c.n};
+        limit.tolerance_scales = {1.0, 0.5, 0.25};
+        auto r = rwl::engines::EstimateLimit(engine, ctx, row.query, tol,
+                                             limit);
+        row.ns.push_back(elapsed_ns(start));
+        row.recorded_bytes = ctx.cache_stats().blob_bytes;
+        if (r.exhausted || r.series.size() != 3) row.ok = false;
+      }
     }
-    if (!exhausted) {
-      std::printf("  %s: the point has fewer than %llu leaves\n", c.id,
-                  static_cast<unsigned long long>(c.leaves));
-      continue;
-    }
-    const double ns_per_leaf = best_ns / static_cast<double>(c.leaves);
-    std::printf("  [%s] %llu leaves  %.0f ns/leaf\n", c.id,
-                static_cast<unsigned long long>(c.leaves), ns_per_leaf);
+  }
+  for (const Row& row : rows) {
+    if (!row.ok) continue;
+    const Case& c = *row.c;
+    const double ns = Median(row.ns);
+    const double calibration_ns = Median(row.calibration_ns);
+    const double ratio = ns / calibration_ns;
     rwl::bench::JsonLine line("eval");
-    line.Field("id", c.id)
-        .Field("domain_size", c.n)
-        .Field("leaves", static_cast<int64_t>(c.leaves))
-        .Field("profile_ns_per_leaf", ns_per_leaf);
+    line.Field("id", c.id).Field("domain_size", c.n);
+    if (c.leaves > 0) {
+      const double ns_per_leaf = ns / static_cast<double>(c.leaves);
+      std::printf("  [%s] %llu leaves  %.0f ns/leaf  %.3fx calibration\n",
+                  c.id, static_cast<unsigned long long>(c.leaves),
+                  ns_per_leaf, ratio);
+      line.Field("leaves", static_cast<int64_t>(c.leaves))
+          .Field("profile_ns_per_leaf", ns_per_leaf);
+    } else {
+      std::printf("  [%s] %.2f ms  %llu recorded bytes  %.3fx calibration\n",
+                  c.id, ns * 1e-6,
+                  static_cast<unsigned long long>(row.recorded_bytes), ratio);
+      line.Field("sweep_ms", ns * 1e-6)
+          .Field("recorded_bytes", static_cast<int64_t>(row.recorded_bytes));
+    }
+    line.Field("calibration_ns", calibration_ns)
+        .Field("profile_vs_calibration", ratio);
     line.Emit();
   }
 }
@@ -520,7 +637,7 @@ int main(int argc, char** argv) {
   ReportProportionHeavy();
   ReportCountingCollapse();
   ReportThreadScaling();
-  ReportProfileLeaves();
+  ReportProfileKernel();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -13,13 +13,20 @@
 
 namespace rwl::engines {
 
-// The (scale, N) grid points are independent; when a worker pool is
-// requested they are all precomputed concurrently and the convergence
-// reduction below replays them in schedule order, which makes the result
-// identical to the serial sweep (the reduction IS the serial algorithm,
-// reading precomputed values).  In serial mode the points are computed
-// lazily inside the reduction, exactly like the seed implementation —
-// including not evaluating points after an engine-exhausted abort.
+// The grid is computed by column: one FiniteEngine::DegreesAt call per
+// supported N covers every τ scale the reduction can still read.  The
+// columns are independent; with a worker pool they are computed
+// concurrently, one column per task, and the convergence reduction below
+// replays the points in schedule order, which makes the result identical
+// to the serial sweep (the reduction IS the serial algorithm, reading
+// precomputed values).  In serial mode the columns are computed lazily
+// inside the reduction, in N order.
+//
+// The reduction stops at the first exhausted point it reads, so once
+// scale k is exhausted at some N, no point at scale ≥ k of a larger N is
+// ever read: later columns compute only the scales before the earliest
+// exhausted one.  No point is computed that the serial reduction would
+// not read, apart from later scales at smaller N.
 LimitResult EstimateLimit(const FiniteEngine& engine, QueryContext& ctx,
                           const logic::FormulaPtr& query,
                           const semantics::ToleranceVector& base_tolerances,
@@ -49,46 +56,51 @@ LimitResult EstimateLimit(const FiniteEngine& engine, QueryContext& ctx,
 
   std::vector<std::optional<FiniteResult>> grid(
       static_cast<size_t>(num_scales) * num_sizes);
-  auto compute = [&](int s, int d) {
-    return engine.DegreeAt(ctx, query, options.domain_sizes[d], scaled[s]);
-  };
-
-  int threads = util::EffectiveThreads(options.num_threads,
-                                       num_scales * num_sizes);
-  if (threads > 1) {
-    std::vector<std::pair<int, int>> work;
-    for (int s = 0; s < num_scales; ++s) {
-      for (int d = 0; d < num_sizes; ++d) {
-        if (supported[d]) work.emplace_back(s, d);
+  // The earliest exhausted scale seen so far (num_scales: none).
+  std::atomic<int> scale_limit{num_scales};
+  // Computes column d over scales [0, max(limit, min_scales)).
+  auto compute_column = [&](int d, int min_scales) {
+    const int count = std::max(scale_limit.load(), min_scales);
+    if (count == 0) return;
+    std::vector<FiniteResult> column = engine.DegreesAt(
+        ctx, query, options.domain_sizes[d],
+        std::vector<semantics::ToleranceVector>(scaled.begin(),
+                                                scaled.begin() + count));
+    for (size_t s = 0; s < column.size(); ++s) {
+      grid[s * num_sizes + d] = column[s];
+    }
+    if (!column.empty() && column.back().exhausted) {
+      int exhausted = static_cast<int>(column.size()) - 1;
+      int limit = scale_limit.load();
+      while (exhausted < limit &&
+             !scale_limit.compare_exchange_weak(limit, exhausted)) {
       }
     }
-    // Mirror the serial path's early abort: once any point reports the
-    // engine exhausted, the reduction discards everything after it, so
-    // workers stop starting new points (the reduction computes lazily any
-    // skipped point it still needs).
-    std::atomic<bool> abort{false};
-    util::ParallelFor(threads, static_cast<int>(work.size()), [&](int i) {
-      if (abort.load(std::memory_order_relaxed)) return;
-      if (past_deadline()) {
-        abort.store(true, std::memory_order_relaxed);
-        return;
-      }
-      auto [s, d] = work[i];
-      auto& slot = grid[static_cast<size_t>(s) * num_sizes + d];
-      slot = compute(s, d);
-      if (slot->exhausted) abort.store(true, std::memory_order_relaxed);
+  };
+
+  std::vector<int> columns;
+  for (int d = 0; d < num_sizes; ++d) {
+    if (supported[d]) columns.push_back(d);
+  }
+  int threads = util::EffectiveThreads(options.num_threads,
+                                       static_cast<int>(columns.size()));
+  if (threads > 1) {
+    // Workers stop starting columns once the deadline passes (the
+    // reduction computes lazily any skipped column it still needs).
+    util::ParallelFor(threads, static_cast<int>(columns.size()), [&](int i) {
+      if (!past_deadline()) compute_column(columns[i], 0);
     });
   }
   auto result_at = [&](int s, int d) -> const FiniteResult* {
     auto& slot = grid[static_cast<size_t>(s) * num_sizes + d];
     if (!slot.has_value()) {
-      // The deadline is checked before a point is computed, never inside
-      // one: a sweep overshoots by at most one probe.
+      // The deadline is checked before a column is computed, never inside
+      // one: a sweep overshoots by at most one column.
       if (past_deadline()) {
         result.deadline_hit = true;
         return nullptr;
       }
-      slot = compute(s, d);
+      compute_column(d, s + 1);
     }
     return &*slot;
   };
@@ -281,28 +293,60 @@ double ApproximateProgramLength(const QueryContext& ctx,
   return 1.5 * std::max(FormulaNodeCount(f), 1);
 }
 
+std::vector<FiniteResult> FiniteEngine::DegreesAt(
+    QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
+    const std::vector<semantics::ToleranceVector>& scales) const {
+  // The reference path: no key to build, nothing to look up or store.
+  if (!ctx.caching_enabled()) {
+    return DegreesAtInContext(ctx, query, domain_size, scales);
+  }
+  std::string prefix = name();
+  prefix += '|';
+  prefix += CacheSalt();
+  prefix += '|';
+  prefix += std::to_string(query == nullptr ? 0 : query->id());
+  prefix += '|';
+  prefix += std::to_string(domain_size);
+  prefix += '|';
+
+  std::vector<std::string> keys;
+  keys.reserve(scales.size());
+  std::vector<FiniteResult> column;
+  bool complete = true;
+  for (const semantics::ToleranceVector& tolerances : scales) {
+    keys.push_back(prefix + tolerances.CacheKey());
+    FiniteResult cached;
+    if (!ctx.LookupFinite(keys.back(), &cached)) {
+      complete = false;
+      continue;
+    }
+    if (!complete) continue;
+    column.push_back(cached);
+    if (cached.exhausted) break;
+  }
+  if (complete) return column;
+  column = DegreesAtInContext(ctx, query, domain_size, scales);
+  for (size_t s = 0; s < column.size(); ++s) {
+    ctx.StoreFinite(keys[s], column[s]);
+  }
+  return column;
+}
+
 FiniteResult FiniteEngine::DegreeAt(
     QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
     const semantics::ToleranceVector& tolerances) const {
-  // The reference path: no key to build, nothing to look up or store.
-  if (!ctx.caching_enabled()) {
-    return DegreeAtInContext(ctx, query, domain_size, tolerances);
-  }
-  std::string key = name();
-  key += '|';
-  key += CacheSalt();
-  key += '|';
-  key += std::to_string(query == nullptr ? 0 : query->id());
-  key += '|';
-  key += std::to_string(domain_size);
-  key += '|';
-  key += tolerances.CacheKey();
+  return DegreesAt(ctx, query, domain_size, {tolerances}).front();
+}
 
-  FiniteResult cached;
-  if (ctx.LookupFinite(key, &cached)) return cached;
-  FiniteResult result = DegreeAtInContext(ctx, query, domain_size, tolerances);
-  ctx.StoreFinite(key, result);
-  return result;
+std::vector<FiniteResult> FiniteEngine::DegreesAtInContext(
+    QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
+    const std::vector<semantics::ToleranceVector>& scales) const {
+  std::vector<FiniteResult> column;
+  for (const semantics::ToleranceVector& tolerances : scales) {
+    column.push_back(DegreeAtInContext(ctx, query, domain_size, tolerances));
+    if (column.back().exhausted) break;
+  }
+  return column;
 }
 
 }  // namespace rwl::engines

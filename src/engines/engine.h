@@ -121,14 +121,25 @@ class FiniteEngine {
 
   virtual std::string name() const = 0;
 
-  // The single way in: Pr_N^τ(query | ctx.kb()) at domain size N.  The
-  // context's vocabulary must cover the query.  With caching enabled the
-  // result is memoized under an exact (engine, options, query id, N, ⃗τ)
-  // key, and engine subclasses share KB-level work across queries through
-  // DegreeAtInContext.  A context built with caching_enabled = false is the
-  // reference path: nothing is looked up or stored, every call recomputes
-  // from scratch, and the cached path must match it bit for bit (the caches
-  // only store what the cache-free path computes, in the same order).
+  // The single way in: the column at domain size N, Pr_N^τ(query |
+  // ctx.kb()) for each ⃗τ of `scales`, in order.  It returns one result per
+  // scale up to and including the first exhausted one; the scales after an
+  // exhausted one are not computed.  The context's vocabulary must cover
+  // the query.  With caching enabled every point is memoized under its own
+  // exact (engine, options, query id, N, ⃗τ) key: the column is computed
+  // only when some point is missing, and only the points it returns are
+  // stored.  Engine subclasses share KB-level work across queries through
+  // the protected hooks.  A context built with caching_enabled = false is
+  // the reference path: nothing is looked up or stored, every call
+  // recomputes from scratch, and the cached path must match it bit for bit
+  // (the caches only store what the cache-free path computes, in the same
+  // order).  Each point of a column is bit-identical to the one-scale
+  // column of that point.
+  std::vector<FiniteResult> DegreesAt(
+      QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
+      const std::vector<semantics::ToleranceVector>& scales) const;
+
+  // One point: the one-scale column.
   FiniteResult DegreeAt(QueryContext& ctx, const logic::FormulaPtr& query,
                         int domain_size,
                         const semantics::ToleranceVector& tolerances) const;
@@ -150,11 +161,19 @@ class FiniteEngine {
   }
 
  protected:
-  // The engine's computation behind DegreeAt (no memo layer).  Must honor
+  // The engine's computation of one point (no memo layer).  Must honor
   // ctx.caching_enabled(): with caching off it records and replays nothing.
   virtual FiniteResult DegreeAtInContext(
       QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
       const semantics::ToleranceVector& tolerances) const = 0;
+
+  // The computation behind DegreesAt (no memo layer), under the same
+  // contract as DegreesAt.  The default computes point by point and stops
+  // after the first exhausted scale; an engine that can share work across
+  // the scales of one N overrides it.
+  virtual std::vector<FiniteResult> DegreesAtInContext(
+      QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
+      const std::vector<semantics::ToleranceVector>& scales) const;
 };
 
 // One evaluated point of the limit sweep.
@@ -172,18 +191,18 @@ struct LimitOptions {
   std::vector<double> tolerance_scales = {1.0, 0.5, 0.25};
   // |last - previous| below this counts as converged.
   double convergence_epsilon = 5e-3;
-  // Worker-pool size for evaluating the (N, τ-scale) grid: the points are
-  // independent, so they are computed concurrently and the convergence
-  // reduction replays them in schedule order (the result is identical to
-  // the serial sweep, point for point).  1 = serial; 0 = one worker per
-  // hardware thread.
+  // Worker-pool size for evaluating the grid: each domain size's column
+  // of τ scales is one task (FiniteEngine::DegreesAt), the columns are
+  // independent, and the convergence reduction replays the points in
+  // schedule order (the result is identical to the serial sweep, point for
+  // point).  1 = serial; 0 = one worker per hardware thread.
   int num_threads = 1;
-  // Per-query deadline (epoch time_point{} = none).  Checked between grid
-  // points, never inside one, so a sweep overshoots the deadline by at
-  // most one DegreeAt probe; points past the deadline are not evaluated
-  // and the sweep reports deadline_hit.  Deadline-limited results are
-  // inherently wall-clock-dependent — the planner treats them like an
-  // exhausted engine and falls back.
+  // Per-query deadline (epoch time_point{} = none).  Checked before each
+  // column, never inside one, so a sweep overshoots the deadline by at
+  // most one column; columns past the deadline are not evaluated and the
+  // sweep reports deadline_hit.  Deadline-limited results are inherently
+  // wall-clock-dependent — the planner treats them like an exhausted
+  // engine and falls back.
   std::chrono::steady_clock::time_point deadline{};
 };
 
@@ -202,10 +221,11 @@ struct LimitResult {
   std::vector<SeriesPoint> series;
 };
 
-// Sweeps the engine over the (τ scale, N) grid through `ctx`: caching
-// contexts share their caches across points and queries, and the grid is
-// evaluated on a worker pool when options.num_threads != 1 —
-// point-for-point identical to the serial sweep.
+// Sweeps the engine over the (τ scale, N) grid through `ctx`, one column
+// of scales per N: caching contexts share their caches across points and
+// queries, and the columns are evaluated on a worker pool when
+// options.num_threads != 1 — point-for-point identical to the serial
+// sweep.
 LimitResult EstimateLimit(const FiniteEngine& engine, QueryContext& ctx,
                           const logic::FormulaPtr& query,
                           const semantics::ToleranceVector& base_tolerances,

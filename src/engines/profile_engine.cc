@@ -1,12 +1,14 @@
 #include "src/engines/profile_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -418,6 +420,15 @@ class LeafCompiler {
   std::vector<std::string> scope_;  // variable name per binder slot
 };
 
+// The scales of one column (one DFS at one N) are addressed by bit: scale s
+// of the column is bit s of a mask.
+using ScaleMask = uint32_t;
+
+template <typename Fn>
+void ForEachScale(ScaleMask mask, const Fn& fn) {
+  for (; mask != 0; mask &= mask - 1) fn(std::countr_zero(mask));
+}
+
 // A bound element: its atom and a unique identity.  Identities 0..B-1 are
 // the constant blocks; identities >= B are pinned anonymous elements.
 struct Elem {
@@ -443,16 +454,39 @@ class LeafEvaluator {
 
   bool Eval(const LeafProgram& program,
             const semantics::ToleranceVector& tolerances) {
+    Begin(program, tolerances, nullptr, 0);
+    return EvalFormula(program.root);
+  }
+
+  // The verdict at scales[first].  Every comparison the walk reaches is
+  // also decided at each scale of `others`, and *uniform is cleared when
+  // one of them decides differently.  The compared values do not depend on
+  // τ, so when every comparison decides alike, the walk at each other
+  // scale would take the same path to the same verdict.
+  bool EvalAcross(const LeafProgram& program,
+                  const semantics::ToleranceVector* scales, int first,
+                  ScaleMask others, bool* uniform) {
+    Begin(program, scales[first], scales, others);
+    const bool holds = EvalFormula(program.root);
+    *uniform = uniform_;
+    return holds;
+  }
+
+ private:
+  void Begin(const LeafProgram& program,
+             const semantics::ToleranceVector& tolerances,
+             const semantics::ToleranceVector* scales, ScaleMask others) {
     program_ = &program;
     tolerances_ = &tolerances;
+    scales_ = scales;
+    others_ = others;
+    uniform_ = true;
     if (slots_.size() < static_cast<size_t>(program.num_slots)) {
       slots_.resize(program.num_slots);
     }
     next_fresh_id_ = placement_ != nullptr ? placement_->num_blocks : 0;
-    return EvalFormula(program.root);
   }
 
- private:
   struct ExprValue {
     double value = 0.0;
     bool defined = true;
@@ -677,8 +711,17 @@ class LeafEvaluator {
         ExprValue rhs = EvalExpr(f.b);
         if (!lhs.defined || !rhs.defined) return true;  // 0/0 convention
         double tau = tolerances_->Get(f.tolerance_index);
-        return semantics::CompareValues(lhs.value, f.compare_op, rhs.value,
-                                        tau);
+        const bool holds = semantics::CompareValues(lhs.value, f.compare_op,
+                                                    rhs.value, tau);
+        if (others_ != 0 && uniform_) {
+          ForEachScale(others_, [&](int s) {
+            uniform_ = uniform_ &&
+                       semantics::CompareValues(
+                           lhs.value, f.compare_op, rhs.value,
+                           scales_[s].Get(f.tolerance_index)) == holds;
+          });
+        }
+        return holds;
       }
       case Op::kError:
         Fail(f.index);
@@ -688,6 +731,11 @@ class LeafEvaluator {
 
   const LeafProgram* program_ = nullptr;
   const semantics::ToleranceVector* tolerances_ = nullptr;
+  // EvalAcross: the column's scales and the ones decided beside
+  // tolerances_, and whether every comparison so far decided alike.
+  const semantics::ToleranceVector* scales_ = nullptr;
+  ScaleMask others_ = 0;
+  bool uniform_ = true;
   const int64_t* counts_ = nullptr;
   int64_t n_ = 0;
   const Placement* placement_ = nullptr;
@@ -698,10 +746,28 @@ class LeafEvaluator {
   int next_fresh_id_ = 0;
 };
 
+// The scales of `mask` at which `program` holds on the evaluator's leaf
+// and placement: one walk at the lowest scale, re-walked at the others only
+// when some comparison decided differently there.
+ScaleMask EvalScales(LeafEvaluator& eval, const LeafProgram& program,
+                     const semantics::ToleranceVector* scales,
+                     ScaleMask mask) {
+  const int first = std::countr_zero(mask);
+  const ScaleMask others = mask & (mask - 1);
+  bool uniform = true;
+  const bool holds = eval.EvalAcross(program, scales, first, others, &uniform);
+  if (uniform) return holds ? mask : 0;
+  ScaleMask out = holds ? ScaleMask{1} << first : 0;
+  ForEachScale(others, [&](int s) {
+    if (eval.Eval(program, scales[s])) out |= ScaleMask{1} << s;
+  });
+  return out;
+}
+
 // One program's verdicts at the placements of a leaf.  A static program's
 // verdict is memoized per placement at its first use (its evaluation reads
-// neither counts nor slots, so later leaves would repeat it); any other
-// program is evaluated at every call.
+// neither counts, slots nor τ, so later leaves and other scales would
+// repeat it); any other program is evaluated at every call.
 class PlacementVerdicts {
  public:
   PlacementVerdicts(const LeafProgram& program, size_t num_placements)
@@ -720,6 +786,13 @@ class PlacementVerdicts {
     int8_t& verdict = memo_[placement];
     if (verdict == kUnknown) verdict = eval.Eval(program_, tolerances);
     return verdict != 0;
+  }
+
+  // The scales of `mask` (nonzero) at which the program holds.
+  ScaleMask Scales(LeafEvaluator& eval, size_t placement,
+                   const semantics::ToleranceVector* scales, ScaleMask mask) {
+    if (memo_.empty()) return EvalScales(eval, program_, scales, mask);
+    return Eval(eval, placement, scales[std::countr_zero(mask)]) ? mask : 0;
   }
 
  private:
@@ -1023,15 +1096,80 @@ namespace {
 // Cached world lists (context path).
 // ---------------------------------------------------------------------------
 
-// The satisfying worlds of one (N, ⃗τ) sweep point, grouped as the DFS
-// emits them: a leaf is an atom-count vector that passed the constant-free
-// KB, an entry is a (leaf, placement) pair that also passed the
-// constant-dependent KB, carrying the world-count log-weight.  Entries are
-// stored in DFS emission order so a replay accumulates the identical
-// LogSumExp sequence.  Placements index the vocabulary's enumeration
-// (ProfileKbProgram), which every context of one signature shares.  A leaf
-// takes 4 bytes per atom (a count is at most the int domain size), an
-// entry 16 bytes.
+// Memory caps for one recorded column (entries dominate).
+constexpr size_t kMaxRecordedEntries = 1u << 20;
+constexpr int kLeafBits = 19;
+constexpr size_t kMaxRecordedLeaves = size_t{1} << kLeafBits;
+// A recorded entry keeps its leaf index and its scale mask in one 32-bit
+// word, so a column has at most this many scales; a longer schedule is
+// split into several columns.
+constexpr int kMaxColumnScales = 32 - kLeafBits;
+
+// Append-only storage in blocks of a fixed power-of-two item count: an
+// append never moves what is stored, so a recording pays no reallocation
+// copies, and only the last block is trimmed when recording ends.  A block
+// holds whole runs of `run` items (a power of two), so a run appended at a
+// run boundary is contiguous.
+template <typename T>
+class BlockArray {
+ public:
+  explicit BlockArray(size_t run = 1) {
+    while ((size_t{1} << shift_) < run) ++shift_;
+  }
+
+  size_t size() const { return size_; }
+  const T& operator[](size_t i) const {
+    return blocks_[i >> shift_][i & ((size_t{1} << shift_) - 1)];
+  }
+
+  void Append(const T* items, size_t n) {
+    if (blocks_.empty() || blocks_.back().size() == size_t{1} << shift_) {
+      blocks_.emplace_back().reserve(size_t{1} << shift_);
+    }
+    blocks_.back().insert(blocks_.back().end(), items, items + n);
+    size_ += n;
+  }
+  void push_back(const T& item) { Append(&item, 1); }
+
+  template <typename Fn>
+  void ForEach(const Fn& fn) const {
+    for (const std::vector<T>& block : blocks_) {
+      for (const T& item : block) fn(item);
+    }
+  }
+
+  // Frees the unused tail of the last block.
+  void TrimLast() {
+    if (!blocks_.empty()) blocks_.back().shrink_to_fit();
+  }
+
+  size_t ByteSize() const {
+    size_t bytes = blocks_.capacity() * sizeof(std::vector<T>);
+    for (const std::vector<T>& block : blocks_) {
+      bytes += block.capacity() * sizeof(T);
+    }
+    return bytes;
+  }
+
+ private:
+  // 64 KiB blocks, or one run when a run is larger.
+  int shift_ = std::countr_zero(std::bit_floor(65536 / sizeof(T)));
+  size_t size_ = 0;
+  std::vector<std::vector<T>> blocks_;
+};
+
+// The satisfying worlds of one column (one N, up to kMaxColumnScales ⃗τ),
+// grouped as the DFS emits them: a leaf is an atom-count vector that
+// passed the constant-free KB at some scale, an entry is a (leaf,
+// placement) pair that also passed the constant-dependent KB, carrying the
+// world-count log-weight and the mask of the scales whose denominator it
+// entered.  Entries are stored in DFS emission order, so a replay
+// accumulates each scale's identical LogSumExp sequence.  Placements index
+// the vocabulary's enumeration (ProfileKbProgram), which every context of
+// one signature shares.  A leaf takes 4 bytes per atom (a count is at most
+// the int domain size), an entry 16 bytes: the leaf index in the low
+// kLeafBits bits of a 32-bit word with the scale mask above it, a 32-bit
+// placement index and a double log-weight.
 struct ProfileWorldList {
   // Record-and-replay protocol state (see engines/world_cache.h).
   internal::WorldCacheState state = internal::WorldCacheState::kSeenOnce;
@@ -1039,17 +1177,26 @@ struct ProfileWorldList {
   bool valid = false;
   int num_atoms = 0;
   // Leaf i's counts are leaf_counts[i·num_atoms, (i+1)·num_atoms).
-  std::vector<int32_t> leaf_counts;
+  BlockArray<int32_t> leaf_counts;
   struct Entry {
-    int32_t leaf = 0;
+    uint32_t leaf_and_scales = 0;
     int32_t placement = 0;
     double log_weight = 0.0;
+
+    int32_t leaf() const {
+      return static_cast<int32_t>(leaf_and_scales &
+                                  ((uint32_t{1} << kLeafBits) - 1));
+    }
+    ScaleMask scales() const { return leaf_and_scales >> kLeafBits; }
+    void set_scales(ScaleMask mask) {
+      leaf_and_scales = static_cast<uint32_t>(leaf()) | (mask << kLeafBits);
+    }
   };
-  std::vector<Entry> entries;
-  // The ⃗τ the list was recorded at (part of the blob key, but carried here
-  // too so PatchProfileWorlds can re-run the leaf evaluator without
-  // parsing the key back).
-  semantics::ToleranceVector tolerances;
+  BlockArray<Entry> entries;
+  // The column's ⃗τ, scale s at bit s of an entry's mask (part of the blob
+  // key, but carried here too so PatchProfileWorlds can re-run the leaf
+  // evaluator without parsing the key back).
+  std::vector<semantics::ToleranceVector> scales;
 
   size_t num_leaves() const {
     return num_atoms == 0 ? 0 : leaf_counts.size() / num_atoms;
@@ -1057,21 +1204,18 @@ struct ProfileWorldList {
   // Widens leaf i's counts into out[0, num_atoms).
   void WidenLeaf(int32_t i, int64_t* out) const {
     const int32_t* counts =
-        leaf_counts.data() + static_cast<size_t>(i) * num_atoms;
+        &leaf_counts[static_cast<size_t>(i) * num_atoms];
     std::copy(counts, counts + num_atoms, out);
   }
 
   // What the list occupies, allocation slack included: this is what the
   // context's blob budget is charged.
   size_t ByteSize() const {
-    return sizeof(*this) + entries.capacity() * sizeof(Entry) +
-           leaf_counts.capacity() * sizeof(int32_t);
+    return sizeof(*this) + entries.ByteSize() + leaf_counts.ByteSize() +
+           scales.capacity() * sizeof(semantics::ToleranceVector);
   }
 };
-
-// Memory cap for one recorded sweep point (entries dominate).
-constexpr size_t kMaxRecordedEntries = 1u << 20;
-constexpr size_t kMaxRecordedLeaves = 1u << 19;
+static_assert(sizeof(ProfileWorldList::Entry) == 16);
 
 FiniteResult Finish(const LogSumExp& numerator,
                     const LogSumExp& denominator) {
@@ -1087,29 +1231,79 @@ FiniteResult Finish(const LogSumExp& numerator,
   return result;
 }
 
-// The full Pr_N^τ computation, with an optional recording sink: when
-// `record` is non-null, every world that enters the denominator is
-// appended.  Recording never changes the result.
-FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
-                               const ProfileKbProgram& kb,
-                               const LeafProgram& query, int domain_size,
-                               const semantics::ToleranceVector& tolerances,
-                               ProfileWorldList* record) {
+// Pr_N^τ at every ⃗τ of one column (at most kMaxColumnScales), from one
+// DFS, with an optional recording sink: when `record` is non-null, every
+// world that enters some scale's denominator is appended with the mask of
+// those scales.  Recording never changes the result.
+//
+// The DFS prunes with each constraint's loosest bounds over the scales
+// (min lo, max hi), which cut no leaf that passes any scale's own test,
+// so each scale's leaves are a subsequence of the one DFS order, in the
+// order its own DFS would visit them.  Each leaf runs each scale's own
+// constraint test, and each scale keeps its own leaf counter for
+// max_leaves and its own sums, so every result and log-weight is the
+// one-scale column's bit for bit.  When scale s exhausts it drops itself
+// and every later scale: the column returns one result per scale up to
+// and including the first exhausted one.  kMultiScale = false is the
+// one-scale column, with the mask work compiled out.
+template <bool kMultiScale>
+std::vector<FiniteResult> SweepColumn(
+    const ProfileEngine::Options& options, const ProfileKbProgram& kb,
+    const LeafProgram& query, int domain_size,
+    std::span<const semantics::ToleranceVector> scales,
+    ProfileWorldList* record) {
   const int num_atoms = kb.num_atoms;
+  const int num_scales = static_cast<int>(scales.size());
   const int64_t n_total = domain_size;
   const std::vector<Placement>& placements = kb.placements;
-  const std::vector<PruneConstraint> constraints =
-      InstantiateAll(kb, tolerances);
-  const int num_constraints = static_cast<int>(constraints.size());
+  const ScaleMask all_scales = (ScaleMask{1} << num_scales) - 1;
+
+  // A scale certified empty would reach no leaf; it takes no part in the
+  // DFS (nor in its pruning bounds) and returns the empty result.
+  ScaleMask active = all_scales;
+  for (int s = 0; s < num_scales; ++s) {
+    if (SweepPointCertifiedEmpty(kb, domain_size, scales[s])) {
+      active &= ~(ScaleMask{1} << s);
+    }
+  }
+
+  // Each scale's bounds (lo and hi of constraint j at scale s at
+  // [j·num_scales + s]), and the loosest over the active scales.
+  const int num_constraints = static_cast<int>(kb.prune.size());
+  std::vector<PruneConstraint> constraints = InstantiateAll(
+      kb, scales[active != 0 ? std::countr_zero(active) : 0]);
+  std::vector<double> scale_lo(static_cast<size_t>(num_constraints) *
+                               num_scales);
+  std::vector<double> scale_hi(scale_lo.size());
+  for (int s = 0; s < num_scales; ++s) {
+    const std::vector<PruneConstraint> at_s = InstantiateAll(kb, scales[s]);
+    for (int j = 0; j < num_constraints; ++j) {
+      scale_lo[j * num_scales + s] = at_s[j].lo;
+      scale_hi[j * num_scales + s] = at_s[j].hi;
+    }
+  }
+  for (int j = 0; j < num_constraints; ++j) {
+    ForEachScale(active, [&](int s) {
+      constraints[j].lo = std::min(constraints[j].lo,
+                                   scale_lo[j * num_scales + s]);
+      constraints[j].hi = std::max(constraints[j].hi,
+                                   scale_hi[j * num_scales + s]);
+    });
+  }
 
   // DFS over atom-count vectors.
   std::vector<int64_t> counts(num_atoms, 0);
-  LogSumExp denominator;
-  LogSumExp numerator;
-  uint64_t leaves = 0;
-  bool exhausted = false;
+  std::vector<LogSumExp> denominator(num_scales);
+  std::vector<LogSumExp> numerator(num_scales);
+  std::vector<uint64_t> leaves(num_scales, 0);
+  // The first exhausted scale (num_scales: none).
+  int first_exhausted = num_scales;
   bool record_overflow = false;
-  if (record != nullptr) record->num_atoms = num_atoms;
+  if (record != nullptr) {
+    record->num_atoms = num_atoms;
+    record->leaf_counts = BlockArray<int32_t>(num_atoms);
+  }
+  std::vector<int32_t> narrow_counts(num_atoms);
 
   // Per atom: the constraints whose body or cond contains it, as the 0/1
   // amounts a unit of n_a adds to their partial sums.
@@ -1200,16 +1394,59 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
     return false;
   };
 
+  // The leaf's constraint test: the active scales whose bounds the full
+  // count vector meets.
+  auto leaf_scales = [&]() -> ScaleMask {
+    if constexpr (!kMultiScale) {
+      for (int j = 0; j < num_constraints; ++j) {
+        const PruneConstraint& c = constraints[j];
+        double body = static_cast<double>(sum_body[j]);
+        double cond = static_cast<double>(sum_cond[j]);
+        if (c.lo * cond > body + 1e-9 || body > c.hi * cond + 1e-9) return 0;
+      }
+      return active;
+    } else {
+      ScaleMask mask = active;
+      for (int j = 0; j < num_constraints && mask != 0; ++j) {
+        const double body = static_cast<double>(sum_body[j]);
+        const double cond = static_cast<double>(sum_cond[j]);
+        ForEachScale(mask, [&](int s) {
+          if (scale_lo[j * num_scales + s] * cond > body + 1e-9 ||
+              body > scale_hi[j * num_scales + s] * cond + 1e-9) {
+            mask &= ~(ScaleMask{1} << s);
+          }
+        });
+      }
+      return mask;
+    }
+  };
+
+  // The scales of `mask` at which a program holds: one walk for a
+  // one-scale column.
+  auto holds_at = [&](PlacementVerdicts& verdicts, LeafEvaluator& eval,
+                      size_t placement, ScaleMask mask) -> ScaleMask {
+    if constexpr (!kMultiScale) {
+      return verdicts.Eval(eval, placement, scales[0]) ? mask : 0;
+    } else {
+      return verdicts.Scales(eval, placement, scales.data(), mask);
+    }
+  };
+
   LeafEvaluator eval(num_atoms);
   PlacementVerdicts kb_verdicts(kb.constant_dependent, placements.size());
   PlacementVerdicts query_verdicts(query, placements.size());
   const int num_predicates = kb.universe.num_predicates();
-  auto process_leaf = [&](double log_multinomial) {
-    ++leaves;
-    if (leaves > options.max_leaves) {
-      exhausted = true;
-      return;
-    }
+  auto process_leaf = [&](double log_multinomial, ScaleMask live) {
+    // Each scale counts its own leaves; an exhausted scale drops itself
+    // and every later scale.
+    ForEachScale(live, [&](int s) {
+      if (++leaves[s] > options.max_leaves && s < first_exhausted) {
+        first_exhausted = s;
+        active &= (ScaleMask{1} << s) - 1;
+      }
+    });
+    live &= active;
+    if (live == 0) return;
     if (options.prior == Prior::kRandomPropensities) {
       // Marginal probability of a world under per-predicate uniform
       // propensities: Π_i c_i!(N-c_i)!/(N+1)!, constant across the worlds
@@ -1227,7 +1464,12 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
     // Constant-free part: once per profile.
     eval.SetLeaf(counts.data());
     eval.SetPlacement(nullptr);
-    if (!eval.Eval(kb.constant_free, tolerances)) return;
+    if constexpr (kMultiScale) {
+      live = EvalScales(eval, kb.constant_free, scales.data(), live);
+    } else if (!eval.Eval(kb.constant_free, scales[0])) {
+      live = 0;
+    }
+    if (live == 0) return;
     int32_t recorded_leaf = -1;
     for (size_t pi = 0; pi < placements.size(); ++pi) {
       if (!kb_verdicts.MayHold(pi)) continue;
@@ -1243,22 +1485,23 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
       if (!feasible) continue;
 
       eval.SetPlacement(&placement);
-      if (!kb_verdicts.Eval(eval, pi, tolerances)) continue;
+      const ScaleMask in_kb = holds_at(kb_verdicts, eval, pi, live);
+      if (in_kb == 0) continue;
       double log_falling = 0.0;
       for (int a : placement.occupied_atoms) {
         log_falling +=
             LogFallingFactorial(counts[a], placement.blocks_in_atom[a]);
       }
       double log_weight = log_multinomial + log_falling;
-      denominator.Add(log_weight);
+      ForEachScale(in_kb, [&](int s) { denominator[s].Add(log_weight); });
       if (record != nullptr && !record_overflow) {
         if (recorded_leaf < 0) {
           if (record->num_leaves() >= kMaxRecordedLeaves) {
             record_overflow = true;
           } else {
             recorded_leaf = static_cast<int32_t>(record->num_leaves());
-            record->leaf_counts.insert(record->leaf_counts.end(),
-                                       counts.begin(), counts.end());
+            std::copy(counts.begin(), counts.end(), narrow_counts.begin());
+            record->leaf_counts.Append(narrow_counts.data(), num_atoms);
           }
         }
         if (!record_overflow) {
@@ -1266,13 +1509,13 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
             record_overflow = true;
           } else {
             record->entries.push_back(ProfileWorldList::Entry{
-                recorded_leaf, static_cast<int32_t>(pi), log_weight});
+                static_cast<uint32_t>(recorded_leaf) | (in_kb << kLeafBits),
+                static_cast<int32_t>(pi), log_weight});
           }
         }
       }
-      if (query_verdicts.Eval(eval, pi, tolerances)) {
-        numerator.Add(log_weight);
-      }
+      ForEachScale(holds_at(query_verdicts, eval, pi, in_kb),
+                   [&](int s) { numerator[s].Add(log_weight); });
     }
   };
 
@@ -1282,20 +1525,16 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
   log_prefix[0] = LogFactorial(n_total);
   const int last = num_atoms - 1;
   auto dfs = [&](auto& self, int atom, int64_t remaining) -> void {
-    if (exhausted) return;
+    if (active == 0) return;
     if (atom == last) {
       // Last atom takes the remainder.
       if (!allowed[atom] && remaining > 0) return;
       counts[atom] = remaining;
       add(atom, remaining);
-      bool ok = true;
-      for (int j = 0; j < num_constraints && ok; ++j) {
-        const PruneConstraint& c = constraints[j];
-        double body = static_cast<double>(sum_body[j]);
-        double cond = static_cast<double>(sum_cond[j]);
-        if (c.lo * cond > body + 1e-9 || body > c.hi * cond + 1e-9) ok = false;
+      const ScaleMask live = leaf_scales();
+      if (live != 0) {
+        process_leaf(log_prefix[atom] - LogFactorial(remaining), live);
       }
-      if (ok) process_leaf(log_prefix[atom] - LogFactorial(remaining));
       add(atom, -remaining);
       counts[atom] = 0;
       return;
@@ -1309,68 +1548,91 @@ FiniteResult ComputeSweepPoint(const ProfileEngine::Options& options,
       if (!infeasible(atom + 1, remaining - value)) {
         self(self, atom + 1, remaining - value);
       }
-      if (exhausted || value == max_here) break;
+      if (active == 0 || value == max_here) break;
     }
     add(atom, -value);
     counts[atom] = 0;
   };
 
   if (num_atoms == 1) {
+    // One leaf, and no constraint test.
     counts[0] = n_total;
     if (allowed[0] || n_total == 0) {
-      process_leaf(log_prefix[0] - LogFactorial(n_total));
+      process_leaf(log_prefix[0] - LogFactorial(n_total), active);
     }
-  } else if (!SweepPointCertifiedEmpty(kb, domain_size, tolerances)) {
-    // Skipped only when no count vector can pass the leaf's constraint
-    // test, i.e. when the DFS would reach no leaf.
+  } else if (active != 0) {
     dfs(dfs, 0, n_total);
   }
 
   if (record != nullptr) {
-    record->valid = !record_overflow && !exhausted;
+    record->valid = !record_overflow && first_exhausted == num_scales;
     if (record->valid) {
-      record->tolerances = tolerances;
-      record->leaf_counts.shrink_to_fit();
-      record->entries.shrink_to_fit();
+      record->scales.assign(scales.begin(), scales.end());
+      record->leaf_counts.TrimLast();
+      record->entries.TrimLast();
     } else {
-      record->leaf_counts = {};
-      record->entries = {};
+      record->leaf_counts = BlockArray<int32_t>();
+      record->entries = BlockArray<ProfileWorldList::Entry>();
     }
   }
 
-  if (exhausted) {
+  std::vector<FiniteResult> column;
+  column.reserve(std::min(first_exhausted + 1, num_scales));
+  for (int s = 0; s < first_exhausted; ++s) {
+    column.push_back(Finish(numerator[s], denominator[s]));
+  }
+  if (first_exhausted < num_scales) {
     FiniteResult result;
     result.exhausted = true;
-    return result;
+    column.push_back(result);
   }
-  return Finish(numerator, denominator);
+  return column;
 }
 
-// Replays a recorded world list for a new query: one evaluation per
-// surviving world, log-weights accumulated in recorded (= DFS) order.
-FiniteResult ReplayWorldList(const ProfileKbProgram& kb,
-                             const ProfileWorldList& worlds,
-                             const LeafProgram& query,
-                             const semantics::ToleranceVector& tolerances) {
-  LogSumExp denominator;
-  LogSumExp numerator;
+std::vector<FiniteResult> SweepColumn(
+    const ProfileEngine::Options& options, const ProfileKbProgram& kb,
+    const LeafProgram& query, int domain_size,
+    std::span<const semantics::ToleranceVector> scales,
+    ProfileWorldList* record) {
+  return scales.size() == 1
+             ? SweepColumn<false>(options, kb, query, domain_size, scales,
+                                  record)
+             : SweepColumn<true>(options, kb, query, domain_size, scales,
+                                 record);
+}
+
+// Replays a recorded column for a new query: one evaluation per surviving
+// world, each log-weight accumulated into the scales of its mask in
+// recorded (= DFS) order.
+std::vector<FiniteResult> ReplayWorldList(const ProfileKbProgram& kb,
+                                          const ProfileWorldList& worlds,
+                                          const LeafProgram& query) {
+  const size_t num_scales = worlds.scales.size();
+  std::vector<LogSumExp> denominator(num_scales);
+  std::vector<LogSumExp> numerator(num_scales);
   LeafEvaluator eval(worlds.num_atoms);
   PlacementVerdicts query_verdicts(query, kb.placements.size());
   std::vector<int64_t> counts(worlds.num_atoms);
   int32_t leaf = -1;
-  for (const auto& entry : worlds.entries) {
-    denominator.Add(entry.log_weight);
-    if (entry.leaf != leaf) {
-      leaf = entry.leaf;
+  worlds.entries.ForEach([&](const ProfileWorldList::Entry& entry) {
+    const ScaleMask mask = entry.scales();
+    ForEachScale(mask, [&](int s) { denominator[s].Add(entry.log_weight); });
+    if (entry.leaf() != leaf) {
+      leaf = entry.leaf();
       worlds.WidenLeaf(leaf, counts.data());
       eval.SetLeaf(counts.data());
     }
     eval.SetPlacement(&kb.placements[entry.placement]);
-    if (query_verdicts.Eval(eval, entry.placement, tolerances)) {
-      numerator.Add(entry.log_weight);
-    }
+    ForEachScale(query_verdicts.Scales(eval, entry.placement,
+                                       worlds.scales.data(), mask),
+                 [&](int s) { numerator[s].Add(entry.log_weight); });
+  });
+  std::vector<FiniteResult> column;
+  column.reserve(num_scales);
+  for (size_t s = 0; s < num_scales; ++s) {
+    column.push_back(Finish(numerator[s], denominator[s]));
   }
-  return Finish(numerator, denominator);
+  return column;
 }
 
 }  // namespace
@@ -1389,7 +1651,8 @@ std::shared_ptr<const void> PatchProfileWorlds(
   // conjuncts gate a whole leaf (evaluated placement-free),
   // constant-dependent ones gate each (leaf, placement) entry.  The
   // evaluations are exactly the ones a fresh sweep of the new KB would
-  // run, so survivors — in unchanged order, with unchanged log-weights —
+  // run, scale by scale, so each entry keeps the scales whose verdicts all
+  // pass; survivors — in unchanged order, with unchanged log-weights —
   // replay bit-identically to a fresh recording.
   std::vector<FormulaPtr> appended_free;
   std::vector<FormulaPtr> appended_dep;
@@ -1399,41 +1662,46 @@ std::shared_ptr<const void> PatchProfileWorlds(
   }
   auto delta = CompileProfileKb(vocabulary, Formula::AndAll(appended_free),
                                 Formula::AndAll(appended_dep));
-  const semantics::ToleranceVector& tolerances = worlds->tolerances;
+  const semantics::ToleranceVector* scales = worlds->scales.data();
+  const ScaleMask all_scales =
+      (ScaleMask{1} << worlds->scales.size()) - 1;
   auto patched = std::make_shared<ProfileWorldList>();
   patched->state = internal::WorldCacheState::kRecorded;
   patched->valid = true;
   patched->num_atoms = worlds->num_atoms;
   patched->leaf_counts = worlds->leaf_counts;
-  patched->tolerances = tolerances;
-  patched->entries.reserve(worlds->entries.size());
-  // The constant-free verdict is taken once per leaf (consecutive entries
-  // share leaves, and the fresh sweep, too, evaluates the constant-free
-  // part once per leaf).
+  patched->scales = worlds->scales;
+  // The constant-free verdicts are taken once per leaf (consecutive
+  // entries share leaves, and the fresh sweep, too, evaluates the
+  // constant-free part once per leaf).
   LeafEvaluator eval(worlds->num_atoms);
   PlacementVerdicts dep_verdicts(delta->constant_dependent,
                                  delta->placements.size());
   std::vector<int64_t> counts(worlds->num_atoms);
   int32_t leaf = -1;
-  bool leaf_passes = true;
-  for (const auto& entry : worlds->entries) {
-    if (entry.leaf != leaf) {
-      leaf = entry.leaf;
+  ScaleMask leaf_passes = all_scales;
+  worlds->entries.ForEach([&](const ProfileWorldList::Entry& entry) {
+    if (entry.leaf() != leaf) {
+      leaf = entry.leaf();
       worlds->WidenLeaf(leaf, counts.data());
       eval.SetLeaf(counts.data());
       if (!appended_free.empty()) {
         eval.SetPlacement(nullptr);
-        leaf_passes = eval.Eval(delta->constant_free, tolerances);
+        leaf_passes =
+            EvalScales(eval, delta->constant_free, scales, all_scales);
       }
     }
-    if (!leaf_passes) continue;
-    if (!appended_dep.empty()) {
+    ScaleMask mask = entry.scales() & leaf_passes;
+    if (mask != 0 && !appended_dep.empty()) {
       eval.SetPlacement(&delta->placements[entry.placement]);
-      if (!dep_verdicts.Eval(eval, entry.placement, tolerances)) continue;
+      mask = dep_verdicts.Scales(eval, entry.placement, scales, mask);
     }
-    patched->entries.push_back(entry);
-  }
-  patched->entries.shrink_to_fit();
+    if (mask == 0) return;
+    ProfileWorldList::Entry kept = entry;
+    kept.set_scales(mask);
+    patched->entries.push_back(kept);
+  });
+  patched->entries.TrimLast();
   if (bytes_out != nullptr) *bytes_out = patched->ByteSize();
   return patched;
 }
@@ -1502,9 +1770,14 @@ std::string ProfileEngine::CacheSalt() const {
   return salt;
 }
 
-FiniteResult ProfileEngine::DegreeAtInContext(
+namespace {
+
+// One column through the context: recorded, replayed or swept plainly
+// under the record-and-replay protocol, keyed by N and the column's ⃗τ.
+std::vector<FiniteResult> ComputeColumn(
+    const ProfileEngine::Options& options, const std::string& salt,
     QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
-    const semantics::ToleranceVector& tolerances) const {
+    std::span<const semantics::ToleranceVector> scales) {
   if (!ctx.caching_enabled()) {
     // Compile per call.  Constant-free conjuncts evaluate once per
     // profile, the rest once per placement; the same SplitByConstants
@@ -1513,23 +1786,53 @@ FiniteResult ProfileEngine::DegreeAtInContext(
     auto program = CompileProfileKb(ctx.vocabulary(), split.constant_free,
                                     split.constant_dependent);
     LeafProgram query_program = program->Compile(query);
-    return ComputeSweepPoint(options_, *program, query_program, domain_size,
-                             tolerances, nullptr);
+    return SweepColumn(options, *program, query_program, domain_size,
+                       scales, nullptr);
   }
   std::shared_ptr<const ProfileKbProgram> program = ctx.profile_kb_program();
   LeafProgram query_program = program->Compile(query);
-  std::string blob_key = "profile.worlds|" + CacheSalt() + "|" +
-                         std::to_string(domain_size) + "|" +
-                         tolerances.CacheKey();
+  std::string blob_key = "profile.worlds|" + salt + "|" +
+                         std::to_string(domain_size) + "|";
+  for (size_t s = 0; s < scales.size(); ++s) {
+    if (s > 0) blob_key += '/';
+    blob_key += scales[s].CacheKey();
+  }
   return internal::LazyRecordReplay<ProfileWorldList>(
       ctx, blob_key,
       [&](ProfileWorldList* record) {
-        return ComputeSweepPoint(options_, *program, query_program,
-                                 domain_size, tolerances, record);
+        return SweepColumn(options, *program, query_program, domain_size,
+                           scales, record);
       },
       [&](const ProfileWorldList& worlds) {
-        return ReplayWorldList(*program, worlds, query_program, tolerances);
+        return ReplayWorldList(*program, worlds, query_program);
       });
+}
+
+}  // namespace
+
+FiniteResult ProfileEngine::DegreeAtInContext(
+    QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
+    const semantics::ToleranceVector& tolerances) const {
+  return DegreesAtInContext(ctx, query, domain_size, {tolerances}).front();
+}
+
+std::vector<FiniteResult> ProfileEngine::DegreesAtInContext(
+    QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
+    const std::vector<semantics::ToleranceVector>& scales) const {
+  // A column holds at most kMaxColumnScales scales; a longer schedule runs
+  // as several columns, and stops after the one that exhausts.
+  std::vector<FiniteResult> results;
+  for (size_t begin = 0; begin < scales.size();
+       begin += kMaxColumnScales) {
+    const std::span<const semantics::ToleranceVector> part(
+        scales.data() + begin,
+        std::min<size_t>(kMaxColumnScales, scales.size() - begin));
+    std::vector<FiniteResult> column =
+        ComputeColumn(options_, CacheSalt(), ctx, query, domain_size, part);
+    results.insert(results.end(), column.begin(), column.end());
+    if (internal::Exhausted(column)) break;
+  }
+  return results;
 }
 
 }  // namespace rwl::engines

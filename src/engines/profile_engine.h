@@ -34,17 +34,38 @@
 // site: the sweep, replay of a recorded world list, and patching a
 // recorded list after an append.
 //
-// Emptiness certificate: before each sweep point's DFS, the engine looks
-// for Farkas multipliers y ≥ 0 over the point's own pruning rows
+// Columns: the engine computes every τ scale of one N — a column, as
+// EstimateLimit asks for it — in a single DFS.  The DFS prunes with each
+// pruning constraint's loosest bounds over the scales (min lo, max hi;
+// pruning rows come only from top-level KB conjuncts, so no leaf that
+// passes some scale's own test is cut), and each leaf runs every scale's
+// own constraint test, which sets the leaf's mask of live scales.  The
+// leaf program is walked once, at the lowest live scale, deciding each
+// comparison it reaches at the other live scales too; only when some
+// comparison decides differently is it re-walked per scale.  The
+// multinomial and falling factorials are computed once per (leaf,
+// placement) and added to each live scale's own sums in DFS order, and
+// each scale counts its own leaves against max_leaves, so every point of
+// a column is bit-identical to the one-scale column of that point, which
+// is what DegreeAt computes.  When a scale exhausts, it and every later
+// scale of the column are dropped.  A recorded world list holds one
+// column: each (leaf, placement) entry carries the mask of the scales it
+// counts at, in the 32-bit word of its leaf index (a column holds at most
+// 13 scales; a longer schedule is split into columns).  An entry is 16
+// bytes and a leaf 4 bytes per atom, appended into 64 KiB blocks.
+//
+// Emptiness certificate: before a column's DFS, the engine looks, for each
+// scale, for Farkas multipliers y ≥ 0 over that scale's pruning rows
 // (lo·cond − body ≤ 1e-9, body − hi·cond ≤ 1e-9, restricted to the
 // allowed atoms).  It skips the DFS only when a check in doubles proves
 // that no count vector passes the leaf's constraint test: every combined
 // allowed-atom coefficient is ≥ δ with δ·N − 1e-9·Σy > 1e-6·Σy·N, a margin
 // that covers every rounding error of the check and of the leaf test.  A
 // dense simplex proposes y, and soundness rests on that check alone.  A
-// skipped point returns exactly what a DFS that finds no leaf returns: an
-// undefined FiniteResult, and a valid, empty recorded world list.  The KB
-// is then not eventually consistent at that point (S(KB) is empty,
+// certified scale takes no part in the DFS and returns exactly what a DFS
+// that finds no leaf returns: an undefined FiniteResult, and no recorded
+// world enters it; when every scale is certified the DFS is skipped.  The
+// KB is then not eventually consistent at that point (S(KB) is empty,
 // Section 6), and that is settled without a search.
 #ifndef RWL_ENGINES_PROFILE_ENGINE_H_
 #define RWL_ENGINES_PROFILE_ENGINE_H_
@@ -95,7 +116,7 @@ bool CertifiesNoCountVector(const std::vector<PruneConstraint>& constraints,
                             const logic::AtomSet& allowed,
                             int64_t domain_size);
 
-// Whether the sweep point (N, ⃗τ) of `kb` skips its DFS on a verified
+// Whether the sweep point (N, ⃗τ) of `kb` is settled empty on a verified
 // certificate: the KB's pruning rows instantiated at ⃗τ certify that no
 // leaf can pass, over a vocabulary of more than one atom.
 bool SweepPointCertifiedEmpty(const ProfileKbProgram& kb, int domain_size,
@@ -104,9 +125,11 @@ bool SweepPointCertifiedEmpty(const ProfileKbProgram& kb, int domain_size,
 // Filter-patches one recorded profile world list (a type-erased context
 // blob stored under a "profile.worlds|..." key) for a signature-preserving
 // append mutation: every recorded (profile, placement) world is re-checked
-// against the appended conjuncts and survivors keep their order and
-// log-weights, so replaying the patched list is bit-identical to a fresh
-// DFS under the new KB (new worlds ⊆ old worlds, same enumeration order).
+// against the appended conjuncts at each scale of the column, its scale
+// mask is intersected with the scales where they hold, and survivors keep
+// their order and log-weights, so replaying the patched list is
+// bit-identical to a fresh DFS under the new KB (new worlds ⊆ old worlds,
+// same enumeration order).
 // Returns the patched list with *bytes_out set to its ByteSize, or null
 // when the blob is not a valid recorded list (marker or tombstone) — the
 // caller then lets the point recompute lazily under the new salt.
@@ -160,13 +183,19 @@ class ProfileEngine : public FiniteEngine {
                             int domain_size) const;
 
  protected:
-  // The DFS over profiles is query-independent up to the leaf evaluation,
-  // so with caching on the first query at each (N, ⃗τ) records the
-  // satisfying (profile, placement) world list into the context and every
-  // later query replays it — an evaluation per surviving world instead of a
-  // DFS over all of them.  Replay accumulates the same log-weights in the
-  // same order, so answers are bit-identical to the cache-free path, which
-  // compiles the KB per call and runs the DFS.
+  // One DFS per column computes every scale of it.  The DFS over profiles
+  // is query-independent up to the leaf evaluation, so with caching on the
+  // first query at each column records the satisfying (profile, placement)
+  // world list into the context, each entry with the mask of the scales
+  // it counts at, and every later query replays it — an evaluation per
+  // surviving world instead of a DFS over all of them.  Replay accumulates
+  // the same log-weights in the same order, so answers are bit-identical to
+  // the cache-free path, which compiles the KB per call and runs the DFS.
+  std::vector<FiniteResult> DegreesAtInContext(
+      QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
+      const std::vector<semantics::ToleranceVector>& scales) const override;
+
+  // The one-scale column.
   FiniteResult DegreeAtInContext(QueryContext& ctx,
                                  const logic::FormulaPtr& query,
                                  int domain_size,

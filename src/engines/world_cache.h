@@ -1,9 +1,9 @@
-// The lazy record-and-replay protocol shared by the profile and exact
-// engines' per-(N, ⃗τ) world-list caches.
+// The lazy record-and-replay protocol shared by the profile engine's
+// per-column world lists and the exact engine's per-(N, ⃗τ) ones.
 //
-// The satisfying worlds at one sweep point are query-independent, but
-// recording them costs time and memory that a lone query would waste, so
-// the protocol is three-step:
+// The satisfying worlds at one sweep point (or one column of points) are
+// query-independent, but recording them costs time and memory that a lone
+// query would waste, so the protocol is three-step:
 //
 //   1st distinct query at a point  → compute plainly, leave a kSeenOnce
 //                                    marker in the context blob cache;
@@ -28,7 +28,9 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "src/core/query_context.h"
 #include "src/engines/engine.h"
@@ -37,22 +39,32 @@ namespace rwl::engines::internal {
 
 enum class WorldCacheState { kSeenOnce, kRecorded, kTooBig };
 
+// Whether a computation stopped on its work budget: an incomplete result,
+// which is neither marked nor recorded.
+inline bool Exhausted(const FiniteResult& result) { return result.exhausted; }
+// A column ends at its first exhausted point (FiniteEngine::DegreesAt).
+inline bool Exhausted(const std::vector<FiniteResult>& column) {
+  return !column.empty() && column.back().exhausted;
+}
+
 // `List` must provide: `WorldCacheState state`, `bool valid` (set by the
 // recording computation), and `size_t ByteSize() const` (for the context's
 // aggregate cache budget).  `compute(List*)` runs the full computation,
 // recording into the pointer when non-null; `replay(const List&)` answers
-// from a recorded list.
+// from a recorded list.  Both return the same result type: a FiniteResult
+// or a column of them.
 template <typename List, typename Compute, typename Replay>
-FiniteResult LazyRecordReplay(QueryContext& ctx, const std::string& key,
-                              const Compute& compute, const Replay& replay) {
+std::invoke_result_t<const Compute&, List*> LazyRecordReplay(
+    QueryContext& ctx, const std::string& key, const Compute& compute,
+    const Replay& replay) {
   auto worlds =
       std::static_pointer_cast<const List>(ctx.LookupBlob(key));
   if (worlds == nullptr) {
     if (!ctx.eager_world_recording()) {
-      FiniteResult result = compute(static_cast<List*>(nullptr));
-      // An exhausted point is incomplete; do not mark it (the memo layer
-      // still caches the exhausted FiniteResult).
-      if (!result.exhausted) ctx.StoreBlob(key, std::make_shared<List>());
+      auto result = compute(static_cast<List*>(nullptr));
+      // An exhausted computation is incomplete; do not mark it (nor does
+      // the finite memo store an exhausted FiniteResult).
+      if (!Exhausted(result)) ctx.StoreBlob(key, std::make_shared<List>());
       return result;
     }
     // Eager mode: fall through and record on the first computation.
@@ -67,8 +79,8 @@ FiniteResult LazyRecordReplay(QueryContext& ctx, const std::string& key,
     }
   }
   auto recording = std::make_shared<List>();
-  FiniteResult result = compute(recording.get());
-  if (!result.exhausted) {
+  auto result = compute(recording.get());
+  if (!Exhausted(result)) {
     recording->state = recording->valid ? WorldCacheState::kRecorded
                                         : WorldCacheState::kTooBig;
     size_t bytes = recording->ByteSize();

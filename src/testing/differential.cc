@@ -909,6 +909,12 @@ DifferentialReport RunDifferential(
                          /*caching_enabled=*/false);
   QueryContext ctx(scenario.vocabulary, scenario.kb,
                    /*caching_enabled=*/true);
+  // The column check: one DegreesAt over the pipeline's τ scales through
+  // the caching context must reproduce each scale's cache-free DegreeAt.
+  std::vector<semantics::ToleranceVector> column_scales;
+  for (double scale : options.pipeline_tolerance_scales) {
+    column_scales.push_back(options.tolerances.Scaled(scale));
+  }
   for (const auto& query : scenario.queries) {
     for (int n : options.domain_sizes) {
       struct Run {
@@ -931,6 +937,34 @@ DifferentialReport RunDifferential(
                   engines::ToString(via_context) + "]"});
         }
         runs.push_back(Run{engine, cache_free});
+
+        const std::vector<FiniteResult> column =
+            engine->DegreesAt(ctx, query, n, column_scales);
+        ++report.comparisons;
+        std::string column_error;
+        if (column.empty() || column.size() > column_scales.size() ||
+            (column.size() < column_scales.size() &&
+             !column.back().exhausted)) {
+          column_error = "column returned " + std::to_string(column.size()) +
+                         " of " + std::to_string(column_scales.size()) +
+                         " scales without exhausting";
+        }
+        for (size_t s = 0; s < column.size() && column_error.empty(); ++s) {
+          const FiniteResult point =
+              engine->DegreeAt(reference, query, n, column_scales[s]);
+          if (!BitIdentical(point, column[s])) {
+            column_error = "column diverged from the cache-free point at "
+                           "scale " +
+                           std::to_string(options.pipeline_tolerance_scales[s]) +
+                           "  [" + engines::ToString(point) + " vs " +
+                           engines::ToString(column[s]) + "]";
+          }
+        }
+        if (!column_error.empty()) {
+          report.disagreements.push_back(Disagreement{
+              "column", engine->name(), engine->name() + "+column", query, n,
+              column_error});
+        }
       }
       for (size_t i = 0; i < runs.size(); ++i) {
         for (size_t j = i + 1; j < runs.size(); ++j) {

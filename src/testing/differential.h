@@ -154,9 +154,9 @@ struct DifferentialOptions {
 };
 
 struct Disagreement {
-  std::string check;  // "vm", "finite", "context", "pipeline", "maxent",
-                      // "batch", "planner", "plan-cache", "service",
-                      // "replica"
+  std::string check;  // "vm", "finite", "context", "column", "pipeline",
+                      // "maxent", "batch", "planner", "plan-cache",
+                      // "service", "replica"
   std::string lhs;    // engine / strategy names
   std::string rhs;
   logic::FormulaPtr query;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -678,6 +679,657 @@ TEST(ProfileEngineGolden, PatchedAfterAppend) {
       ExpectGolden(grown.engine.DegreeAt(v2, grown.query, point.n, tol),
                    point, "patched");
     }
+  }
+}
+
+// ---- Columns: every scale of one N from one DFS ----
+//
+// The rows below were recorded with the per-point sweep (one DFS per
+// (N, τ) point) that the column kernel replaced.  Each case computes the
+// column over `scales` at each N; every path (uncached, recording,
+// replaying and patched) must reproduce the per-point rows bit for bit,
+// and EstimateLimit must reproduce the per-point sweep's series and answer.
+
+struct ColumnCase {
+  const char* id;
+  const char* kb;
+  const char* query;
+  double tolerance;
+  std::vector<int> sizes;
+  std::vector<double> scales;
+  uint64_t max_leaves;
+  // Asserted by the patch check (nullptr: no patch check).
+  const char* appended;
+};
+
+const std::vector<ColumnCase>& ColumnCases() {
+  static const auto* cases = new std::vector<ColumnCase>{
+      // A negated ≈ conjunct: a narrower τ admits leaves that a wider τ
+      // rejects.
+      {"negated",
+       "!(#(A(x))[x] ~= 0.5)\n"
+       "#(B(x) ; A(x))[x] <~ 0.6\n"
+       "A(K)\n",
+       "B(K)", 0.1, {8, 16, 32}, {1.0, 0.5, 0.25}, 2'000'000,
+       "#(A(x))[x] <~ 0.7\n"
+       "B(K) | #(B(x))[x] ~= 0.4\n"},
+      // A τ-dependent constant-dependent conjunct and a τ-dependent query:
+      // the entries of one leaf enter different scales.
+      {"mixed-masks",
+       "#(A(x))[x] ~= 0.5\n"
+       "A(K) | #(B(x) ; A(x))[x] ~= 0.3\n",
+       "B(K) | #(B(x))[x] <~ 0.3", 0.1, {8, 16, 32}, {1.0, 0.5, 0.25},
+       2'000'000,
+       "#(B(x))[x] >~ 0.2\n"
+       "!B(K) | #(A(x) ; B(x))[x] <~ 0.6\n"},
+      // A leaf budget at which only some points exhaust: at N = 16 the
+      // widest scale does (367 leaves), the others do not (143 and 45).
+      {"exhaust",
+       "#(A(x))[x] ~= 0.5\n"
+       "#(B(x) ; A(x))[x] <~ 0.5\n"
+       "A(K)\n",
+       "B(K)", 0.2, {8, 16, 32}, {1.0, 0.5, 0.25}, 300, nullptr},
+      // The same budget with the widest scale in the middle of the
+      // schedule: at N = 16 scale 1 exhausts and scale 0 does not, so the
+      // N = 32 column computes scale 0 alone.
+      {"exhaust-middle",
+       "#(A(x))[x] ~= 0.5\n"
+       "#(B(x) ; A(x))[x] <~ 0.5\n"
+       "A(K)\n",
+       "B(K)", 0.2, {8, 16, 32}, {0.1, 1.0, 0.5}, 300, nullptr},
+      // A schedule longer than a column's scale mask: split into columns.
+      {"long",
+       "#(A(x))[x] ~= 0.5\n"
+       "A(K) | #(B(x) ; A(x))[x] ~= 0.3\n"
+       "!(#(B(x))[x] ~= 0.5)\n",
+       "B(K) | #(B(x))[x] <~ 0.3", 0.1, {8, 12},
+       {1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2, 0.15,
+        0.12, 0.1},
+       2'000'000,
+       "#(B(x))[x] >~ 0.2\n"
+       "!B(K) | #(A(x) ; B(x))[x] <~ 0.6\n"},
+  };
+  return *cases;
+}
+
+struct ColumnPoint {
+  const char* id;
+  int appended;
+  int n;
+  int scale_index;
+  int exhausted;
+  int well_defined;
+  uint64_t probability;
+  uint64_t log_numerator;
+  uint64_t log_denominator;
+};
+
+const std::vector<ColumnPoint>& ColumnPoints() {
+  static const auto* points = new std::vector<ColumnPoint>{
+      {"negated", 0, 8, 0, 0, 1,
+       0x3fdb2202a827ee22, 0x40263c034bd64af8, 0x4027f361224e8bb3},
+      {"negated", 0, 8, 1, 0, 1,
+       0x3fd80ff0ec8585b4, 0x4025a22ae9dcdeac, 0x40279706875f8b03},
+      {"negated", 0, 8, 2, 0, 1,
+       0x3fd8021b9e9a6715, 0x40259f4898bbc0ce, 0x4027954ae34c43e2},
+      {"negated", 0, 16, 0, 0, 1,
+       0x3fddc6578bc7cb7b, 0x403699ddebba8159, 0x40375dc37b785dfa},
+      {"negated", 0, 16, 1, 0, 1,
+       0x3fdbad0d75384b23, 0x4036f46c6481088e, 0x4037cb0865ed16f4},
+      {"negated", 0, 16, 2, 0, 1,
+       0x3fdb5a2ac0e3d2a5, 0x4036eb24842149b7, 0x4037c4c3b972ad53},
+      {"negated", 0, 32, 0, 0, 1,
+       0x3fdf2a33707aa7dd, 0x40466a58c1ed25b0, 0x4046c6745bbb2112},
+      {"negated", 0, 32, 1, 0, 1,
+       0x3fde41a9ba697fa5, 0x4046dfa65c9256a2, 0x40473f8b3c459479},
+      {"negated", 0, 32, 2, 0, 1,
+       0x3fddb1587531d49a, 0x4047057204c2fb81, 0x404767bf2fb468cd},
+      {"negated", 1, 8, 0, 0, 1,
+       0x3fe2204fdc45e0c6, 0x40261068741dd202, 0x4027336ab1d1b118},
+      {"negated", 1, 8, 1, 0, 1,
+       0x3fe53729043e3b64, 0x4024d83542b524b3, 0x4025aaa48bb62f64},
+      {"negated", 1, 8, 2, 0, 1,
+       0x3ff0000000000000, 0x4024d83542b524b3, 0x4024d83542b524b3},
+      {"negated", 1, 16, 0, 0, 1,
+       0x3fe233985981447d, 0x40368ece7e2149f0, 0x40371f3fd679bffc},
+      {"negated", 1, 16, 1, 0, 1,
+       0x3fe53102649cdd77, 0x4036de748e9b20a2, 0x403747f676553694},
+      {"negated", 1, 16, 2, 0, 1,
+       0x3ff0000000000000, 0x4036d4991dc330df, 0x4036d4991dc330df},
+      {"negated", 1, 32, 0, 0, 1,
+       0x3fe3252f08142076, 0x40466a127f3c1637, 0x4046abd2ce7199ae},
+      {"negated", 1, 32, 1, 0, 1,
+       0x3fe7e3566d1bf8ab, 0x4046de69628237bf, 0x404703d55fefb26d},
+      {"negated", 1, 32, 2, 0, 1,
+       0x3fec822ef6c2b5dd, 0x4047049d010718ee, 0x40471366c6a9cbd9},
+      {"mixed-masks", 0, 8, 0, 0, 1,
+       0x3fe933333333332f, 0x4026541478e3bb1a, 0x4026ce64832e6f2f},
+      {"mixed-masks", 0, 8, 1, 0, 1,
+       0x3fe4800000000003, 0x4025ea64b4f44489, 0x4026ce64832e6f2f},
+      {"mixed-masks", 0, 8, 2, 0, 1,
+       0x3fe3a00000000004, 0x402561cf649febfd, 0x40265c24a41004c6},
+      {"mixed-masks", 0, 16, 0, 0, 1,
+       0x3fe5e7e0965e5dd8, 0x40377e1407b850a1, 0x4037df193e55c159},
+      {"mixed-masks", 0, 16, 1, 0, 1,
+       0x3fe2f6fc64f52ee5, 0x4036368d6fdf1d71, 0x4036bc7ab7c140b4},
+      {"mixed-masks", 0, 16, 2, 0, 1,
+       0x3fe26a0000000001, 0x4036146fb437eff6, 0x4036a1e84a86f5df},
+      {"mixed-masks", 0, 32, 0, 0, 1,
+       0x3fe307f604bce839, 0x404746f99569dbe5, 0x4047897dda5f4d2a},
+      {"mixed-masks", 0, 32, 1, 0, 1,
+       0x3fe18ac7aae86b28, 0x4046db7015f93e1a, 0x40472861f7ef5fd2},
+      {"mixed-masks", 0, 32, 2, 0, 1,
+       0x3fe0ae78088e08a4, 0x40464a51f8aaf8c0, 0x40469db42cd07636},
+      {"mixed-masks", 1, 8, 0, 0, 1,
+       0x3fe89facb107cf60, 0x40261e963109f0a4, 0x4026a4be60742e32},
+      {"mixed-masks", 1, 8, 1, 0, 1,
+       0x3fe22a588a9622a1, 0x40254ddc0baee7f8, 0x40266fc32bca0384},
+      {"mixed-masks", 1, 8, 2, 0, 1,
+       0x3fe09f1165e72541, 0x40249d8029f28b7c, 0x4025ece2872f1564},
+      {"mixed-masks", 1, 16, 0, 0, 1,
+       0x3fe571c241d3ab8b, 0x40376d2fbe7463ad, 0x4037d3a81588f67f},
+      {"mixed-masks", 1, 16, 1, 0, 1,
+       0x3fe1d5f76fecb771, 0x403611937d5692ea, 0x4036a7371b43b2c2},
+      {"mixed-masks", 1, 16, 2, 0, 1,
+       0x3fe07959cda7880f, 0x4035d5c3eb59ac0b, 0x40367fbc9b33a0ea},
+      {"mixed-masks", 1, 32, 0, 0, 1,
+       0x3fe2cd07800ccaf6, 0x4047432a4306280a, 0x4047873d501567fa},
+      {"mixed-masks", 1, 32, 1, 0, 1,
+       0x3fe11331aa84cc48, 0x4046d3e9af6d5f6c, 0x4047244ffb8e1076},
+      {"mixed-masks", 1, 32, 2, 0, 1,
+       0x3fdf99fa835bb79d, 0x40463c3890c6aad8, 0x4046968c42aece5d},
+      {"exhaust", 0, 8, 0, 0, 1,
+       0x3fd9e06522c3f35c, 0x4025f5c152758536, 0x4027c5651299e9c8},
+      {"exhaust", 0, 8, 1, 0, 1,
+       0x3fd745d1745d173b, 0x4023965c4430bd88, 0x40259c4cd231441e},
+      {"exhaust", 0, 8, 2, 0, 1,
+       0x3fd745d1745d173b, 0x4023965c4430bd88, 0x40259c4cd231441e},
+      {"exhaust", 0, 16, 0, 1, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"exhaust", 0, 16, 1, 0, 1,
+       0x3fda8fca3f28fca2, 0x40367037214ebb9e, 0x403751585fd01693},
+      {"exhaust", 0, 16, 2, 0, 1,
+       0x3fd920fb49d0e226, 0x40353f041a975240, 0x40362e578e26dcc2},
+      {"exhaust", 0, 32, 0, 1, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"exhaust", 0, 32, 1, 1, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"exhaust", 0, 32, 2, 1, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"exhaust-middle", 0, 8, 0, 0, 1,
+       0x3fd745d1745d173b, 0x4023965c4430bd88, 0x40259c4cd231441e},
+      {"exhaust-middle", 0, 8, 1, 0, 1,
+       0x3fd9e06522c3f35c, 0x4025f5c152758536, 0x4027c5651299e9c8},
+      {"exhaust-middle", 0, 8, 2, 0, 1,
+       0x3fd745d1745d173b, 0x4023965c4430bd88, 0x40259c4cd231441e},
+      {"exhaust-middle", 0, 16, 0, 0, 1,
+       0x3fd920fb49d0e226, 0x40353f041a975240, 0x40362e578e26dcc2},
+      {"exhaust-middle", 0, 16, 1, 1, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"exhaust-middle", 0, 16, 2, 0, 1,
+       0x3fda8fca3f28fca2, 0x40367037214ebb9e, 0x403751585fd01693},
+      {"exhaust-middle", 0, 32, 0, 0, 1,
+       0x3fdabf51b96f83ae, 0x4045e3ffc87e154a, 0x404653ac28fad6c7},
+      {"exhaust-middle", 0, 32, 1, 1, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"exhaust-middle", 0, 32, 2, 1, 0,
+       0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      {"long", 0, 8, 0, 0, 1,
+       0x3fec08c08c08c07e, 0x4025ea64b4f44488, 0x40262e22fdfa2f45},
+      {"long", 0, 8, 1, 0, 1,
+       0x3fec08c08c08c07e, 0x4025ea64b4f44488, 0x40262e22fdfa2f45},
+      {"long", 0, 8, 2, 0, 1,
+       0x3fec08c08c08c07e, 0x4025ea64b4f44488, 0x40262e22fdfa2f45},
+      {"long", 0, 8, 3, 0, 1,
+       0x3fe59b59b59b59af, 0x4025650f995a6427, 0x40262e22fdfa2f45},
+      {"long", 0, 8, 4, 0, 1,
+       0x3fe59b59b59b59af, 0x4025650f995a6427, 0x40262e22fdfa2f45},
+      {"long", 0, 8, 5, 0, 1,
+       0x3fe59b59b59b59af, 0x4025650f995a6427, 0x40262e22fdfa2f45},
+      {"long", 0, 8, 6, 0, 1,
+       0x3fe4fd3f4fd3f4f7, 0x4024e0abca0bc174, 0x4025b89835fc76a6},
+      {"long", 0, 8, 7, 0, 1,
+       0x3fe4fd3f4fd3f4f7, 0x4024e0abca0bc174, 0x4025b89835fc76a6},
+      {"long", 0, 8, 8, 0, 1,
+       0x3fe4fd3f4fd3f4f7, 0x4024e0abca0bc174, 0x4025b89835fc76a6},
+      {"long", 0, 8, 9, 0, 1,
+       0x3fe4fd3f4fd3f4f7, 0x4024e0abca0bc174, 0x4025b89835fc76a6},
+      {"long", 0, 8, 10, 0, 1,
+       0x3fe4fd3f4fd3f4f7, 0x4024e0abca0bc174, 0x4025b89835fc76a6},
+      {"long", 0, 8, 11, 0, 1,
+       0x3fe4fd3f4fd3f4f7, 0x4024e0abca0bc174, 0x4025b89835fc76a6},
+      {"long", 0, 8, 12, 0, 1,
+       0x3fe4fd3f4fd3f4f7, 0x4024e0abca0bc174, 0x4025b89835fc76a6},
+      {"long", 0, 8, 13, 0, 1,
+       0x3fe4fd3f4fd3f4f7, 0x4024e0abca0bc174, 0x4025b89835fc76a6},
+      {"long", 0, 8, 14, 0, 1,
+       0x3fe4fd3f4fd3f4f7, 0x4024e0abca0bc174, 0x4025b89835fc76a6},
+      {"long", 0, 12, 0, 0, 1,
+       0x3fec23d014d9496d, 0x40310d5f084ff87b, 0x40312e4787929c71},
+      {"long", 0, 12, 1, 0, 1,
+       0x3febe234e86660fa, 0x4030fa92d4e518d0, 0x40311dd2e8a66bd4},
+      {"long", 0, 12, 2, 0, 1,
+       0x3fe642f705f66ef3, 0x4030873313eb94a5, 0x4030e4185b0424a2},
+      {"long", 0, 12, 3, 0, 1,
+       0x3fe642f705f66ef3, 0x4030873313eb94a5, 0x4030e4185b0424a2},
+      {"long", 0, 12, 4, 0, 1,
+       0x3fe642f705f66ef3, 0x4030873313eb94a5, 0x4030e4185b0424a2},
+      {"long", 0, 12, 5, 0, 1,
+       0x3fe642f705f66ef3, 0x4030873313eb94a5, 0x4030e4185b0424a2},
+      {"long", 0, 12, 6, 0, 1,
+       0x3fe642f705f66ef3, 0x4030873313eb94a5, 0x4030e4185b0424a2},
+      {"long", 0, 12, 7, 0, 1,
+       0x3fe642f705f66ef3, 0x4030873313eb94a5, 0x4030e4185b0424a2},
+      {"long", 0, 12, 8, 0, 1,
+       0x3fe642f705f66ef3, 0x4030873313eb94a5, 0x4030e4185b0424a2},
+      {"long", 0, 12, 9, 0, 1,
+       0x3fe25729a4f6a35f, 0x4030203f2a24831d, 0x4030aebe292a928c},
+      {"long", 0, 12, 10, 0, 1,
+       0x3fe25729a4f6a35f, 0x4030203f2a24831d, 0x4030aebe292a928c},
+      {"long", 0, 12, 11, 0, 1,
+       0x3fe25729a4f6a35f, 0x4030203f2a24831d, 0x4030aebe292a928c},
+      {"long", 0, 12, 12, 0, 1,
+       0x3fe25729a4f6a35f, 0x4030203f2a24831d, 0x4030aebe292a928c},
+      {"long", 0, 12, 13, 0, 1,
+       0x3fe25729a4f6a35f, 0x4030203f2a24831d, 0x4030aebe292a928c},
+      {"long", 0, 12, 14, 0, 1,
+       0x3fe25729a4f6a35f, 0x4030203f2a24831d, 0x4030aebe292a928c},
+      {"long", 1, 8, 0, 0, 1,
+       0x3febd1dfb632bd26, 0x4025cb8278a78f00, 0x4026132edf66ddbe},
+      {"long", 1, 8, 1, 0, 1,
+       0x3febd1dfb632bd26, 0x4025cb8278a78f00, 0x4026132edf66ddbe},
+      {"long", 1, 8, 2, 0, 1,
+       0x3febd1dfb632bd26, 0x4025cb8278a78f00, 0x4026132edf66ddbe},
+      {"long", 1, 8, 3, 0, 1,
+       0x3fe47953b7342bae, 0x4025148351917a99, 0x4025f929e46320cc},
+      {"long", 1, 8, 4, 0, 1,
+       0x3fe366227caf168d, 0x4024cb3ece0a8ba6, 0x4025cb8278a78f00},
+      {"long", 1, 8, 5, 0, 1,
+       0x3fe366227caf168d, 0x4024cb3ece0a8ba6, 0x4025cb8278a78f00},
+      {"long", 1, 8, 6, 0, 1,
+       0x3fe24149e112e640, 0x402427a6540f3954, 0x4025470864a0db65},
+      {"long", 1, 8, 7, 0, 1,
+       0x3fe24149e112e640, 0x402427a6540f3954, 0x4025470864a0db65},
+      {"long", 1, 8, 8, 0, 1,
+       0x3fe24149e112e640, 0x402427a6540f3954, 0x4025470864a0db65},
+      {"long", 1, 8, 9, 0, 1,
+       0x3fe24149e112e640, 0x402427a6540f3954, 0x4025470864a0db65},
+      {"long", 1, 8, 10, 0, 1,
+       0x3fe24149e112e640, 0x402427a6540f3954, 0x4025470864a0db65},
+      {"long", 1, 8, 11, 0, 1,
+       0x3fe24149e112e640, 0x402427a6540f3954, 0x4025470864a0db65},
+      {"long", 1, 8, 12, 0, 1,
+       0x3fe24149e112e640, 0x402427a6540f3954, 0x4025470864a0db65},
+      {"long", 1, 8, 13, 0, 1,
+       0x3fe24149e112e640, 0x402427a6540f3954, 0x4025470864a0db65},
+      {"long", 1, 8, 14, 0, 1,
+       0x3fe24149e112e640, 0x402427a6540f3954, 0x4025470864a0db65},
+      {"long", 1, 12, 0, 0, 1,
+       0x3febd825d4b94362, 0x4030f7c7d06a5ebe, 0x40311b644eab65b8},
+      {"long", 1, 12, 1, 0, 1,
+       0x3feb8a75c01d85cb, 0x4030e2ee8a601c95, 0x4031095936d42fe1},
+      {"long", 1, 12, 2, 0, 1,
+       0x3fe591f7047dc113, 0x40306d903376a4f7, 0x4030d289314a73d3},
+      {"long", 1, 12, 3, 0, 1,
+       0x3fe591f7047dc113, 0x40306d903376a4f7, 0x4030d289314a73d3},
+      {"long", 1, 12, 4, 0, 1,
+       0x3fe56186f75acfa3, 0x403066b48c01509c, 0x4030cdeef1dddf0c},
+      {"long", 1, 12, 5, 0, 1,
+       0x3fe56186f75acfa3, 0x403066b48c01509c, 0x4030cdeef1dddf0c},
+      {"long", 1, 12, 6, 0, 1,
+       0x3fe56186f75acfa3, 0x403066b48c01509c, 0x4030cdeef1dddf0c},
+      {"long", 1, 12, 7, 0, 1,
+       0x3fe56186f75acfa3, 0x403066b48c01509c, 0x4030cdeef1dddf0c},
+      {"long", 1, 12, 8, 0, 1,
+       0x3fe56186f75acfa3, 0x403066b48c01509c, 0x4030cdeef1dddf0c},
+      {"long", 1, 12, 9, 0, 1,
+       0x3fe08969115be960, 0x402fcbfc69127732, 0x40308efdce42e728},
+      {"long", 1, 12, 10, 0, 1,
+       0x3fdfedcf1c9ce5b7, 0x402fa758baeb4a11, 0x403085b025f56d6d},
+      {"long", 1, 12, 11, 0, 1,
+       0x3fdfedcf1c9ce5b7, 0x402fa758baeb4a11, 0x403085b025f56d6d},
+      {"long", 1, 12, 12, 0, 1,
+       0x3fdfedcf1c9ce5b7, 0x402fa758baeb4a11, 0x403085b025f56d6d},
+      {"long", 1, 12, 13, 0, 1,
+       0x3fdfedcf1c9ce5b7, 0x402fa758baeb4a11, 0x403085b025f56d6d},
+      {"long", 1, 12, 14, 0, 1,
+       0x3fdfedcf1c9ce5b7, 0x402fa758baeb4a11, 0x403085b025f56d6d},
+  };
+  return *points;
+}
+
+struct ColumnSeriesPoint {
+  int n;
+  double scale;
+  int well_defined;
+  uint64_t probability;
+};
+
+struct ColumnLimit {
+  const char* id;
+  int has_value;
+  uint64_t value;
+  int converged;
+  int exhausted;
+  int never_defined;
+  std::vector<ColumnSeriesPoint> series;
+};
+
+const std::vector<ColumnLimit>& ColumnLimits() {
+  static const auto* limits = new std::vector<ColumnLimit>{
+      {"negated", 1, 0x3fddb1587531d49a, 0, 0, 0,
+       {{8, 1, 1, 0x3fdb2202a827ee22},
+        {16, 1, 1, 0x3fddc6578bc7cb7b},
+        {32, 1, 1, 0x3fdf2a33707aa7dd},
+        {8, 0.5, 1, 0x3fd80ff0ec8585b4},
+        {16, 0.5, 1, 0x3fdbad0d75384b23},
+        {32, 0.5, 1, 0x3fde41a9ba697fa5},
+        {8, 0.25, 1, 0x3fd8021b9e9a6715},
+        {16, 0.25, 1, 0x3fdb5a2ac0e3d2a5},
+        {32, 0.25, 1, 0x3fddb1587531d49a}}},
+      {"mixed-masks", 1, 0x3fe0ae78088e08a4, 0, 0, 0,
+       {{8, 1, 1, 0x3fe933333333332f},
+        {16, 1, 1, 0x3fe5e7e0965e5dd8},
+        {32, 1, 1, 0x3fe307f604bce839},
+        {8, 0.5, 1, 0x3fe4800000000003},
+        {16, 0.5, 1, 0x3fe2f6fc64f52ee5},
+        {32, 0.5, 1, 0x3fe18ac7aae86b28},
+        {8, 0.25, 1, 0x3fe3a00000000004},
+        {16, 0.25, 1, 0x3fe26a0000000001},
+        {32, 0.25, 1, 0x3fe0ae78088e08a4}}},
+      {"exhaust", 1, 0x3fd9e06522c3f35c, 0, 1, 0,
+       {{8, 1, 1, 0x3fd9e06522c3f35c}}},
+      {"exhaust-middle", 1, 0x3fd9e06522c3f35c, 0, 1, 0,
+       {{8, 0.1, 1, 0x3fd745d1745d173b},
+        {16, 0.1, 1, 0x3fd920fb49d0e226},
+        {32, 0.1, 1, 0x3fdabf51b96f83ae},
+        {8, 1, 1, 0x3fd9e06522c3f35c}}},
+      {"long", 1, 0x3fe25729a4f6a35f, 0, 0, 0,
+       {{8, 1, 1, 0x3fec08c08c08c07e},
+        {12, 1, 1, 0x3fec23d014d9496d},
+        {8, 0.9, 1, 0x3fec08c08c08c07e},
+        {12, 0.9, 1, 0x3febe234e86660fa},
+        {8, 0.8, 1, 0x3fec08c08c08c07e},
+        {12, 0.8, 1, 0x3fe642f705f66ef3},
+        {8, 0.7, 1, 0x3fe59b59b59b59af},
+        {12, 0.7, 1, 0x3fe642f705f66ef3},
+        {8, 0.6, 1, 0x3fe59b59b59b59af},
+        {12, 0.6, 1, 0x3fe642f705f66ef3},
+        {8, 0.5, 1, 0x3fe59b59b59b59af},
+        {12, 0.5, 1, 0x3fe642f705f66ef3},
+        {8, 0.45, 1, 0x3fe4fd3f4fd3f4f7},
+        {12, 0.45, 1, 0x3fe642f705f66ef3},
+        {8, 0.4, 1, 0x3fe4fd3f4fd3f4f7},
+        {12, 0.4, 1, 0x3fe642f705f66ef3},
+        {8, 0.35, 1, 0x3fe4fd3f4fd3f4f7},
+        {12, 0.35, 1, 0x3fe642f705f66ef3},
+        {8, 0.3, 1, 0x3fe4fd3f4fd3f4f7},
+        {12, 0.3, 1, 0x3fe25729a4f6a35f},
+        {8, 0.25, 1, 0x3fe4fd3f4fd3f4f7},
+        {12, 0.25, 1, 0x3fe25729a4f6a35f},
+        {8, 0.2, 1, 0x3fe4fd3f4fd3f4f7},
+        {12, 0.2, 1, 0x3fe25729a4f6a35f},
+        {8, 0.15, 1, 0x3fe4fd3f4fd3f4f7},
+        {12, 0.15, 1, 0x3fe25729a4f6a35f},
+        {8, 0.12, 1, 0x3fe4fd3f4fd3f4f7},
+        {12, 0.12, 1, 0x3fe25729a4f6a35f},
+        {8, 0.1, 1, 0x3fe4fd3f4fd3f4f7},
+        {12, 0.1, 1, 0x3fe25729a4f6a35f}}},
+  };
+  return *limits;
+}
+
+struct ColumnInstance {
+  KnowledgeBase kb;
+  FormulaPtr query;
+  ProfileEngine engine;
+  std::vector<semantics::ToleranceVector> scales;
+};
+
+ColumnInstance MakeColumnInstance(const ColumnCase& c, bool appended) {
+  ColumnInstance instance;
+  std::string error;
+  EXPECT_TRUE(instance.kb.AddParsed(c.kb, &error)) << c.id << ": " << error;
+  if (appended) {
+    EXPECT_TRUE(instance.kb.AddParsed(c.appended, &error))
+        << c.id << ": " << error;
+  }
+  instance.query = logic::ParseFormula(c.query).formula;
+  instance.kb.RegisterQuerySymbols(instance.query);
+  ProfileEngine::Options options;
+  options.max_leaves = c.max_leaves;
+  instance.engine = ProfileEngine(options);
+  for (double scale : c.scales) {
+    instance.scales.push_back(Tol(c.tolerance).Scaled(scale));
+  }
+  return instance;
+}
+
+// The per-point rows of one case at one N, in scale order.
+std::vector<ColumnPoint> ColumnPointsAt(const ColumnCase& c, bool appended,
+                                        int n) {
+  std::vector<ColumnPoint> out;
+  for (const auto& point : ColumnPoints()) {
+    if (point.id == std::string(c.id) && point.appended == appended &&
+        point.n == n) {
+      out.push_back(point);
+    }
+  }
+  EXPECT_EQ(out.size(), c.scales.size()) << c.id << " N=" << n;
+  return out;
+}
+
+void ExpectPoint(const FiniteResult& r, const ColumnPoint& point,
+                 const std::string& path) {
+  SCOPED_TRACE(path + " " + point.id + (point.appended ? "+appended" : "") +
+               " N=" + std::to_string(point.n) +
+               " scale #" + std::to_string(point.scale_index));
+  EXPECT_EQ(r.exhausted, point.exhausted != 0);
+  EXPECT_EQ(r.well_defined, point.well_defined != 0);
+  EXPECT_EQ(std::bit_cast<uint64_t>(r.probability), point.probability);
+  EXPECT_EQ(std::bit_cast<uint64_t>(r.log_numerator), point.log_numerator);
+  EXPECT_EQ(std::bit_cast<uint64_t>(r.log_denominator),
+            point.log_denominator);
+}
+
+// A column holds one result per scale up to and including the first
+// exhausted one, each equal to its per-point row.
+void ExpectColumn(const std::vector<FiniteResult>& column,
+                  const ColumnCase& c, bool appended, int n,
+                  const std::string& path) {
+  const std::vector<ColumnPoint> points = ColumnPointsAt(c, appended, n);
+  size_t expected = points.size();
+  for (size_t s = 0; s < points.size(); ++s) {
+    if (points[s].exhausted) {
+      expected = s + 1;
+      break;
+    }
+  }
+  ASSERT_EQ(column.size(), expected) << path << " " << c.id << " N=" << n;
+  for (size_t s = 0; s < column.size(); ++s) {
+    ExpectPoint(column[s], points[s], path);
+  }
+}
+
+bool ColumnExhausted(const ColumnCase& c, int n) {
+  for (const auto& point : ColumnPointsAt(c, false, n)) {
+    if (point.exhausted) return true;
+  }
+  return false;
+}
+
+TEST(ProfileEngineColumn, UncachedColumnMatchesPerPointRows) {
+  for (const auto& c : ColumnCases()) {
+    for (bool appended : {false, true}) {
+      if (appended && c.appended == nullptr) continue;
+      ColumnInstance in = MakeColumnInstance(c, appended);
+      QueryContext ctx(in.kb.vocabulary(), in.kb.AsFormula(),
+                       /*caching_enabled=*/false);
+      for (int n : c.sizes) {
+        ExpectColumn(in.engine.DegreesAt(ctx, in.query, n, in.scales), c,
+                     appended, n, "uncached column");
+        // A single point is the one-scale column of the same kernel.
+        const std::vector<ColumnPoint> points = ColumnPointsAt(c, appended, n);
+        for (size_t s = 0; s < in.scales.size(); ++s) {
+          ExpectPoint(in.engine.DegreeAt(ctx, in.query, n, in.scales[s]),
+                      points[s], "uncached point");
+        }
+      }
+    }
+  }
+}
+
+TEST(ProfileEngineColumn, RecordingAndReplayingColumns) {
+  for (const auto& c : ColumnCases()) {
+    ColumnInstance in = MakeColumnInstance(c, false);
+    QueryContext recording(in.kb.vocabulary(), in.kb.AsFormula(), true);
+    recording.set_eager_world_recording(true);
+    QueryContext replaying(in.kb.vocabulary(), in.kb.AsFormula(), true);
+    replaying.set_eager_world_recording(true);
+    const FormulaPtr other = Formula::Not(in.query);
+    for (int n : c.sizes) {
+      ExpectColumn(in.engine.DegreesAt(recording, in.query, n, in.scales), c,
+                   false, n, "recording");
+      in.engine.DegreesAt(replaying, other, n, in.scales);
+      const uint64_t hits = replaying.cache_stats().blob_hits;
+      ExpectColumn(in.engine.DegreesAt(replaying, in.query, n, in.scales), c,
+                   false, n, "replaying");
+      if (!ColumnExhausted(c, n)) {
+        EXPECT_GT(replaying.cache_stats().blob_hits, hits)
+            << c.id << ": the second query should replay the recorded list";
+      }
+    }
+  }
+}
+
+TEST(ProfileEngineColumn, PatchedColumnsAfterAppend) {
+  for (const auto& c : ColumnCases()) {
+    if (c.appended == nullptr) continue;
+    ColumnInstance base = MakeColumnInstance(c, false);
+    ColumnInstance grown = MakeColumnInstance(c, true);
+    QueryContext v1(base.kb.vocabulary(), base.kb.AsFormula(), true);
+    v1.set_eager_world_recording(true);
+    for (int n : c.sizes) {
+      base.engine.DegreesAt(v1, base.query, n, base.scales);
+    }
+    KbDelta delta = ComputeKbDelta(base.kb, grown.kb);
+    ASSERT_TRUE(delta.patchable()) << c.id;
+    QueryContext v2(grown.kb.vocabulary(), grown.kb.AsFormula(), true);
+    v2.set_eager_world_recording(true);
+    v2.AdoptCachesFrom(v1);
+    ASSERT_TRUE(v2.ApplyDelta(v1, delta)) << c.id;
+    // One list per column: a schedule longer than the scale mask records
+    // several columns per N.
+    const size_t columns_per_n = (c.scales.size() + 12) / 13;
+    EXPECT_EQ(v2.cache_stats().world_lists_patched,
+              c.sizes.size() * columns_per_n)
+        << c.id;
+    const uint64_t hits = v2.cache_stats().blob_hits;
+    for (int n : c.sizes) {
+      ExpectColumn(grown.engine.DegreesAt(v2, grown.query, n, grown.scales),
+                   c, true, n, "patched");
+    }
+    EXPECT_GE(v2.cache_stats().blob_hits,
+              hits + c.sizes.size() * columns_per_n)
+        << c.id << ": every column should replay its patched list";
+  }
+}
+
+TEST(ProfileEngineColumn, EstimateLimitMatchesPerPointSweep) {
+  for (const auto& c : ColumnCases()) {
+    const ColumnLimit* golden = nullptr;
+    for (const auto& limit : ColumnLimits()) {
+      if (limit.id == std::string(c.id)) golden = &limit;
+    }
+    ASSERT_NE(golden, nullptr) << c.id;
+    for (bool caching : {false, true}) {
+      for (int threads : {1, 3}) {
+        SCOPED_TRACE(std::string(c.id) + (caching ? " caching" : " uncached") +
+                     " threads=" + std::to_string(threads));
+        ColumnInstance in = MakeColumnInstance(c, false);
+        QueryContext ctx(in.kb.vocabulary(), in.kb.AsFormula(), caching);
+        LimitOptions options;
+        options.domain_sizes = c.sizes;
+        options.tolerance_scales = c.scales;
+        options.num_threads = threads;
+        LimitResult r = EstimateLimit(in.engine, ctx, in.query,
+                                      Tol(c.tolerance), options);
+        EXPECT_EQ(r.value.has_value(), golden->has_value != 0);
+        EXPECT_EQ(std::bit_cast<uint64_t>(r.value.value_or(0.0)),
+                  golden->value);
+        EXPECT_EQ(r.converged, golden->converged != 0);
+        EXPECT_EQ(r.exhausted, golden->exhausted != 0);
+        EXPECT_EQ(r.never_defined, golden->never_defined != 0);
+        ASSERT_EQ(r.series.size(), golden->series.size());
+        for (size_t i = 0; i < r.series.size(); ++i) {
+          EXPECT_EQ(r.series[i].domain_size, golden->series[i].n);
+          EXPECT_EQ(r.series[i].tolerance_scale, golden->series[i].scale);
+          EXPECT_EQ(r.series[i].well_defined,
+                    golden->series[i].well_defined != 0);
+          EXPECT_EQ(std::bit_cast<uint64_t>(r.series[i].probability),
+                    golden->series[i].probability);
+        }
+        if (!caching) continue;
+        // The finite memo holds only points computed to completion, each
+        // equal to its per-point row.
+        for (int n : c.sizes) {
+          const std::vector<ColumnPoint> points = ColumnPointsAt(c, false, n);
+          for (size_t s = 0; s < c.scales.size(); ++s) {
+            const std::string key =
+                in.engine.name() + "|" + in.engine.CacheSalt() + "|" +
+                std::to_string(in.query->id()) + "|" + std::to_string(n) +
+                "|" + in.scales[s].CacheKey();
+            FiniteResult stored;
+            if (ctx.LookupFinite(key, &stored)) {
+              ExpectPoint(stored, points[s], "memo");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Logs the columns EstimateLimit asks the profile engine for.
+class ColumnLoggingEngine : public ProfileEngine {
+ public:
+  using ProfileEngine::ProfileEngine;
+  mutable std::vector<std::pair<int, size_t>> columns;
+
+ protected:
+  std::vector<FiniteResult> DegreesAtInContext(
+      QueryContext& ctx, const FormulaPtr& query, int domain_size,
+      const std::vector<semantics::ToleranceVector>& scales) const override {
+    columns.emplace_back(domain_size, scales.size());
+    return ProfileEngine::DegreesAtInContext(ctx, query, domain_size, scales);
+  }
+};
+
+TEST(ProfileEngineColumn, SerialSweepComputesOnlyWhatItReads) {
+  // The serial sweep reads scale-major and stops at its first exhausted
+  // point, so it asks for one column per N, in N order, and once scale k
+  // has exhausted, later columns hold only the scales before k.
+  const std::map<std::string, std::vector<std::pair<int, size_t>>> expected = {
+      {"negated", {{8, 3}, {16, 3}, {32, 3}}},
+      // Scale 0 exhausts at N = 16: the sweep stops there.
+      {"exhaust", {{8, 3}, {16, 3}}},
+      // Scale 1 exhausts at N = 16: N = 32 computes scale 0 alone.
+      {"exhaust-middle", {{8, 3}, {16, 3}, {32, 1}}},
+  };
+  for (const auto& c : ColumnCases()) {
+    auto it = expected.find(c.id);
+    if (it == expected.end()) continue;
+    ColumnInstance in = MakeColumnInstance(c, false);
+    ProfileEngine::Options options;
+    options.max_leaves = c.max_leaves;
+    ColumnLoggingEngine engine(options);
+    QueryContext ctx(in.kb.vocabulary(), in.kb.AsFormula(),
+                     /*caching_enabled=*/false);
+    LimitOptions limit;
+    limit.domain_sizes = c.sizes;
+    limit.tolerance_scales = c.scales;
+    EstimateLimit(engine, ctx, in.query, Tol(c.tolerance), limit);
+    EXPECT_EQ(engine.columns, it->second) << c.id;
   }
 }
 
